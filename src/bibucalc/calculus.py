@@ -267,7 +267,11 @@ def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
 
 
 def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
-    """M . N with canonical (lex-least) orbit representatives."""
+    """M . N with canonical (lex-least) orbit representatives.
+
+    M and N must be valid bibundles (see validate_bibundle): both the
+    principal path and the one-step orbit path rely on the action laws.
+    """
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
     G = M.left_groupoid
@@ -309,17 +313,9 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
                 if (m, n) in reps:
                     continue
                 rep = tup(m, n)
-                stack = [(m, n)]
-                orbit = {(m, n)}
-                while stack:
-                    a, b = stack.pop()
-                    for h in H.l_fiber(M.rmap[a]):
-                        nxt = (mright(a, h), nleft(Hinv[h], b))
-                        if nxt not in orbit:
-                            orbit.add(nxt)
-                            stack.append(nxt)
-                for pair in orbit:
-                    reps[pair] = rep
+                # the orbit of (m, n) is its image under the arrows at its moment
+                for h in H.l_fiber(M.rmap[m]):
+                    reps[(mright(m, h), nleft(Hinv[h], n))] = rep
                 carrier.append(rep)
                 lmap[rep] = M.lmap[m]
                 rmap[rep] = N.rmap[n]

@@ -95,12 +95,30 @@ def _principality(rep) -> dict:
 # verbs
 
 
+def _validation_parts(kind: str, x) -> dict:
+    """Reports per part of a bibundle, hom or group-spec file. A bundle or hom
+    is checked only once its groupoids hold, as its tables are read through them."""
+    if kind == "group-spec":
+        parts = {"groupoid": validate_groupoid(x.base)}
+        for name in ("mu", "e", "i"):
+            if getattr(x, name) is not None:
+                for k, r in _validation_parts("bibundle", getattr(x, name)).items():
+                    parts[name if k == "bibundle" else f"{name}.{k}"] = r
+        return parts
+    if kind == "bibundle":
+        groupoids, check = {"leftGroupoid": x.left_groupoid, "rightGroupoid": x.right_groupoid}, validate_bibundle
+    else:
+        groupoids, check = {"source": x.source, "target": x.target}, check_hom
+    parts = {k: validate_groupoid(G) for k, G in groupoids.items()}
+    if all(r.ok for r in parts.values()):
+        parts[kind] = check(x)
+    return parts
+
+
 def _cmd_validate(args, man: RunManifest) -> int:
     validators = {
         "groupoid": validate_groupoid,
         "category": validate_category,
-        "bibundle": validate_bibundle,
-        "hom": check_hom,
         "sset": validate_sset,
     }
     any_bad = False
@@ -108,21 +126,17 @@ def _cmd_validate(args, man: RunManifest) -> int:
         man.inputs[path] = io.sha256_file(path)
         obj = io.load_json(path)
         kind = io.detect_kind(obj)
-        if kind == "group-spec":
-            data = io.group_spec_from_json(obj, os.path.dirname(path) or ".", validate=False)
-            parts = {"groupoid": validate_groupoid(data.base),
-                     "mu": validate_bibundle(data.mu), "e": validate_bibundle(data.e)}
-            if data.i is not None:
-                parts["i"] = validate_bibundle(data.i)
+        loaded = io._LOADERS[kind](obj, os.path.dirname(path) or ".", False)
+        if kind in validators:
+            rep = validators[kind](loaded)
+            man.verdicts[path] = {"kind": kind, "ok": rep.ok, "violations": _violations(rep)}
+        else:
+            parts = _validation_parts(kind, loaded)
             ok = all(r.ok for r in parts.values())
             man.verdicts[path] = {
                 "kind": kind, "ok": ok,
                 "violations": {k: _violations(r) for k, r in parts.items() if not r.ok},
             }
-        else:
-            loaded = io._LOADERS[kind](obj, os.path.dirname(path) or ".", False)
-            rep = validators[kind](loaded)
-            man.verdicts[path] = {"kind": kind, "ok": rep.ok, "violations": _violations(rep)}
         if not man.verdicts[path]["ok"]:
             any_bad = True
     if any_bad:

@@ -85,14 +85,13 @@ def finset(elements: Sequence[str]) -> FinSet:
     return FinSet(tuple(elements))
 
 
-# Above this many composable pairs a product groupoid keeps its composition
-# table as a lazy mapping; entries are computed per lookup instead of being
-# stored up front. Lookups and equality behave like a dict either way.
-_LAZY_COMP_THRESHOLD = 200_000
-
-
 class _ProductComp(Mapping):
-    """Composition table of a product groupoid, computed on demand."""
+    """Composition table of a product groupoid, read from its factors.
+
+    A lookup splits both labels and composes component by component; nothing
+    is stored. Keys iterate in the order of itertools.product over the
+    factors' tables, and equality with any mapping is equality of entries.
+    """
 
     def __init__(self, factors: tuple["FinGroupoid", ...]):
         self._factors = factors
@@ -101,9 +100,12 @@ class _ProductComp(Mapping):
             self._len *= len(f.comp)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
-        g, g2 = key
-        parts = untup(g)
-        parts2 = untup(g2)
+        try:
+            g, g2 = key
+            parts = untup(g)
+            parts2 = untup(g2)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
         if len(parts) != len(self._factors) or len(parts2) != len(self._factors):
             raise KeyError(key)
         out = []
@@ -114,10 +116,15 @@ class _ProductComp(Mapping):
                 raise KeyError(key) from None
         return tup(*out)
 
+    def items(self) -> Iterator[tuple[tuple[str, str], str]]:  # type: ignore[override]
+        """(key, value) pairs in key order, each composed once from the factors."""
+        for combo in itertools.product(*(f.comp.items() for f in self._factors)):
+            key1 = tup(*(kv[0][0] for kv in combo))
+            key2 = tup(*(kv[0][1] for kv in combo))
+            yield (key1, key2), tup(*(kv[1] for kv in combo))
+
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        pair_lists = [list(f.comp.keys()) for f in self._factors]
-        for combo in itertools.product(*pair_lists):
-            yield (tup(*(p[0] for p in combo)), tup(*(p[1] for p in combo)))
+        return (key for key, _ in self.items())
 
     def __len__(self) -> int:
         return self._len
@@ -228,6 +235,14 @@ def as_category(G: FinGroupoid) -> FinCategory:
 # validation
 
 
+def _l_index(C: FinGroupoid | FinCategory) -> dict:
+    """Arrows grouped by their l value (None where l is missing), in arrow order."""
+    out: dict = {}
+    for g in C.arrows:
+        out.setdefault(C.l.get(g), []).append(g)
+    return out
+
+
 def _check_tables(
     C: FinGroupoid | FinCategory, out: list[Violation], with_inv: bool
 ) -> None:
@@ -262,20 +277,21 @@ def _check_tables(
             if g not in arrows:
                 out.append(Violation("structural", "inv-domain", "inv defined on non-arrow", (g,)))
     # composition keys
-    for key in C.comp:
+    for key, h in C.comp.items():
         g, g2 = key
         if g not in arrows or g2 not in arrows:
             out.append(Violation("structural", "comp-domain", "comp key is not a pair of arrows", key))
         elif C.l.get(g2) != C.r.get(g):
             out.append(Violation("structural", "comp-noncomposable", "comp defined on a non-composable pair", key))
-        elif C.comp[key] not in arrows:
-            out.append(Violation("structural", "comp-range", "comp value is not an arrow", (*key, C.comp[key])))
+        elif h not in arrows:
+            out.append(Violation("structural", "comp-range", "comp value is not an arrow", (*key, h)))
+    by_l = _l_index(C)
     for g in C.arrows:
         rg = C.r.get(g)
         if rg is None:
             continue
-        for g2 in C.arrows:
-            if C.l.get(g2) == rg and (g, g2) not in C.comp:
+        for g2 in by_l.get(rg, ()):
+            if (g, g2) not in C.comp:
                 out.append(Violation("structural", "comp-missing", "comp undefined on composable pair", (g, g2)))
 
 
@@ -299,11 +315,9 @@ def _check_category_axioms(C: FinGroupoid | FinCategory, out: list[Violation]) -
         if C.l.get(h) != C.l.get(g) or C.r.get(h) != C.r.get(g2):
             out.append(Violation("axiom", "comp-moment", "composite has wrong endpoints", (g, g2, h)))
     # associativity over all composable triples
-    for (g, g2) in C.comp:
-        h = C.comp[(g, g2)]
-        for g3 in C.arrows:
-            if C.l.get(g3) != C.r.get(g2):
-                continue
+    by_l = _l_index(C)
+    for (g, g2), h in C.comp.items():
+        for g3 in by_l.get(C.r.get(g2), ()):
             left = C.comp.get((h, g3))
             inner = C.comp.get((g2, g3))
             right = C.comp.get((g, inner)) if inner is not None else None
@@ -475,19 +489,7 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     unit = {}
     for combo in itertools.product(*(f.objects for f in fs)):
         unit[tup(*combo)] = tup(*(f.unit[x] for f, x in zip(fs, combo)))
-    n_pairs = 1
-    for f in fs:
-        n_pairs *= len(f.comp)
-    comp: Mapping[tuple[str, str], str]
-    if n_pairs > _LAZY_COMP_THRESHOLD:
-        comp = _ProductComp(fs)
-    else:
-        comp = {}
-        for combo in itertools.product(*(f.comp.items() for f in fs)):
-            key1 = tup(*(kv[0][0] for kv in combo))
-            key2 = tup(*(kv[0][1] for kv in combo))
-            comp[(key1, key2)] = tup(*(kv[1] for kv in combo))
-    return FinGroupoid(finset(objects), finset(arrows), l, r, comp, inv, unit)
+    return FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs), inv, unit)
 
 
 def power_groupoid(G: FinGroupoid, n: int) -> FinGroupoid:
@@ -596,30 +598,3 @@ def swap_hom(G: FinGroupoid, H: FinGroupoid) -> GroupoidHom:
     f0 = {tup(x, y): tup(y, x) for x in G.objects for y in H.objects}
     f1 = {tup(g, h): tup(h, g) for g in G.arrows for h in H.arrows}
     return GroupoidHom(P, Q, f0, f1)
-
-
-def terminal_hom(G: FinGroupoid) -> GroupoidHom:
-    T = power_groupoid(G, 0)
-    return GroupoidHom(G, T, {x: "()" for x in G.objects}, {g: "()" for g in G.arrows})
-
-
-def point_hom(G: FinGroupoid, x: str) -> GroupoidHom:
-    """Trivial(1) -> G picking the object x."""
-    if x not in G.objects:
-        raise StructuralError(f"{x!r} is not an object")
-    T = power_groupoid(G, 0)
-    return GroupoidHom(T, G, {"()": x}, {"()": G.unit[x]})
-
-
-def product_hom(phis: Sequence[GroupoidHom]) -> GroupoidHom:
-    """Componentwise hom between the product groupoids."""
-    fs = tuple(phis)
-    S = product_groupoid([p.source for p in fs])
-    T = product_groupoid([p.target for p in fs])
-    f0 = {}
-    for combo in itertools.product(*(p.source.objects for p in fs)):
-        f0[tup(*combo)] = tup(*(p.f0[x] for p, x in zip(fs, combo)))
-    f1 = {}
-    for combo in itertools.product(*(p.source.arrows for p in fs)):
-        f1[tup(*combo)] = tup(*(p.f1[g] for p, g in zip(fs, combo)))
-    return GroupoidHom(S, T, f0, f1)

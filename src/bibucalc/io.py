@@ -58,13 +58,28 @@ def _triples(table: Mapping[tuple[str, str], str]) -> list[list[str]]:
     return [[a, b, v] for (a, b), v in sorted(table.items())]
 
 
+# Shape checks run before any constructor, so that a mistyped field is named
+# instead of coerced (a string read as its characters) or failing inside one.
+
+
 def _untriples(rows, what: str) -> dict[tuple[str, str], str]:
-    out = {}
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            raise StructuralError(f"{what} rows must be [a, b, value] triples")
-        out[(row[0], row[1])] = row[2]
-    return out
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)
+            for row in rows)):
+        raise StructuralError(f"field {what!r} must be a list of [a, b, value] string triples")
+    return {(a, b): v for a, b, v in rows}
+
+
+def _label_list(obj: dict, key: str) -> list[str]:
+    if not (isinstance(obj[key], list) and all(isinstance(x, str) for x in obj[key])):
+        raise StructuralError(f"field {key!r} must be a list of strings")
+    return obj[key]
+
+
+def _label_map(obj: dict, key: str) -> dict[str, str]:
+    if not (isinstance(obj[key], dict) and all(isinstance(x, str) for kv in obj[key].items() for x in kv)):
+        raise StructuralError(f"field {key!r} must be an object from strings to strings")
+    return dict(obj[key])
 
 
 def _deref(ref: Any, base: str | None, loader, what: str):
@@ -103,9 +118,9 @@ def groupoid_from_json(obj: Any, base: str | None = None, validate: bool = True)
     if missing:
         raise StructuralError(f"groupoid file missing keys: {sorted(missing)}")
     G = FinGroupoid(
-        finset(obj["objects"]), finset(obj["arrows"]),
-        dict(obj["l"]), dict(obj["r"]),
-        _untriples(obj["comp"], "comp"), dict(obj["inv"]), dict(obj["unit"]),
+        finset(_label_list(obj, "objects")), finset(_label_list(obj, "arrows")),
+        _label_map(obj, "l"), _label_map(obj, "r"),
+        _untriples(obj["comp"], "comp"), _label_map(obj, "inv"), _label_map(obj, "unit"),
     )
     if validate:
         rep = validate_groupoid(G)
@@ -132,9 +147,9 @@ def category_from_json(obj: Any, base: str | None = None, validate: bool = True)
     if missing:
         raise StructuralError(f"category file missing keys: {sorted(missing)}")
     C = FinCategory(
-        finset(obj["objects"]), finset(obj["arrows"]),
-        dict(obj["l"]), dict(obj["r"]),
-        _untriples(obj["comp"], "comp"), dict(obj["unit"]),
+        finset(_label_list(obj, "objects")), finset(_label_list(obj, "arrows")),
+        _label_map(obj, "l"), _label_map(obj, "r"),
+        _untriples(obj["comp"], "comp"), _label_map(obj, "unit"),
     )
     if validate:
         rep = validate_category(C)
@@ -174,7 +189,7 @@ def bibundle_from_json(obj: Any, base: str | None = None, validate: bool = True)
     H = _deref(obj["rightGroupoid"], base,
                lambda o, b: groupoid_from_json(o, b, validate), "right groupoid")
     M = bibundle_from_tables(
-        G, H, obj["carrier"], dict(obj["lM"]), dict(obj["rM"]),
+        G, H, _label_list(obj, "carrier"), _label_map(obj, "lM"), _label_map(obj, "rM"),
         _untriples(obj["leftAct"], "leftAct"), _untriples(obj["rightAct"], "rightAct"),
     )
     if validate:
@@ -203,7 +218,7 @@ def hom_from_json(obj: Any, base: str | None = None, validate: bool = True) -> G
                lambda o, b: groupoid_from_json(o, b, validate), "source groupoid")
     T = _deref(obj["target"], base,
                lambda o, b: groupoid_from_json(o, b, validate), "target groupoid")
-    phi = GroupoidHom(S, T, dict(obj["f0"]), dict(obj["f1"]))
+    phi = GroupoidHom(S, T, _label_map(obj, "f0"), _label_map(obj, "f1"))
     if validate:
         rep = check_hom(phi)
         if not rep.ok:

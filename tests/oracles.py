@@ -2,12 +2,16 @@
 
 These deliberately avoid the code paths they are checking: the pairing oracle
 derives the table by constraint propagation from the axioms, not by the
-search compute_pairing uses, and the orbit oracle quotients pairs with a
-union-find rather than the composer's walk.
+search compute_pairing uses, the orbit oracle quotients pairs with a
+union-find rather than the composer's one-step image, and the product oracle
+stores every composite up front instead of reading it from the factors.
 """
 from __future__ import annotations
 
+import itertools
+
 from bibucalc.bibundle import Bibundle, check_pairing_axioms, Pairing
+from bibucalc.labels import tup
 
 
 def pairing_solutions(M: Bibundle) -> list[dict]:
@@ -63,3 +67,18 @@ def orbit_quotient(pairs, moves) -> dict:
                 lo, hi = min(a, b), max(a, b)
                 parent[hi] = lo
     return {p: pairs[find(i)] for p, i in index.items()}
+
+
+def product_comp_entry(combo) -> tuple[tuple[str, str], str]:
+    """The product composite of one composable pair per factor, given as a
+    sequence of ((g, g2), h) items: the pair of flat labels and its value."""
+    key1 = tup(*(kv[0][0] for kv in combo))
+    key2 = tup(*(kv[0][1] for kv in combo))
+    return (key1, key2), tup(*(kv[1] for kv in combo))
+
+
+def eager_product_comp(factors) -> dict:
+    """The composition table of product_groupoid(factors), stored as a dict
+    in itertools.product order over the factors' tables."""
+    return dict(product_comp_entry(combo)
+                for combo in itertools.product(*(f.comp.items() for f in factors)))

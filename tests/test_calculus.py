@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bibucalc import (
     GroupoidHom,
@@ -14,6 +14,7 @@ from bibucalc import (
 )
 from bibucalc.bibundle import check_principal, validate_bibundle
 from bibucalc.calculus import (
+    _rp_column,
     all_isos,
     assoc_witness,
     bundlize,
@@ -39,6 +40,7 @@ from bibucalc.calculus import (
     terminal_bibundle,
     validate_iso,
 )
+from bibucalc.diagram import evaluate
 from bibucalc.generators import (
     random_bibundle,
     random_groupoid,
@@ -46,6 +48,7 @@ from bibucalc.generators import (
     random_right_principal_bibundle,
     relabel_randomly,
 )
+from bibucalc.groups import kronecker_finite
 from bibucalc.labels import tup, untup
 
 from oracles import orbit_quotient
@@ -89,13 +92,21 @@ def test_compose_requires_matching_middle():
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
+@example(None)
 def test_compose_representatives_match_orbit_oracle(seed):
-    rng = random.Random(seed)
-    M = random_bibundle(rng, max_objects=2, max_isotropy=3)
-    H = M.right_groupoid
-    # the opposite always composes with M and is rarely principal, so this
-    # exercises the orbit-walk path as well as the fast one
-    N = opposite_bibundle(M) if rng.random() < 0.7 else identity_bibundle(H)
+    if seed is None:
+        # the first compose of preinverse(kronecker_finite(6, 3)), on the
+        # orbit path: 2,304 composable pairs in 144 orbits of 16
+        env = kronecker_finite(6, 3).env()
+        M, N = evaluate(env, "cv * id * e"), evaluate(env, "id * mu * id")
+        assert _rp_column(M) is None
+    else:
+        rng = random.Random(seed)
+        M = random_bibundle(rng, max_objects=2, max_isotropy=3)
+        H = M.right_groupoid
+        # the opposite always composes with M and is rarely principal, so
+        # this exercises the orbit path as well as the principal one
+        N = opposite_bibundle(M) if rng.random() < 0.7 else identity_bibundle(H)
     C = compose(M, N)
     assert validate_bibundle(C).ok
     pairs = _composable_pairs(M, N)

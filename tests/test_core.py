@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bibucalc import (
     StructuralError,
@@ -19,7 +21,11 @@ from bibucalc import (
     trivial_groupoid,
     validate_groupoid,
 )
+from bibucalc.generators import random_groupoid
+from bibucalc.groups import kronecker_finite
 from bibucalc.labels import tup, untup
+
+from oracles import eager_product_comp, product_comp_entry
 
 
 @given(st.lists(st.text(max_size=6), max_size=5))
@@ -144,3 +150,47 @@ def test_product_groupoid_counts(n, m):
     P = product_groupoid([pair_groupoid(n), cyclic_groupoid(m)])
     assert len(P.arrows) == n * n * m
     assert len(P.objects) == n
+
+
+def _assert_non_composable_pairs_missing(P):
+    """comp raises KeyError off its domain, like a dict, and get() gives None."""
+    for key in (("x", "y"), ("()", "()"), ("(a)",), 5):
+        with pytest.raises(KeyError):
+            P.comp[key]
+        assert P.comp.get(key) is None
+    for g in P.arrows:
+        for g2 in P.arrows:
+            if P.r[g] != P.l[g2]:
+                with pytest.raises(KeyError):
+                    P.comp[(g, g2)]
+                assert (g, g2) not in P.comp
+                return
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
+def test_product_comp_matches_eager_oracle(seeds):
+    factors = [random_groupoid(random.Random(s), max_objects=2, max_isotropy=2, prefix=f"f{i}")
+               for i, s in enumerate(seeds)]
+    P = product_groupoid(factors)
+    want = eager_product_comp(factors)
+    assert P.comp == want
+    assert want == P.comp
+    assert len(P.comp) == len(want)
+    assert list(P.comp) == list(want)
+    assert list(P.comp.items()) == list(want.items())
+    for key, h in want.items():
+        assert P.comp[key] == h
+    _assert_non_composable_pairs_missing(P)
+
+
+def test_product_comp_of_a_large_power_matches_oracle_rule():
+    G = kronecker_finite(3, 1).base
+    P = power_groupoid(G, 4)
+    assert len(P.comp) == len(G.comp) ** 4 == 531_441
+    rng = random.Random(2024)
+    items = list(G.comp.items())
+    for _ in range(2_000):
+        key, h = product_comp_entry([rng.choice(items) for _ in range(4)])
+        assert P.comp[key] == h
+    _assert_non_composable_pairs_missing(P)

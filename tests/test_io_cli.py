@@ -251,3 +251,57 @@ def test_cli_usage_errors(tmp_path):
     gpath = str(tmp_path / "g.json")
     io.save_json(gpath, io.groupoid_to_json(cyclic_groupoid(2)))
     assert main(["compose", "--left", gpath, "--right", gpath]) == 2
+
+
+@pytest.mark.parametrize("field, value", [("l", 5), ("objects", "01")])
+def test_cli_validate_rejects_mistyped_fields(tmp_path, capsys, field, value):
+    d = io.groupoid_to_json(cyclic_groupoid(3) if field == "l" else pair_groupoid(2))
+    d[field] = value
+    bad = str(tmp_path / "bad.json")
+    io.save_json(bad, d)
+    capsys.readouterr()
+    assert main(["validate", bad, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    manifest = json.loads(captured.out)
+    assert repr(field) in manifest["verdicts"]["error"]
+
+
+def test_loaders_reject_mistyped_fields():
+    G = io.groupoid_to_json(cyclic_groupoid(2))
+    for field, value in (("arrows", [0, 1]), ("inv", {"0": 0, "1": "1"}),
+                         ("unit", ["0"]), ("comp", 7), ("comp", [["0", "0", 0]])):
+        with pytest.raises(StructuralError, match=repr(field)):
+            io.groupoid_from_json({**G, field: value}, validate=False)
+    C = io.category_to_json(poset_category(2))
+    with pytest.raises(StructuralError, match="'r'"):
+        io.category_from_json({**C, "r": None}, validate=False)
+    M = io.bibundle_to_json(identity_bibundle(cyclic_groupoid(2)))
+    for field, value in (("carrier", "01"), ("lM", 5), ("rM", {"0": ["*"]})):
+        with pytest.raises(StructuralError, match=repr(field)):
+            io.bibundle_from_json({**M, field: value}, validate=False)
+
+
+def _swap_inv(G):
+    G["inv"]["1"], G["inv"]["2"] = G["inv"]["2"], G["inv"]["1"]
+
+
+def _drop_l(G):
+    del G["l"]["1"]
+
+
+@pytest.mark.parametrize("damage, code", [(_swap_inv, "inv-law"), (_drop_l, "l-missing")])
+def test_cli_validate_checks_inline_groupoids(tmp_path, capsys, damage, code):
+    d = io.bibundle_to_json(identity_bibundle(cyclic_groupoid(3)))
+    damage(d["leftGroupoid"])
+    bad = str(tmp_path / "bad.json")
+    io.save_json(bad, d)
+    capsys.readouterr()
+    assert main(["validate", bad, "--json", "--out", str(tmp_path)]) == 1
+    verdict = json.loads(capsys.readouterr().out)["verdicts"][bad]
+    assert verdict["ok"] is False
+    # the bundle's own tables are read through its groupoids, so they are
+    # checked only once both groupoids are valid
+    assert set(verdict["violations"]) == {"leftGroupoid"}
+    assert code in {v["code"] for v in verdict["violations"]["leftGroupoid"]}
+    assert main(["principal", "--bibundle", bad]) == 2
