@@ -8,6 +8,8 @@ side. The two actions commute.
 Actions live behind accessors. Small hand-built bundles use plain dict
 tables; products and composites plug in closures so that large intermediate
 tables are never stored. left_table()/right_table() materialise either kind.
+A bundle whose carrier points are built from parts keeps them in its label
+index, which the closures read instead of decoding labels.
 """
 from __future__ import annotations
 
@@ -22,6 +24,7 @@ from .core import (
     Violation,
     finset,
 )
+from .labels import LabelIndex
 
 ActFn = Callable[[str, str], str]
 
@@ -35,6 +38,7 @@ class Bibundle:
     rmap: Mapping[str, str]
     left_fn: ActFn = field(repr=False)
     right_fn: ActFn = field(repr=False)
+    index: LabelIndex = field(default_factory=LabelIndex, repr=False)
 
     def act_left(self, g: str, m: str) -> str:
         if m not in self.carrier:

@@ -28,12 +28,13 @@ from .core import (
     ValidationReport,
     Violation,
     finset,
+    label_index,
     power_groupoid,
     product_groupoid,
     swap_hom,
     trivial_groupoid,
 )
-from .labels import tup, untup
+from .labels import LabelIndex
 
 
 def _same_groupoid(A: FinGroupoid, B: FinGroupoid) -> bool:
@@ -56,6 +57,8 @@ def identity_bibundle(G: FinGroupoid) -> Bibundle:
 def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
     """The G-(GxG) bibundle of pairs of arrows with a common left object."""
     P = power_groupoid(G, 2)
+    pairs = label_index(P)
+    index = LabelIndex()
     carrier = []
     lmap = {}
     rmap = {}
@@ -63,21 +66,23 @@ def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
         for g2 in G.arrows:
             if G.l[g1] != G.l[g2]:
                 continue
-            m = tup(g1, g2)
+            m = index.add((g1, g2))
             carrier.append(m)
             lmap[m] = G.l[g1]
-            rmap[m] = tup(G.r[g1], G.r[g2])
+            rmap[m] = pairs.label_of[(G.r[g1], G.r[g2])]
+    label_of, parts_of = index.label_of, index.parts_of
+    comp = G.comp
 
     def left_fn(g: str, m: str) -> str:
-        g1, g2 = untup(m)
-        return tup(G.comp[(g, g1)], G.comp[(g, g2)])
+        g1, g2 = parts_of[m]
+        return label_of[(comp[(g, g1)], comp[(g, g2)])]
 
     def right_fn(m: str, h: str) -> str:
-        g1, g2 = untup(m)
-        h1, h2 = untup(h)
-        return tup(G.comp[(g1, h1)], G.comp[(g2, h2)])
+        g1, g2 = parts_of[m]
+        h1, h2 = pairs.parts_of[h]
+        return label_of[(comp[(g1, h1)], comp[(g2, h2)])]
 
-    return Bibundle(G, P, finset(carrier), lmap, rmap, left_fn, right_fn)
+    return Bibundle(G, P, finset(carrier), lmap, rmap, left_fn, right_fn, index)
 
 
 def terminal_bibundle(G: FinGroupoid) -> Bibundle:
@@ -95,14 +100,15 @@ def ev_bibundle(G: FinGroupoid) -> Bibundle:
     """Arrows of G as a bibundle from GxG to the empty power; (g1,g2).m = g1 m inv(g2)."""
     P = power_groupoid(G, 2)
     T = power_groupoid(G, 0)
+    pairs = label_index(P)
 
     def left_fn(gg: str, m: str) -> str:
-        g1, g2 = untup(gg)
+        g1, g2 = pairs.parts_of[gg]
         return G.comp[(G.comp[(g1, m)], G.inv[g2])]
 
     return Bibundle(
         P, T, G.arrows,
-        {m: tup(G.l[m], G.r[m]) for m in G.arrows},
+        {m: pairs.label_of[(G.l[m], G.r[m])] for m in G.arrows},
         {m: "()" for m in G.arrows},
         left_fn,
         lambda m, h: m,
@@ -113,15 +119,16 @@ def cv_bibundle(G: FinGroupoid) -> Bibundle:
     """Arrows of G as a bibundle from the empty power to GxG; m.(h1,h2) = inv(h1) m h2."""
     P = power_groupoid(G, 2)
     T = power_groupoid(G, 0)
+    pairs = label_index(P)
 
     def right_fn(m: str, hh: str) -> str:
-        h1, h2 = untup(hh)
+        h1, h2 = pairs.parts_of[hh]
         return G.comp[(G.comp[(G.inv[h1], m)], h2)]
 
     return Bibundle(
         T, P, G.arrows,
         {m: "()" for m in G.arrows},
-        {m: tup(G.l[m], G.r[m]) for m in G.arrows},
+        {m: pairs.label_of[(G.l[m], G.r[m])] for m in G.arrows},
         lambda g, m: m,
         right_fn,
     )
@@ -134,25 +141,28 @@ def bundlize(phi: GroupoidHom) -> Bibundle:
     left leg, H composes on the right leg.
     """
     G, H = phi.source, phi.target
+    index = LabelIndex()
     carrier = []
     lmap = {}
     rmap = {}
     for x in G.objects:
         for h in H.l_fiber(phi.f0[x]):
-            m = tup(x, h)
+            m = index.add((x, h))
             carrier.append(m)
             lmap[m] = x
             rmap[m] = H.r[h]
+    label_of, parts_of = index.label_of, index.parts_of
+    Gl, Hcomp, f1 = G.l, H.comp, phi.f1
 
     def left_fn(g: str, m: str) -> str:
-        x, h = untup(m)
-        return tup(G.l[g], H.comp[(phi.f1[g], h)])
+        x, h = parts_of[m]
+        return label_of[(Gl[g], Hcomp[(f1[g], h)])]
 
     def right_fn(m: str, h2: str) -> str:
-        x, h = untup(m)
-        return tup(x, H.comp[(h, h2)])
+        x, h = parts_of[m]
+        return label_of[(x, Hcomp[(h, h2)])]
 
-    return Bibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn)
+    return Bibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index)
 
 
 def flip_bibundle(G: FinGroupoid, H: FinGroupoid) -> Bibundle:
@@ -169,6 +179,7 @@ def opposite_bibundle(M: Bibundle) -> Bibundle:
         H, G, M.carrier, dict(M.rmap), dict(M.lmap),
         lambda h, m: right_fn(m, Hinv[h]),
         lambda m, g: left_fn(Ginv[g], m),
+        M.index,
     )
 
 
@@ -176,29 +187,29 @@ def tensor_bibundle(M: Bibundle, N: Bibundle) -> Bibundle:
     """(GxG')-(HxH') bibundle of pairs with componentwise actions."""
     G = product_groupoid([M.left_groupoid, N.left_groupoid])
     H = product_groupoid([M.right_groupoid, N.right_groupoid])
-    carrier = []
+    gidx, hidx = label_index(G), label_index(H)
+    index = LabelIndex()
+    carrier = index.add_product([M.carrier.elements, N.carrier.elements])
     lmap = {}
     rmap = {}
-    for m in M.carrier:
-        for n in N.carrier:
-            p = tup(m, n)
-            carrier.append(p)
-            lmap[p] = tup(M.lmap[m], N.lmap[n])
-            rmap[p] = tup(M.rmap[m], N.rmap[n])
+    for p, (m, n) in zip(carrier, itertools.product(M.carrier, N.carrier)):
+        lmap[p] = gidx.label_of[(M.lmap[m], N.lmap[n])]
+        rmap[p] = hidx.label_of[(M.rmap[m], N.rmap[n])]
+    label_of, parts_of = index.label_of, index.parts_of
     mleft, nleft = M.left_fn, N.left_fn
     mright, nright = M.right_fn, N.right_fn
 
     def left_fn(gg: str, p: str) -> str:
-        g1, g2 = untup(gg)
-        m, n = untup(p)
-        return tup(mleft(g1, m), nleft(g2, n))
+        g1, g2 = gidx.parts_of[gg]
+        m, n = parts_of[p]
+        return label_of[(mleft(g1, m), nleft(g2, n))]
 
     def right_fn(p: str, hh: str) -> str:
-        h1, h2 = untup(hh)
-        m, n = untup(p)
-        return tup(mright(m, h1), nright(n, h2))
+        h1, h2 = hidx.parts_of[hh]
+        m, n = parts_of[p]
+        return label_of[(mright(m, h1), nright(n, h2))]
 
-    return Bibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn)
+    return Bibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index)
 
 
 def relabel_bibundle(M: Bibundle, rename: Mapping[str, str]) -> Bibundle:
@@ -234,7 +245,12 @@ class ComposedBibundle(Bibundle):
 
 def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
     """For each m, the unique h with m.h == fiber-least element, if the right
-    action is free and transitive on every lmap fiber; else None. Cached."""
+    action is free and transitive on every lmap fiber; else None. Cached.
+
+    One pass per fiber: the first point m0 is moved by every arrow at its
+    moment. The images must be distinct (free) and cover the fiber
+    (transitive); then m0.h has the arrow inv(h) back to m0.
+    """
     cached = getattr(M, "_rp_column_cache", "unset")
     if cached != "unset":
         return cached
@@ -242,28 +258,18 @@ def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
     fibers: dict[str, list[str]] = {}
     for m in M.carrier:
         fibers.setdefault(M.lmap[m], []).append(m)
-    column: dict[str, tuple[str, str]] = {}
-    ok = True
-    right_fn = M.right_fn
+    column: dict[str, tuple[str, str]] | None = {}
     for fiber in fibers.values():
         m0 = fiber[0]
-        for m in fiber:
-            found = None
-            for h in H.l_fiber(M.rmap[m]):
-                if right_fn(m, h) == m0:
-                    if found is not None:
-                        found = None
-                        break
-                    found = h
-            if found is None:
-                ok = False
-                break
-            column[m] = (m0, found)
-        if not ok:
+        arrows = H.l_fiber(M.rmap[m0])
+        images = {M.right_fn(m0, h): h for h in arrows}
+        if len(images) < len(arrows) or not all(m in images for m in fiber):
+            column = None  # an image repeats (not free) or a point is missed (not transitive)
             break
-    result = column if ok else None
-    object.__setattr__(M, "_rp_column_cache", result)
-    return result
+        for m, h in images.items():
+            column[m] = (m0, H.inv[h])
+    object.__setattr__(M, "_rp_column_cache", column)
+    return column
 
 
 def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
@@ -271,6 +277,8 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
 
     M and N must be valid bibundles (see validate_bibundle): both the
     principal path and the one-step orbit path rely on the action laws.
+    Each representative is encoded once; the composite's label index holds
+    its pair, and project looks representatives up.
     """
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
@@ -282,65 +290,74 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
         n_by_obj.setdefault(N.lmap[n], []).append(n)
 
     column = _rp_column(M)
+    index = LabelIndex()
     carrier: list[str] = []
     lmap: dict[str, str] = {}
     rmap: dict[str, str] = {}
+    Hinv = H.inv
+    nleft = N.left_fn
+
+    def not_composable(m: str, n: str) -> StructuralError:
+        return StructuralError(f"pair ({m!r}, {n!r}) is not composable in this composite")
 
     if column is not None:
-        Hinv = H.inv
-        nleft = N.left_fn
+        # the representatives are the pairs whose first leg is fiber-least,
+        # so the index's label_of is the map from representative pairs
+        rep_of = index.label_of
 
         def project(m: str, n: str) -> str:
-            m0, h = column[m]
-            if m0 == m:
-                return tup(m, n)
-            return tup(m0, nleft(Hinv[h], n))
+            try:
+                m0, h = column[m]
+                rep = rep_of.get((m0, n) if m0 == m else (m0, nleft(Hinv[h], n)))
+            except KeyError:
+                raise not_composable(m, n) from None
+            if rep is None:
+                raise not_composable(m, n)
+            return rep
 
         for m in M.carrier:
             if column[m][0] != m:
                 continue
             for n in n_by_obj.get(M.rmap[m], []):
-                rep = tup(m, n)
+                rep = index.add((m, n))
                 carrier.append(rep)
                 lmap[rep] = M.lmap[m]
                 rmap[rep] = N.rmap[n]
     else:
-        reps: dict[tuple[str, str], str] = {}
-        mright, nleft = M.right_fn, N.left_fn
-        Hinv = H.inv
+        rep_of: dict[tuple[str, str], str] = {}
+        mright = M.right_fn
         for m in M.carrier:
             for n in n_by_obj.get(M.rmap[m], []):
-                if (m, n) in reps:
+                if (m, n) in rep_of:
                     continue
-                rep = tup(m, n)
+                rep = index.add((m, n))
                 # the orbit of (m, n) is its image under the arrows at its moment
                 for h in H.l_fiber(M.rmap[m]):
-                    reps[(mright(m, h), nleft(Hinv[h], n))] = rep
+                    rep_of[(mright(m, h), nleft(Hinv[h], n))] = rep
                 carrier.append(rep)
                 lmap[rep] = M.lmap[m]
                 rmap[rep] = N.rmap[n]
 
         def project(m: str, n: str) -> str:
             try:
-                return reps[(m, n)]
+                return rep_of[(m, n)]
             except KeyError:
-                raise StructuralError(
-                    f"pair ({m!r}, {n!r}) is not composable in this composite"
-                ) from None
+                raise not_composable(m, n) from None
 
     mleft = M.left_fn
     nright = N.right_fn
+    pair_of = index.parts_of
 
     def left_fn(g: str, rep: str) -> str:
-        m, n = untup(rep)
+        m, n = pair_of[rep]
         return project(mleft(g, m), n)
 
     def right_fn(rep: str, k: str) -> str:
-        m, n = untup(rep)
+        m, n = pair_of[rep]
         return project(m, nright(n, k))
 
     return ComposedBibundle(
-        G, K, finset(carrier), lmap, rmap, left_fn, right_fn,
+        G, K, finset(carrier), lmap, rmap, left_fn, right_fn, index,
         factors=(M, N), project_fn=project,
     )
 
@@ -435,8 +452,8 @@ def assoc_witness(
     right = right if right is not None else compose(M, NL)
     forward = {}
     for rep in left.carrier:
-        mn, lp = untup(rep)
-        m, n = untup(mn)
+        mn, lp = left.index.parts_of[rep]
+        m, n = MN.index.parts_of[mn]
         forward[rep] = right.project(m, NL.project(n, lp))
     return _bijection_witness(left, right, forward)
 
@@ -447,7 +464,7 @@ def lunit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoW
         composed = compose(identity_bibundle(M.left_groupoid), M)
     forward = {}
     for rep in composed.carrier:
-        g, m = untup(rep)
+        g, m = composed.index.parts_of[rep]
         forward[rep] = M.left_fn(g, m)
     return _bijection_witness(composed, M, forward)
 
@@ -458,7 +475,7 @@ def runit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoW
         composed = compose(M, identity_bibundle(M.right_groupoid))
     forward = {}
     for rep in composed.carrier:
-        m, h = untup(rep)
+        m, h = composed.index.parts_of[rep]
         forward[rep] = M.right_fn(m, h)
     return _bijection_witness(composed, M, forward)
 
@@ -474,7 +491,7 @@ def comp_witness(
     f1, f2 = w1.forward, w2.forward
     forward = {}
     for rep in source.carrier:
-        m, n = untup(rep)
+        m, n = source.index.parts_of[rep]
         forward[rep] = target.project(f1[m], f2[n])
     return _bijection_witness(source, target, forward)
 
@@ -490,8 +507,8 @@ def tensor_witness(
     f1, f2 = w1.forward, w2.forward
     forward = {}
     for rep in source.carrier:
-        m, n = untup(rep)
-        forward[rep] = tup(f1[m], f2[n])
+        m, n = source.index.parts_of[rep]
+        forward[rep] = target.index.label_of[(f1[m], f2[n])]
     return _bijection_witness(source, target, forward)
 
 
@@ -507,12 +524,13 @@ def interchange_witness(
     AC = AC if AC is not None else compose(A, C)
     BD = BD if BD is not None else compose(B, D)
     target = target if target is not None else tensor_bibundle(AC, BD)
+    top, bottom = source.factors
     forward = {}
     for rep in source.carrier:
-        ab, cd = untup(rep)
-        a, b = untup(ab)
-        c, d = untup(cd)
-        forward[rep] = tup(AC.project(a, c), BD.project(b, d))
+        ab, cd = source.index.parts_of[rep]
+        a, b = top.index.parts_of[ab]
+        c, d = bottom.index.parts_of[cd]
+        forward[rep] = target.index.label_of[(AC.project(a, c), BD.project(b, d))]
     return _bijection_witness(source, target, forward)
 
 

@@ -95,21 +95,36 @@ def _principality(rep) -> dict:
 # verbs
 
 
-def _validation_parts(kind: str, x) -> dict:
+def _validation_parts(kind: str, x, seen: list | None = None) -> dict:
     """Reports per part of a bibundle, hom or group-spec file. A bundle or hom
-    is checked only once its groupoids hold, as its tables are read through them."""
+    is checked only once its groupoids hold, as its tables are read through them.
+    A groupoid met again in the same file (the same object, or an equal one)
+    gets the report of its first check."""
+    seen = [] if seen is None else seen
+
+    def check_groupoid(G):
+        for H, rep in seen:
+            if H is G:
+                return rep
+        for H, rep in seen:
+            if H == G:
+                return rep
+        rep = validate_groupoid(G)
+        seen.append((G, rep))
+        return rep
+
     if kind == "group-spec":
-        parts = {"groupoid": validate_groupoid(x.base)}
+        parts = {"groupoid": check_groupoid(x.base)}
         for name in ("mu", "e", "i"):
             if getattr(x, name) is not None:
-                for k, r in _validation_parts("bibundle", getattr(x, name)).items():
+                for k, r in _validation_parts("bibundle", getattr(x, name), seen).items():
                     parts[name if k == "bibundle" else f"{name}.{k}"] = r
         return parts
     if kind == "bibundle":
         groupoids, check = {"leftGroupoid": x.left_groupoid, "rightGroupoid": x.right_groupoid}, validate_bibundle
     else:
         groupoids, check = {"source": x.source, "target": x.target}, check_hom
-    parts = {k: validate_groupoid(G) for k, G in groupoids.items()}
+    parts = {k: check_groupoid(G) for k, G in groupoids.items()}
     if all(r.ok for r in parts.values()):
         parts[kind] = check(x)
     return parts

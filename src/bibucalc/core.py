@@ -14,9 +14,10 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Iterator, Sequence
 
-from .labels import tup, untup
+from .labels import LabelIndex, tup
 
 
 class StructuralError(Exception):
@@ -88,40 +89,42 @@ def finset(elements: Sequence[str]) -> FinSet:
 class _ProductComp(Mapping):
     """Composition table of a product groupoid, read from its factors.
 
-    A lookup splits both labels and composes component by component; nothing
-    is stored. Keys iterate in the order of itertools.product over the
-    factors' tables, and equality with any mapping is equality of entries.
+    A lookup splits both labels and composes component by component through
+    the product's label index; nothing is stored. Keys iterate in the order of
+    itertools.product over the factors' tables, and equality with any mapping
+    is equality of entries.
     """
 
-    def __init__(self, factors: tuple["FinGroupoid", ...]):
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex):
         self._factors = factors
+        self._comps = tuple(f.comp for f in factors)
+        self.index = index
         self._len = 1
         for f in factors:
             self._len *= len(f.comp)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
+        parts_of = self.index.parts_of
         try:
             g, g2 = key
-            parts = untup(g)
-            parts2 = untup(g2)
+            parts, parts2 = parts_of[g], parts_of[g2]
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        if len(parts) != len(self._factors) or len(parts2) != len(self._factors):
+        comps = self._comps
+        if len(parts) != len(comps) or len(parts2) != len(comps):
             raise KeyError(key)
-        out = []
-        for f, a, b in zip(self._factors, parts, parts2):
-            try:
-                out.append(f.comp[(a, b)])
-            except KeyError:
-                raise KeyError(key) from None
-        return tup(*out)
+        try:
+            return self.index.label_of[tuple(map(getitem, comps, zip(parts, parts2)))]
+        except KeyError:
+            raise KeyError(key) from None
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:  # type: ignore[override]
         """(key, value) pairs in key order, each composed once from the factors."""
+        label_of = self.index.label_of
         for combo in itertools.product(*(f.comp.items() for f in self._factors)):
-            key1 = tup(*(kv[0][0] for kv in combo))
-            key2 = tup(*(kv[0][1] for kv in combo))
-            yield (key1, key2), tup(*(kv[1] for kv in combo))
+            keys, values = zip(*combo)
+            firsts, seconds = zip(*keys)
+            yield (label_of[firsts], label_of[seconds]), label_of[values]
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
         return (key for key, _ in self.items())
@@ -139,6 +142,12 @@ class _ProductComp(Mapping):
         return all(other.get(k, object()) == v for k, v in self.items())
 
     __hash__ = None  # type: ignore[assignment]
+
+
+def label_index(G: "FinGroupoid") -> LabelIndex:
+    """The label index of a product groupoid's objects and arrows; for any
+    other groupoid an empty index, which is the plain codec."""
+    return G.comp.index if isinstance(G.comp, _ProductComp) else LabelIndex()
 
 
 @dataclass(frozen=True, eq=True)
@@ -472,24 +481,30 @@ def action_groupoid(
 
 
 def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
-    """Product of groupoids with flat tuple labels (n factors, n components)."""
+    """Product of groupoids with flat tuple labels (n factors, n components).
+
+    Each object and arrow label is encoded once, into the label index that
+    the composition table keeps; l, r, inv and unit are read from it.
+    """
     fs = tuple(factors)
     if not fs:
         return trivial_groupoid(["()"])
-    objects = [tup(*combo) for combo in itertools.product(*(f.objects for f in fs))]
-    arrows = [tup(*combo) for combo in itertools.product(*(f.arrows for f in fs))]
+    index = LabelIndex()
+    label_of = index.label_of
+    objects = index.add_product([f.objects.elements for f in fs])
+    arrows = index.add_product([f.arrows.elements for f in fs])
     l = {}
     r = {}
     inv = {}
-    for combo in itertools.product(*(f.arrows for f in fs)):
-        a = tup(*combo)
-        l[a] = tup(*(f.l[g] for f, g in zip(fs, combo)))
-        r[a] = tup(*(f.r[g] for f, g in zip(fs, combo)))
-        inv[a] = tup(*(f.inv[g] for f, g in zip(fs, combo)))
-    unit = {}
-    for combo in itertools.product(*(f.objects for f in fs)):
-        unit[tup(*combo)] = tup(*(f.unit[x] for f, x in zip(fs, combo)))
-    return FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs), inv, unit)
+    moves = itertools.product(*([(f.l[g], f.r[g], f.inv[g]) for g in f.arrows] for f in fs))
+    for a, combo in zip(arrows, moves):
+        lparts, rparts, iparts = zip(*combo)
+        l[a] = label_of[lparts]
+        r[a] = label_of[rparts]
+        inv[a] = label_of[iparts]
+    units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
+    unit = {x: label_of[uparts] for x, uparts in zip(objects, units)}
+    return FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs, index), inv, unit)
 
 
 def power_groupoid(G: FinGroupoid, n: int) -> FinGroupoid:

@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .bibundle import Bibundle
 from .calculus import (
+    ComposedBibundle,
     IsoWitness,
     bundlize,
     compose,
@@ -32,8 +33,8 @@ from .calculus import (
     identity_bibundle,
     terminal_bibundle,
 )
-from .core import FinGroupoid, StructuralError, finset, power_groupoid, swap_hom
-from .labels import tup, untup
+from .core import FinGroupoid, StructuralError, finset, label_index, power_groupoid, swap_hom
+from .labels import LabelIndex
 
 Span = tuple[int, int]
 
@@ -205,7 +206,7 @@ class DiagramEnv:
         if bib.left_groupoid is self.power(m) and bib.right_groupoid is self.power(n):
             return Wired(bib, m, n)
         pinned = Bibundle(self.power(m), self.power(n), bib.carrier,
-                          bib.lmap, bib.rmap, bib.left_fn, bib.right_fn)
+                          bib.lmap, bib.rmap, bib.left_fn, bib.right_fn, bib.index)
         return Wired(pinned, m, n)
 
     def resolve(self, name: str, span: Span | None = None) -> Wired:
@@ -262,23 +263,32 @@ def typecheck(env: DiagramEnv, expr: str | Ast) -> tuple[int, int]:
     raise DiagramError(f"not a diagram node: {ast!r}")
 
 
-def _split(label: str, k: int) -> list[str]:
+def _splitter(env: DiagramEnv, k: int) -> Callable[[str], tuple[str, ...]]:
+    """Label of an object or arrow of env.power(k) -> its k base components."""
     if k == 0:
-        return []
+        return lambda label: ()
     if k == 1:
-        return [label]
-    parts = untup(label)
-    if len(parts) != k:
-        raise StructuralError(f"label {label!r} does not have {k} components")
-    return list(parts)
+        return lambda label: (label,)
+    return label_index(env.power(k)).parts_of.__getitem__
 
 
-def _join(parts: Sequence[str]) -> str:
-    if not parts:
-        return "()"
-    if len(parts) == 1:
-        return parts[0]
-    return tup(*parts)
+def _joiner(env: DiagramEnv, k: int) -> Callable[[tuple[str, ...]], str]:
+    """k base components -> the label of that object or arrow of env.power(k)."""
+    if k == 0:
+        return lambda parts: "()"
+    if k == 1:
+        return lambda parts: parts[0]
+    return label_index(env.power(k)).label_of.__getitem__
+
+
+def _cutter(env: DiagramEnv, sizes: Sequence[int]) -> Callable[[tuple[str, ...]], list[str]]:
+    """Base components -> the labels of consecutive powers of these sizes."""
+    spans = []
+    at = 0
+    for k in sizes:
+        spans.append((at, at + k, _joiner(env, k)))
+        at += k
+    return lambda comps: [join(comps[a:b]) for a, b, join in spans]
 
 
 def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
@@ -286,7 +296,8 @@ def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
 
     The binary product would nest wire bundles ((G^2) x G instead of G^3);
     here arrow labels are split and regrouped so the result always lives over
-    env.power(total).
+    env.power(total). Labels are looked up in the powers' label indexes and
+    in the carrier's own, which is filled as the carrier is enumerated.
     """
     ws = list(parts)
     if not ws:
@@ -297,43 +308,35 @@ def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
     nsizes = [w.n for w in ws]
     m_total, n_total = sum(msizes), sum(nsizes)
     GL, GR = env.power(m_total), env.power(n_total)
-    carrier = []
+    index = LabelIndex()
+    carrier = index.add_product([w.bib.carrier.elements for w in ws])
+    moments = []
+    for w in ws:
+        lsplit, rsplit = _splitter(env, w.m), _splitter(env, w.n)
+        moments.append([(lsplit(w.bib.lmap[c]), rsplit(w.bib.rmap[c])) for c in w.bib.carrier])
+    ljoin, rjoin = _joiner(env, m_total), _joiner(env, n_total)
     lmap: dict[str, str] = {}
     rmap: dict[str, str] = {}
-    for combo in itertools.product(*(w.bib.carrier for w in ws)):
-        p = tup(*combo)
-        carrier.append(p)
-        lparts: list[str] = []
-        rparts: list[str] = []
-        for w, c in zip(ws, combo):
-            lparts.extend(_split(w.bib.lmap[c], w.m))
-            rparts.extend(_split(w.bib.rmap[c], w.n))
-        lmap[p] = _join(lparts)
-        rmap[p] = _join(rparts)
+    for p, combo in zip(carrier, itertools.product(*moments)):
+        ls, rs = zip(*combo)
+        lmap[p] = ljoin(tuple(itertools.chain.from_iterable(ls)))
+        rmap[p] = rjoin(tuple(itertools.chain.from_iterable(rs)))
+
+    label_of, parts_of = index.label_of, index.parts_of
+    lsplit, rsplit = _splitter(env, m_total), _splitter(env, n_total)
+    lcut, rcut = _cutter(env, msizes), _cutter(env, nsizes)
+    lfns = [w.bib.left_fn for w in ws]
+    rfns = [w.bib.right_fn for w in ws]
 
     def left_fn(gg: str, p: str) -> str:
-        comps = _split(gg, m_total)
-        cs = untup(p)
-        out = []
-        at = 0
-        for w, c in zip(ws, cs):
-            chunk = _join(comps[at:at + w.m])
-            at += w.m
-            out.append(w.bib.left_fn(chunk, c))
-        return tup(*out)
+        gs = lcut(lsplit(gg))
+        return label_of[tuple([f(g, c) for f, g, c in zip(lfns, gs, parts_of[p])])]
 
     def right_fn(p: str, hh: str) -> str:
-        comps = _split(hh, n_total)
-        cs = untup(p)
-        out = []
-        at = 0
-        for w, c in zip(ws, cs):
-            chunk = _join(comps[at:at + w.n])
-            at += w.n
-            out.append(w.bib.right_fn(c, chunk))
-        return tup(*out)
+        hs = rcut(rsplit(hh))
+        return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], hs)])]
 
-    bib = Bibundle(GL, GR, finset(carrier), lmap, rmap, left_fn, right_fn)
+    bib = Bibundle(GL, GR, finset(carrier), lmap, rmap, left_fn, right_fn, index)
     return Wired(bib, m_total, n_total)
 
 
@@ -348,31 +351,32 @@ def wired_tensor_witness(env: DiagramEnv,
         raise DiagramError("empty witness juxtaposition")
     if len(entries) == 1:
         return entries[0][0]
-    source = tensor_wired(env, [s for _, s, _ in entries])
-    target = tensor_wired(env, [t for _, _, t in entries])
+    source = tensor_wired(env, [s for _, s, _ in entries]).bib
+    target = tensor_wired(env, [t for _, _, t in entries]).bib
     fwds = [w.forward for w, _, _ in entries]
     forward = {}
-    for rep in source.bib.carrier:
-        cs = untup(rep)
-        forward[rep] = tup(*(f[c] for f, c in zip(fwds, cs)))
+    for rep in source.carrier:
+        cs = source.index.parts_of[rep]
+        forward[rep] = target.index.label_of[tuple(f[c] for f, c in zip(fwds, cs))]
     backward = {v: k for k, v in forward.items()}
     if len(backward) != len(forward):
         raise StructuralError("juxtaposed witnesses are not a bijection")
-    return IsoWitness(source.bib, target.bib, forward, backward)
+    return IsoWitness(source, target, forward, backward)
 
 
-def _tensor_label(atoms: Sequence[str]) -> str:
+def _tensor_label(index: LabelIndex, atoms: tuple[str, ...]) -> str:
+    """The carrier label of a juxtaposition of these atoms, from its index."""
     if len(atoms) == 1:
         return atoms[0]
-    return tup(*atoms)
+    return index.label_of[atoms]
 
 
 def interchange_blocks(env: DiagramEnv,
                        top: Sequence[Wired],
                        bottom: Sequence[Wired],
                        blocks: Sequence[tuple[int, int]],
-                       source: Bibundle | None = None,
-                       block_composites: Sequence[Bibundle] | None = None,
+                       source: ComposedBibundle | None = None,
+                       block_composites: Sequence[ComposedBibundle] | None = None,
                        ) -> tuple[IsoWitness, list[Wired]]:
     """Regroup a two-layer composite into side-by-side vertical blocks.
 
@@ -406,17 +410,19 @@ def interchange_blocks(env: DiagramEnv,
             bib = compose(tensor_wired(env, t_slice).bib, tensor_wired(env, b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
     target = tensor_wired(env, comps)
+    top_index, bottom_index = (f.index for f in source.factors)
     forward = {}
     for rep in source.carrier:
-        t_elt, b_elt = untup(rep)
-        t_parts = list(untup(t_elt)) if len(top) > 1 else [t_elt]
-        b_parts = list(untup(b_elt)) if len(bottom) > 1 else [b_elt]
+        t_elt, b_elt = source.index.parts_of[rep]
+        t_parts = top_index.parts_of[t_elt] if len(top) > 1 else (t_elt,)
+        b_parts = bottom_index.parts_of[b_elt] if len(bottom) > 1 else (b_elt,)
         vals = []
         for (t0, kt, b0, kb), blk in zip(spans, comps):
-            t_sub = _tensor_label(t_parts[t0:t0 + kt])
-            b_sub = _tensor_label(b_parts[b0:b0 + kb])
+            blk_top, blk_bottom = blk.bib.factors
+            t_sub = _tensor_label(blk_top.index, t_parts[t0:t0 + kt])
+            b_sub = _tensor_label(blk_bottom.index, b_parts[b0:b0 + kb])
             vals.append(blk.bib.project(t_sub, b_sub))
-        forward[rep] = _tensor_label(vals)
+        forward[rep] = _tensor_label(target.bib.index, tuple(vals))
     backward = {v: k for k, v in forward.items()}
     if len(backward) != len(forward) or len(forward) != len(target.bib.carrier):
         raise StructuralError("block regrouping failed to be a bijection")

@@ -240,18 +240,35 @@ def sset_to_json(X: TruncatedSSet) -> dict:
     return {"levels": [list(L) for L in X.levels], "face": face, "degen": degen}
 
 
+def _level_maps(obj: dict, key: str) -> dict[tuple[int, int], dict[str, str]]:
+    """A face or degeneracy field: {level: {index: {simplex: simplex}}}, with
+    level and index keys written as non-negative integers."""
+    tables = obj[key]
+    if not (isinstance(tables, dict) and all(isinstance(per, dict) for per in tables.values())):
+        raise StructuralError(f"field {key!r} must be an object of objects of string maps")
+    out = {}
+    for n, per in tables.items():
+        for i in (n, *per):
+            if not (i.isascii() and i.isdigit()):
+                raise StructuralError(f"field {key!r} has a key {i!r} that is not an integer")
+        for i, t in per.items():
+            if not (isinstance(t, dict) and all(isinstance(x, str) for kv in t.items() for x in kv)):
+                raise StructuralError(f"field {key!r} entry {n}/{i} must be an object from strings to strings")
+            out[(int(n), int(i))] = dict(t)
+    return out
+
+
 def sset_from_json(obj: Any, base: str | None = None, validate: bool = True) -> TruncatedSSet:
     if not isinstance(obj, dict):
         raise StructuralError("simplicial set file must hold a JSON object")
     missing = {"levels", "face", "degen"} - set(obj)
     if missing:
         raise StructuralError(f"simplicial set file missing keys: {sorted(missing)}")
+    if not (isinstance(obj["levels"], list) and all(
+            isinstance(L, list) and all(isinstance(x, str) for x in L) for L in obj["levels"])):
+        raise StructuralError("field 'levels' must be a list of lists of strings")
     levels = tuple(finset(L) for L in obj["levels"])
-    face = {(int(n), int(i)): dict(t)
-            for n, per in obj["face"].items() for i, t in per.items()}
-    degen = {(int(n), int(j)): dict(t)
-             for n, per in obj["degen"].items() for j, t in per.items()}
-    X = TruncatedSSet(levels, face, degen)
+    X = TruncatedSSet(levels, _level_maps(obj, "face"), _level_maps(obj, "degen"))
     if validate:
         rep = validate_sset(X)
         if not rep.ok:

@@ -6,28 +6,42 @@ action groupoids, composed carriers) need a way to pack parts into one label
 that is deterministic, readable, and collision free. tup/untup below are that
 encoding: parts are escaped and joined with commas inside parentheses, so
 labels nest without ambiguity.
+
+Constructions encode each label once. A structure that builds its elements
+from parts keeps a LabelIndex, filled while it enumerates itself, and its
+actions, projections and composites look labels up in both directions
+instead of re-encoding them. The index is a cache of the codec and nothing
+more: a lookup outside it encodes or decodes on the spot, with the codec's
+result and the codec's errors.
 """
 from __future__ import annotations
 
+import itertools
+import re
 from functools import lru_cache
+from typing import Sequence
 
 _SPECIAL = {"\\", ",", "(", ")"}
+# a body tup can produce: plain characters, commas and the five escapes
+_BODY = re.compile(r"(?:[^\\()]|\\[\\,()0])*")
+# each part of a valid body, introduced by the comma before it
+_PART = re.compile(r",((?:[^\\,]|\\.)*)")
+_ESCAPE = re.compile(r"\\(?:0|(.))")
 
 
 def esc(part: str) -> str:
     if part == "":
         return "\\0"
-    out = []
-    for ch in part:
-        if ch in _SPECIAL:
-            out.append("\\")
-        out.append(ch)
-    return "".join(out)
+    return part.replace("\\", "\\\\").replace(",", "\\,").replace("(", "\\(").replace(")", "\\)")
 
 
 def tup(*parts: str) -> str:
     """Pack parts into a single label. Injective over tuples of strings."""
-    return "(" + ",".join(esc(p) for p in parts) + ")"
+    return _wrap(map(esc, parts))
+
+
+def _wrap(escaped) -> str:
+    return "(" + ",".join(escaped) + ")"
 
 
 @lru_cache(maxsize=1 << 20)
@@ -38,31 +52,76 @@ def untup(label: str) -> tuple[str, ...]:
     body = label[1:-1]
     if body == "":
         return ()
-    parts: list[str] = []
-    cur: list[str] = []
+    if "\\" not in body:
+        if "(" not in body and ")" not in body:
+            return tuple(body.split(","))
+    elif _BODY.fullmatch(body):
+        return tuple(_ESCAPE.sub(r"\1", p) if "\\" in p else p
+                     for p in _PART.findall("," + body))
+    raise _fault(label, body)
+
+
+def _fault(label: str, body: str) -> ValueError:
+    """The error for a body the fast paths reject: its first bad character,
+    scanning from the left as a decoder would."""
     i = 0
     n = len(body)
     while i < n:
         ch = body[i]
         if ch == "\\":
             if i + 1 >= n:
-                raise ValueError(f"dangling escape in {label!r}")
-            nxt = body[i + 1]
-            if nxt in _SPECIAL:
-                cur.append(nxt)
-            elif nxt == "0":
-                pass  # marker for the empty part
-            else:
-                raise ValueError(f"bad escape \\{nxt} in {label!r}")
+                return ValueError(f"dangling escape in {label!r}")
+            if body[i + 1] not in _SPECIAL and body[i + 1] != "0":
+                return ValueError(f"bad escape \\{body[i + 1]} in {label!r}")
             i += 2
-        elif ch == ",":
-            parts.append("".join(cur))
-            cur = []
-            i += 1
         elif ch in "()":
-            raise ValueError(f"unescaped {ch!r} inside {label!r}")
+            return ValueError(f"unescaped {ch!r} inside {label!r}")
         else:
-            cur.append(ch)
             i += 1
-    parts.append("".join(cur))
-    return tuple(parts)
+    raise AssertionError(f"no fault in the body of {label!r}")
+
+
+class _Labels(dict):
+    """parts -> label; parts outside the index are encoded on the spot."""
+
+    def __missing__(self, parts: tuple[str, ...]) -> str:
+        return tup(*parts)
+
+
+class _Parts(dict):
+    """label -> parts; labels outside the index are decoded on the spot."""
+
+    def __missing__(self, label: str) -> tuple[str, ...]:
+        return untup(label)
+
+
+class LabelIndex:
+    """Both directions between the parts of a structure's elements and their
+    labels, each label encoded once by add(). Lookups outside the index fall
+    back to tup/untup, so an empty index is the plain codec."""
+
+    __slots__ = ("label_of", "parts_of")
+
+    def __init__(self) -> None:
+        self.label_of: dict[tuple[str, ...], str] = _Labels()
+        self.parts_of: dict[str, tuple[str, ...]] = _Parts()
+
+    def add(self, parts: tuple[str, ...]) -> str:
+        """Encode parts, record both directions and return the label."""
+        label = tup(*parts)
+        self.label_of[parts] = label
+        self.parts_of[label] = parts
+        return label
+
+    def add_product(self, factors: Sequence[Sequence[str]]) -> list[str]:
+        """add() every combination of one part per factor, in itertools.product
+        order, escaping each part once; returns the labels in that order."""
+        escaped = [[esc(p) for p in f] for f in factors]
+        label_of, parts_of = self.label_of, self.parts_of
+        labels = []
+        for parts, escs in zip(itertools.product(*factors), itertools.product(*escaped)):
+            label = _wrap(escs)
+            label_of[parts] = label
+            parts_of[label] = parts
+            labels.append(label)
+        return labels

@@ -3,8 +3,10 @@
 These deliberately avoid the code paths they are checking: the pairing oracle
 derives the table by constraint propagation from the axioms, not by the
 search compute_pairing uses, the orbit oracle quotients pairs with a
-union-find rather than the composer's one-step image, and the product oracle
-stores every composite up front instead of reading it from the factors.
+union-find rather than the composer's one-step image, the product oracle
+stores every composite up front instead of reading it from the factors, the
+column oracle scans every arrow for every point instead of moving one point
+per fiber, and the codec oracle walks labels character by character.
 """
 from __future__ import annotations
 
@@ -82,3 +84,78 @@ def eager_product_comp(factors) -> dict:
     in itertools.product order over the factors' tables."""
     return dict(product_comp_entry(combo)
                 for combo in itertools.product(*(f.comp.items() for f in factors)))
+
+
+def rp_column_scan(M: Bibundle) -> dict[str, tuple[str, str]] | None:
+    """For each m, the unique h with m.h == the first point of its lmap fiber,
+    found by trying every arrow at rmap(m); None when some m has none or
+    several."""
+    H = M.right_groupoid
+    fibers: dict[str, list[str]] = {}
+    for m in M.carrier:
+        fibers.setdefault(M.lmap[m], []).append(m)
+    column: dict[str, tuple[str, str]] = {}
+    for fiber in fibers.values():
+        m0 = fiber[0]
+        for m in fiber:
+            found = [h for h in H.l_fiber(M.rmap[m]) if M.right_fn(m, h) == m0]
+            if len(found) != 1:
+                return None
+            column[m] = (m0, found[0])
+    return column
+
+
+_SPECIAL = {"\\", ",", "(", ")"}
+
+
+def esc_loop(part: str) -> str:
+    if part == "":
+        return "\\0"
+    out = []
+    for ch in part:
+        if ch in _SPECIAL:
+            out.append("\\")
+        out.append(ch)
+    return "".join(out)
+
+
+def tup_loop(*parts: str) -> str:
+    return "(" + ",".join(esc_loop(p) for p in parts) + ")"
+
+
+def untup_loop(label: str) -> tuple[str, ...]:
+    """Decode a tuple label one character at a time; ValueError names the
+    first fault."""
+    if len(label) < 2 or label[0] != "(" or label[-1] != ")":
+        raise ValueError(f"not a tuple label: {label!r}")
+    body = label[1:-1]
+    if body == "":
+        return ()
+    parts: list[str] = []
+    cur: list[str] = []
+    i = 0
+    n = len(body)
+    while i < n:
+        ch = body[i]
+        if ch == "\\":
+            if i + 1 >= n:
+                raise ValueError(f"dangling escape in {label!r}")
+            nxt = body[i + 1]
+            if nxt in _SPECIAL:
+                cur.append(nxt)
+            elif nxt == "0":
+                pass  # marker for the empty part
+            else:
+                raise ValueError(f"bad escape \\{nxt} in {label!r}")
+            i += 2
+        elif ch == ",":
+            parts.append("".join(cur))
+            cur = []
+            i += 1
+        elif ch in "()":
+            raise ValueError(f"unescaped {ch!r} inside {label!r}")
+        else:
+            cur.append(ch)
+            i += 1
+    parts.append("".join(cur))
+    return tuple(parts)

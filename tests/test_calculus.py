@@ -51,7 +51,7 @@ from bibucalc.generators import (
 from bibucalc.groups import kronecker_finite
 from bibucalc.labels import tup, untup
 
-from oracles import orbit_quotient
+from oracles import orbit_quotient, rp_column_scan
 
 
 def _composable_pairs(M, N):
@@ -137,6 +137,34 @@ def test_fast_and_generic_paths_agree():
     assert dict(fast.rmap) == dict(slow.rmap)
     for m, n in _composable_pairs(M, N):
         assert fast.project(m, n) == slow.project(m, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_rp_column_matches_arrow_scan(seed, principal):
+    rng = random.Random(seed)
+    if principal:
+        M = random_right_principal_bibundle(rng, max_objects=3, max_isotropy=3)
+    else:
+        M = random_bibundle(rng, max_objects=3, max_isotropy=3)
+    column = _rp_column(M)
+    assert column == rp_column_scan(M)
+    if principal:
+        assert column is not None
+
+
+@pytest.mark.parametrize("path", ["principal", "orbit"])
+def test_project_refuses_pairs_that_do_not_compose(path):
+    G = pair_groupoid(2)
+    M = identity_bibundle(G)
+    if path == "orbit":
+        object.__setattr__(M, "_rp_column_cache", None)
+    C = compose(M, identity_bibundle(G))
+    assert C.project(tup("0", "1"), tup("1", "0")) == C.project(tup("0", "0"), tup("0", "0"))
+    with pytest.raises(StructuralError, match="not composable"):
+        C.project(tup("0", "1"), tup("0", "0"))
+    with pytest.raises(StructuralError, match="not composable"):
+        C.project("nowhere", tup("0", "0"))
 
 
 def test_opposite_is_involutive_on_tables():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -23,9 +24,9 @@ from bibucalc import (
 )
 from bibucalc.generators import random_groupoid
 from bibucalc.groups import kronecker_finite
-from bibucalc.labels import tup, untup
+from bibucalc.labels import LabelIndex, esc, tup, untup
 
-from oracles import eager_product_comp, product_comp_entry
+from oracles import eager_product_comp, esc_loop, product_comp_entry, tup_loop, untup_loop
 
 
 @given(st.lists(st.text(max_size=6), max_size=5))
@@ -40,6 +41,50 @@ def test_tup_nests_without_collisions():
     assert untup(tup("")) == ("",)
     with pytest.raises(ValueError):
         untup("plain")
+
+
+_CODEC_TEXT = st.text(alphabet="ab\\,()0", max_size=8)
+# strings over the codec's special characters, and tuple labels nesting them
+_CODEC_PARTS = st.recursive(
+    _CODEC_TEXT, lambda inner: st.lists(inner, max_size=4).map(lambda ps: tup_loop(*ps)),
+    max_leaves=12)
+
+
+def _decoded(decode, label):
+    try:
+        return decode(label)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_CODEC_PARTS, max_size=4), _CODEC_TEXT, st.sampled_from(["", "(", ")", "()"]))
+def test_codec_matches_character_loop(parts, noise, wrap):
+    for part in parts:
+        assert esc(part) == esc_loop(part)
+    label = tup(*parts)
+    assert label == tup_loop(*parts)
+    assert untup(label) == untup_loop(label) == tuple(parts)
+    # malformed labels: the same ValueError message as the character loop
+    for text in (noise, "(" + noise + ")", wrap[:1] + noise + wrap[1:], label[:-1], label[1:],
+                 label[:-1] + noise + ")"):
+        assert _decoded(untup, text) == _decoded(untup_loop, text)
+
+
+def test_label_index_falls_back_to_the_codec():
+    index = LabelIndex()
+    label = index.add(("a", "(b,c)"))
+    assert index.label_of[("a", "(b,c)")] is label
+    assert index.parts_of[label] == ("a", "(b,c)")
+    assert index.label_of[("x", "")] == tup("x", "")
+    assert index.parts_of["(x,\\0)"] == ("x", "")
+    assert ("x", "") not in index.label_of
+    with pytest.raises(ValueError, match="not a tuple label"):
+        index.parts_of["plain"]
+    factors = [["a", "(b", ""], ["c,", "\\"]]
+    labels = index.add_product(factors)
+    assert labels == [tup(*combo) for combo in itertools.product(*factors)]
+    assert all(index.label_of[index.parts_of[x]] is x for x in labels)
 
 
 def test_finset_rejects_duplicates():

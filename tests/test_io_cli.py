@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -5,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibucalc import io
+from bibucalc import cli, io
 from bibucalc.calculus import compose, diagonal_bibundle, identity_bibundle
 from bibucalc.cli import main
 from bibucalc.core import (
@@ -305,3 +306,39 @@ def test_cli_validate_checks_inline_groupoids(tmp_path, capsys, damage, code):
     assert set(verdict["violations"]) == {"leftGroupoid"}
     assert code in {v["code"] for v in verdict["violations"]["leftGroupoid"]}
     assert main(["principal", "--bibundle", bad]) == 2
+
+
+@pytest.mark.parametrize("field, value", [
+    ("face", 5),
+    ("degen", {"0": 7}),
+    ("face", {"x": {}}),
+    ("face", {"1": {"0": {"a": 1}}}),
+    ("levels", [["a"], "bc"]),
+])
+def test_cli_validate_rejects_mistyped_sset_fields(tmp_path, capsys, field, value):
+    d = io.sset_to_json(nerve(poset_category(2), 3))
+    d[field] = value
+    bad = str(tmp_path / "bad.json")
+    io.save_json(bad, d)
+    capsys.readouterr()
+    assert main(["validate", bad, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    manifest = json.loads(captured.out)
+    assert repr(field) in manifest["verdicts"]["error"]
+
+
+def test_cli_validate_checks_each_distinct_groupoid_once(tmp_path, capsys, monkeypatch):
+    assert main(["gen-fixture", "--family", "kronecker_finite", "--n", "2", "--q", "1",
+                 "--out", str(tmp_path)]) == 0
+    spec = str(tmp_path / "kronecker_2_1.json")
+    checked = []
+    real = cli.validate_groupoid
+    monkeypatch.setattr(cli, "validate_groupoid", lambda G: checked.append(G) or real(G))
+    capsys.readouterr()
+    assert main(["validate", spec, "--json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdicts"][spec]
+    assert verdict == {"kind": "group-spec", "ok": True, "violations": {}}
+    # the base, G x G and the one-point G^0, though seven parts name a groupoid
+    assert len(checked) == 3
+    assert all(a != b for a, b in itertools.combinations(checked, 2))
