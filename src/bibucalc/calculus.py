@@ -28,7 +28,6 @@ from .core import (
     ValidationReport,
     Violation,
     finset,
-    label_index,
     power_groupoid,
     product_groupoid,
     swap_hom,
@@ -57,7 +56,7 @@ def identity_bibundle(G: FinGroupoid) -> Bibundle:
 def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
     """The G-(GxG) bibundle of pairs of arrows with a common left object."""
     P = power_groupoid(G, 2)
-    pairs = label_index(P)
+    pairs = P.index
     index = LabelIndex()
     carrier = []
     lmap = {}
@@ -100,7 +99,7 @@ def ev_bibundle(G: FinGroupoid) -> Bibundle:
     """Arrows of G as a bibundle from GxG to the empty power; (g1,g2).m = g1 m inv(g2)."""
     P = power_groupoid(G, 2)
     T = power_groupoid(G, 0)
-    pairs = label_index(P)
+    pairs = P.index
 
     def left_fn(gg: str, m: str) -> str:
         g1, g2 = pairs.parts_of[gg]
@@ -119,7 +118,7 @@ def cv_bibundle(G: FinGroupoid) -> Bibundle:
     """Arrows of G as a bibundle from the empty power to GxG; m.(h1,h2) = inv(h1) m h2."""
     P = power_groupoid(G, 2)
     T = power_groupoid(G, 0)
-    pairs = label_index(P)
+    pairs = P.index
 
     def right_fn(m: str, hh: str) -> str:
         h1, h2 = pairs.parts_of[hh]
@@ -187,7 +186,7 @@ def tensor_bibundle(M: Bibundle, N: Bibundle) -> Bibundle:
     """(GxG')-(HxH') bibundle of pairs with componentwise actions."""
     G = product_groupoid([M.left_groupoid, N.left_groupoid])
     H = product_groupoid([M.right_groupoid, N.right_groupoid])
-    gidx, hidx = label_index(G), label_index(H)
+    gidx, hidx = G.index, H.index
     index = LabelIndex()
     carrier = index.add_product([M.carrier.elements, N.carrier.elements])
     lmap = {}
@@ -241,6 +240,14 @@ class ComposedBibundle(Bibundle):
     def project(self, m: str, n: str) -> str:
         """Canonical representative of the orbit of the pair (m, n)."""
         return self.project_fn(m, n)
+
+
+def factor_indexes(M: Bibundle) -> tuple[LabelIndex, LabelIndex]:
+    """The label indexes of a composite's two factors, which name the parts of
+    its representative pairs. A bundle that keeps no factors (a composite
+    pinned onto other groupoids) gets empty indexes, which are the plain codec."""
+    factors = getattr(M, "factors", ())
+    return (factors[0].index, factors[1].index) if factors else (LabelIndex(), LabelIndex())
 
 
 def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
@@ -524,12 +531,12 @@ def interchange_witness(
     AC = AC if AC is not None else compose(A, C)
     BD = BD if BD is not None else compose(B, D)
     target = target if target is not None else tensor_bibundle(AC, BD)
-    top, bottom = source.factors
+    top, bottom = factor_indexes(source)
     forward = {}
     for rep in source.carrier:
         ab, cd = source.index.parts_of[rep]
-        a, b = top.index.parts_of[ab]
-        c, d = bottom.index.parts_of[cd]
+        a, b = top.parts_of[ab]
+        c, d = bottom.parts_of[cd]
         forward[rep] = target.index.label_of[(AC.project(a, c), BD.project(b, d))]
     return _bijection_witness(source, target, forward)
 

@@ -104,10 +104,7 @@ def _validation_parts(kind: str, x, seen: list | None = None) -> dict:
 
     def check_groupoid(G):
         for H, rep in seen:
-            if H is G:
-                return rep
-        for H, rep in seen:
-            if H == G:
+            if H is G or H == G:
                 return rep
         rep = validate_groupoid(G)
         seen.append((G, rep))

@@ -90,21 +90,21 @@ class _ProductComp(Mapping):
     """Composition table of a product groupoid, read from its factors.
 
     A lookup splits both labels and composes component by component through
-    the product's label index; nothing is stored. Keys iterate in the order of
-    itertools.product over the factors' tables, and equality with any mapping
-    is equality of entries.
+    the label index the product groupoid carries; nothing is stored. Keys
+    iterate in the order of itertools.product over the factors' tables, and
+    equality with any mapping is equality of entries.
     """
 
     def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex):
         self._factors = factors
         self._comps = tuple(f.comp for f in factors)
-        self.index = index
+        self._index = index
         self._len = 1
         for f in factors:
             self._len *= len(f.comp)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
-        parts_of = self.index.parts_of
+        parts_of = self._index.parts_of
         try:
             g, g2 = key
             parts, parts2 = parts_of[g], parts_of[g2]
@@ -114,13 +114,13 @@ class _ProductComp(Mapping):
         if len(parts) != len(comps) or len(parts2) != len(comps):
             raise KeyError(key)
         try:
-            return self.index.label_of[tuple(map(getitem, comps, zip(parts, parts2)))]
+            return self._index.label_of[tuple(map(getitem, comps, zip(parts, parts2)))]
         except KeyError:
             raise KeyError(key) from None
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:  # type: ignore[override]
         """(key, value) pairs in key order, each composed once from the factors."""
-        label_of = self.index.label_of
+        label_of = self._index.label_of
         for combo in itertools.product(*(f.comp.items() for f in self._factors)):
             keys, values = zip(*combo)
             firsts, seconds = zip(*keys)
@@ -144,17 +144,13 @@ class _ProductComp(Mapping):
     __hash__ = None  # type: ignore[assignment]
 
 
-def label_index(G: "FinGroupoid") -> LabelIndex:
-    """The label index of a product groupoid's objects and arrows; for any
-    other groupoid an empty index, which is the plain codec."""
-    return G.comp.index if isinstance(G.comp, _ProductComp) else LabelIndex()
-
-
 @dataclass(frozen=True, eq=True)
 class FinGroupoid:
     """A finite groupoid: objects, arrows and all structure maps as tables.
 
     comp is keyed by the composable pairs (r(g) == l(g2)) and is total there.
+    A groupoid whose labels are built from parts (a product) keeps them in
+    its label index; any other has an empty one, which is the plain codec.
     """
 
     objects: FinSet
@@ -164,6 +160,7 @@ class FinGroupoid:
     comp: Mapping[tuple[str, str], str]
     inv: Mapping[str, str]
     unit: Mapping[str, str]
+    index: LabelIndex = field(default_factory=LabelIndex, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         lf: dict[str, list[str]] = {x: [] for x in self.objects}
@@ -483,8 +480,8 @@ def action_groupoid(
 def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     """Product of groupoids with flat tuple labels (n factors, n components).
 
-    Each object and arrow label is encoded once, into the label index that
-    the composition table keeps; l, r, inv and unit are read from it.
+    Each object and arrow label is encoded once, into the groupoid's label
+    index; l, r, inv, unit and the composition table are read from it.
     """
     fs = tuple(factors)
     if not fs:
@@ -504,7 +501,7 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
         inv[a] = label_of[iparts]
     units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
     unit = {x: label_of[uparts] for x, uparts in zip(objects, units)}
-    return FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs, index), inv, unit)
+    return FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs, index), inv, unit, index)
 
 
 def power_groupoid(G: FinGroupoid, n: int) -> FinGroupoid:

@@ -29,11 +29,12 @@ from .calculus import (
     cv_bibundle,
     diagonal_bibundle,
     ev_bibundle,
+    factor_indexes,
     find_iso,
     identity_bibundle,
     terminal_bibundle,
 )
-from .core import FinGroupoid, StructuralError, finset, label_index, power_groupoid, swap_hom
+from .core import FinGroupoid, StructuralError, finset, power_groupoid, swap_hom
 from .labels import LabelIndex
 
 Span = tuple[int, int]
@@ -269,7 +270,7 @@ def _splitter(env: DiagramEnv, k: int) -> Callable[[str], tuple[str, ...]]:
         return lambda label: ()
     if k == 1:
         return lambda label: (label,)
-    return label_index(env.power(k)).parts_of.__getitem__
+    return env.power(k).index.parts_of.__getitem__
 
 
 def _joiner(env: DiagramEnv, k: int) -> Callable[[tuple[str, ...]], str]:
@@ -278,7 +279,7 @@ def _joiner(env: DiagramEnv, k: int) -> Callable[[tuple[str, ...]], str]:
         return lambda parts: "()"
     if k == 1:
         return lambda parts: parts[0]
-    return label_index(env.power(k)).label_of.__getitem__
+    return env.power(k).index.label_of.__getitem__
 
 
 def _cutter(env: DiagramEnv, sizes: Sequence[int]) -> Callable[[tuple[str, ...]], list[str]]:
@@ -410,7 +411,7 @@ def interchange_blocks(env: DiagramEnv,
             bib = compose(tensor_wired(env, t_slice).bib, tensor_wired(env, b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
     target = tensor_wired(env, comps)
-    top_index, bottom_index = (f.index for f in source.factors)
+    top_index, bottom_index = factor_indexes(source)
     forward = {}
     for rep in source.carrier:
         t_elt, b_elt = source.index.parts_of[rep]
@@ -418,9 +419,9 @@ def interchange_blocks(env: DiagramEnv,
         b_parts = bottom_index.parts_of[b_elt] if len(bottom) > 1 else (b_elt,)
         vals = []
         for (t0, kt, b0, kb), blk in zip(spans, comps):
-            blk_top, blk_bottom = blk.bib.factors
-            t_sub = _tensor_label(blk_top.index, t_parts[t0:t0 + kt])
-            b_sub = _tensor_label(blk_bottom.index, b_parts[b0:b0 + kb])
+            blk_top, blk_bottom = factor_indexes(blk.bib)
+            t_sub = _tensor_label(blk_top, t_parts[t0:t0 + kt])
+            b_sub = _tensor_label(blk_bottom, b_parts[b0:b0 + kb])
             vals.append(blk.bib.project(t_sub, b_sub))
         forward[rep] = _tensor_label(target.bib.index, tuple(vals))
     backward = {v: k for k, v in forward.items()}

@@ -17,16 +17,10 @@ result and the codec's errors.
 from __future__ import annotations
 
 import itertools
-import re
 from functools import lru_cache
 from typing import Sequence
 
 _SPECIAL = {"\\", ",", "(", ")"}
-# a body tup can produce: plain characters, commas and the five escapes
-_BODY = re.compile(r"(?:[^\\()]|\\[\\,()0])*")
-# each part of a valid body, introduced by the comma before it
-_PART = re.compile(r",((?:[^\\,]|\\.)*)")
-_ESCAPE = re.compile(r"\\(?:0|(.))")
 
 
 def esc(part: str) -> str:
@@ -52,33 +46,34 @@ def untup(label: str) -> tuple[str, ...]:
     body = label[1:-1]
     if body == "":
         return ()
-    if "\\" not in body:
-        if "(" not in body and ")" not in body:
-            return tuple(body.split(","))
-    elif _BODY.fullmatch(body):
-        return tuple(_ESCAPE.sub(r"\1", p) if "\\" in p else p
-                     for p in _PART.findall("," + body))
-    raise _fault(label, body)
-
-
-def _fault(label: str, body: str) -> ValueError:
-    """The error for a body the fast paths reject: its first bad character,
-    scanning from the left as a decoder would."""
+    parts: list[str] = []
+    cur: list[str] = []
     i = 0
     n = len(body)
     while i < n:
         ch = body[i]
         if ch == "\\":
             if i + 1 >= n:
-                return ValueError(f"dangling escape in {label!r}")
-            if body[i + 1] not in _SPECIAL and body[i + 1] != "0":
-                return ValueError(f"bad escape \\{body[i + 1]} in {label!r}")
+                raise ValueError(f"dangling escape in {label!r}")
+            nxt = body[i + 1]
+            if nxt in _SPECIAL:
+                cur.append(nxt)
+            elif nxt == "0":
+                pass  # marker for the empty part
+            else:
+                raise ValueError(f"bad escape \\{nxt} in {label!r}")
             i += 2
-        elif ch in "()":
-            return ValueError(f"unescaped {ch!r} inside {label!r}")
-        else:
+        elif ch == ",":
+            parts.append("".join(cur))
+            cur = []
             i += 1
-    raise AssertionError(f"no fault in the body of {label!r}")
+        elif ch in "()":
+            raise ValueError(f"unescaped {ch!r} inside {label!r}")
+        else:
+            cur.append(ch)
+            i += 1
+    parts.append("".join(cur))
+    return tuple(parts)
 
 
 class _Labels(dict):

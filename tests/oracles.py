@@ -6,7 +6,7 @@ search compute_pairing uses, the orbit oracle quotients pairs with a
 union-find rather than the composer's one-step image, the product oracle
 stores every composite up front instead of reading it from the factors, the
 column oracle scans every arrow for every point instead of moving one point
-per fiber, and the codec oracle walks labels character by character.
+per fiber, and the codec oracle escapes labels character by character.
 """
 from __future__ import annotations
 
@@ -122,40 +122,3 @@ def esc_loop(part: str) -> str:
 def tup_loop(*parts: str) -> str:
     return "(" + ",".join(esc_loop(p) for p in parts) + ")"
 
-
-def untup_loop(label: str) -> tuple[str, ...]:
-    """Decode a tuple label one character at a time; ValueError names the
-    first fault."""
-    if len(label) < 2 or label[0] != "(" or label[-1] != ")":
-        raise ValueError(f"not a tuple label: {label!r}")
-    body = label[1:-1]
-    if body == "":
-        return ()
-    parts: list[str] = []
-    cur: list[str] = []
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch == "\\":
-            if i + 1 >= n:
-                raise ValueError(f"dangling escape in {label!r}")
-            nxt = body[i + 1]
-            if nxt in _SPECIAL:
-                cur.append(nxt)
-            elif nxt == "0":
-                pass  # marker for the empty part
-            else:
-                raise ValueError(f"bad escape \\{nxt} in {label!r}")
-            i += 2
-        elif ch == ",":
-            parts.append("".join(cur))
-            cur = []
-            i += 1
-        elif ch in "()":
-            raise ValueError(f"unescaped {ch!r} inside {label!r}")
-        else:
-            cur.append(ch)
-            i += 1
-    parts.append("".join(cur))
-    return tuple(parts)

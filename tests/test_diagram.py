@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibucalc import bundlize, connected_components, find_iso, validate_bibundle
+from bibucalc import bundlize, compose, connected_components, find_iso, validate_bibundle, validate_iso
 from bibucalc.diagram import (
     DiagramEnv,
     DiagramError,
@@ -14,6 +14,7 @@ from bibucalc.diagram import (
     check_identity,
     evaluate,
     evaluate_wired,
+    interchange_blocks,
     parse,
     tensor_wired,
     to_text,
@@ -164,6 +165,21 @@ def test_tensor_wired_flattens_to_one_power():
     assert w.bib.left_groupoid is env.power(3)
     assert w.bib.right_groupoid is env.power(3)
     assert len(w.bib.carrier) == len(G.arrows) ** 3
+
+
+def test_interchange_blocks_takes_a_pinned_composite():
+    G = standard_groupoid("cyclic", 2)
+    built, env = DiagramEnv(G), DiagramEnv(G)
+    composite = compose(evaluate_wired(built, "delta * id").bib,
+                        evaluate_wired(built, "tau * id").bib)
+    pinned = env.wire(composite).bib
+    assert not hasattr(pinned, "factors")  # a plain bundle over env's powers
+    top = [env.resolve("delta"), env.resolve("id")]
+    bottom = [env.resolve("tau"), env.resolve("id")]
+    w, _ = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)], source=pinned)
+    ref, _ = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)])
+    assert validate_iso(w).ok
+    assert w.forward == ref.forward
 
 
 def test_identity_check_reports_arity_mismatch():
