@@ -39,6 +39,9 @@ class Bibundle:
     left_fn: ActFn = field(repr=False)
     right_fn: ActFn = field(repr=False)
     index: LabelIndex = field(default_factory=LabelIndex, repr=False)
+    # the explicit action tables a bundle was built from, if any; validation
+    # refuses rows off the actions' domains, which the accessors never read
+    tables: tuple[Mapping, Mapping] | None = field(default=None, repr=False)
 
     def act_left(self, g: str, m: str) -> str:
         if m not in self.carrier:
@@ -116,7 +119,7 @@ def bibundle_from_tables(
         except KeyError:
             raise StructuralError(f"right action table missing ({m!r}, {h!r})") from None
 
-    return Bibundle(G, H, cset, dict(lmap), dict(rmap), left_fn, right_fn)
+    return Bibundle(G, H, cset, dict(lmap), dict(rmap), left_fn, right_fn, tables=(lt, rt))
 
 
 def validate_bibundle(M: Bibundle) -> ValidationReport:
@@ -138,6 +141,9 @@ def validate_bibundle(M: Bibundle) -> ValidationReport:
 
     lt = M.left_table()
     rt = M.right_table()
+    for side, given, table in zip(("left", "right"), M.tables or (), (lt, rt)):
+        out += [Violation("structural", f"{side}-act-domain", f"{side} action defined off its domain", key)
+                for key in given if key not in table]
     for (g, m), m2 in lt.items():
         if m2 not in M.carrier:
             out.append(Violation("structural", "left-act-range", "left action leaves the carrier", (g, m, m2)))
@@ -202,70 +208,109 @@ def _fibers(M: Bibundle, moment: Mapping[str, str]) -> dict[str, list[str]]:
     return out
 
 
+@dataclass(frozen=True)
+class _OrbitPass:
+    """One pass of one side's action over the carrier.
+
+    The carrier is walked in order; each point not reached yet becomes the
+    representative of its orbit and is moved once by every arrow at its
+    moment. reach[m] is (rep, a) with rep . a == m on the right, a . rep == m
+    on the left. stabiliser is the first (rep, k), k not a unit, with rep
+    fixed by k: stabilisers are conjugate along an orbit, so the
+    representatives decide freeness, and the first carrier point with a
+    nontrivial stabiliser is always a representative.
+    """
+
+    side: str
+    acting: FinGroupoid
+    reach: dict[str, tuple[str, str]]
+    stabiliser: tuple[str, str] | None
+
+    def pairing(self, m: str, m2: str) -> str:
+        """For a free action and m, m2 in one orbit, the unique arrow with
+        m . <m, m2> == m2 on the right, <m, m2> . m2 == m on the left."""
+        G = self.acting
+        a, a2 = self.reach[m][1], self.reach[m2][1]
+        if self.side == "right":
+            return G.comp[(G.inv[a], a2)]
+        return G.comp[(a, G.inv[a2])]
+
+
+def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
+    if side == "right":
+        acting, moment = M.right_groupoid, M.rmap
+        arrows_at, move = acting.l_fiber, M.right_fn
+    else:
+        acting, moment = M.left_groupoid, M.lmap
+        arrows_at, left_fn = acting.r_fiber, M.left_fn
+
+        def move(m: str, k: str) -> str:
+            return left_fn(k, m)
+
+    reach: dict[str, tuple[str, str]] = {}
+    stabiliser = None
+    for rep in M.carrier:
+        if rep in reach:
+            continue
+        unit = acting.unit[moment[rep]]
+        reach[rep] = (rep, unit)
+        for k in arrows_at(moment[rep]):
+            m = move(rep, k)
+            if m != rep:
+                reach.setdefault(m, (rep, k))
+            elif k != unit and stabiliser is None:
+                stabiliser = (rep, k)
+    return _OrbitPass(side, acting, reach, stabiliser)
+
+
+def _principality(M: Bibundle, orbits: _OrbitPass) -> PrincipalityReport:
+    """check_principal read off a pass: a fiber is one orbit when each of its
+    points has the fiber's first point as representative."""
+    if orbits.side == "right":
+        base_objects, fiber_of = M.left_groupoid.objects, _fibers(M, M.lmap)
+    else:
+        base_objects, fiber_of = M.right_groupoid.objects, _fibers(M, M.rmap)
+    witnesses: dict = {}
+    empty = next((x for x in base_objects if x not in fiber_of), None)
+    if empty is not None:
+        witnesses["surjective"] = empty
+    if orbits.stabiliser is not None:
+        witnesses["free"] = orbits.stabiliser
+    reach = orbits.reach
+    fibers = [fiber_of.get(x, []) for x in base_objects]
+    stray = next(((m, f[0]) for f in fibers for m in f if reach[m][0] != f[0]), None)
+    if stray is not None:
+        witnesses["transitive"] = stray
+    note = ""
+    if empty is not None and stray is None:
+        note = "some fibers are empty; transitivity holds vacuously there"
+    return PrincipalityReport(orbits.side, empty is None, orbits.stabiliser is None,
+                              stray is None, witnesses, note)
+
+
 def check_principal(M: Bibundle, side: str = "right") -> PrincipalityReport:
     """Right principality: lmap surjective, right action free and transitive
     on the lmap fibers. The left version mirrors the roles.
+
+    M must be a valid bibundle (see validate_bibundle): the orbit pass relies
+    on the action laws. The CLI loaders validate on ingest.
     """
     if side not in ("left", "right"):
         raise StructuralError(f"side must be 'left' or 'right', not {side!r}")
-    witnesses: dict = {}
-    note = ""
-    if side == "right":
-        base_objects = M.left_groupoid.objects
-        fiber_of = _fibers(M, M.lmap)
-        acting = M.right_groupoid
-        moment = M.rmap
+    return _principality(M, _orbit_pass(M, side))
 
-        def move(m: str, k: str) -> str:
-            return M.act_right(m, k)
 
-        def arrows_at(m: str) -> tuple[str, ...]:
-            return acting.l_fiber(moment[m])
-    else:
-        base_objects = M.right_groupoid.objects
-        fiber_of = _fibers(M, M.rmap)
-        acting = M.left_groupoid
-        moment = M.lmap
-
-        def move(m: str, k: str) -> str:
-            return M.act_left(k, m)
-
-        def arrows_at(m: str) -> tuple[str, ...]:
-            return acting.r_fiber(moment[m])
-
-    surjective = True
-    for x in base_objects:
-        if not fiber_of.get(x):
-            surjective = False
-            witnesses["surjective"] = x
-            break
-    free = True
-    for m in M.carrier:
-        if not free:
-            break
-        u = acting.unit[moment[m]]
-        for k in arrows_at(m):
-            if k != u and move(m, k) == m:
-                free = False
-                witnesses["free"] = (m, k)
-                break
-    transitive = True
-    empty_seen = False
-    for x, fiber in ((x, fiber_of.get(x, [])) for x in base_objects):
-        if not fiber:
-            empty_seen = True
-            continue
-        m0 = fiber[0]
-        for m in fiber[1:]:
-            if not any(move(m, k) == m0 for k in arrows_at(m)):
-                transitive = False
-                witnesses["transitive"] = (m, m0)
-                break
-        if not transitive:
-            break
-    if empty_seen and transitive:
-        note = "some fibers are empty; transitivity holds vacuously there"
-    return PrincipalityReport(side, surjective, free, transitive, witnesses, note)
+def _biprincipal_passes(M: Bibundle) -> PrincipalityReport | tuple[_OrbitPass, _OrbitPass]:
+    """The right and left passes of a biprincipal M; otherwise the report of
+    the first side, right then left, that fails."""
+    passes = []
+    for side in ("right", "left"):
+        orbits = _orbit_pass(M, side)
+        report = _principality(M, orbits)
+        if not report.ok:
+            return report
+        passes.append(orbits)
+    return passes[0], passes[1]
 
 
 @dataclass(frozen=True)
@@ -284,26 +329,22 @@ class NoPairing:
 
 def compute_pairing(M: Bibundle) -> Pairing | NoPairing:
     """Unique pairing when the right action is free and fiberwise transitive;
-    otherwise a refusal carrying a counterexample (freeness ones preferred)."""
-    H = M.right_groupoid
-    for m in M.carrier:
-        u = H.unit[M.rmap[m]]
-        for h in H.l_fiber(M.rmap[m]):
-            if h != u and M.act_right(m, h) == m:
-                return NoPairing("free", (m, h))
+    otherwise a refusal carrying a counterexample (freeness ones preferred).
+
+    M must be a valid bibundle (see validate_bibundle). The pairing is read
+    off one orbit pass: <m, m2> == inv(a_m) . a_m2, where rep . a_m == m.
+    """
+    orbits = _orbit_pass(M, "right")
+    if orbits.stabiliser is not None:
+        return NoPairing("free", orbits.stabiliser)
+    reach = orbits.reach
     table: dict[tuple[str, str], str] = {}
-    fibers = _fibers(M, M.lmap)
-    for fiber in fibers.values():
+    for fiber in _fibers(M, M.lmap).values():
         for m in fiber:
             for m2 in fiber:
-                found = None
-                for h in H.l_fiber(M.rmap[m]):
-                    if M.act_right(m, h) == m2:
-                        found = h
-                        break
-                if found is None:
+                if reach[m][0] != reach[m2][0]:
                     return NoPairing("transitive", (m, m2))
-                table[(m, m2)] = found
+                table[(m, m2)] = orbits.pairing(m, m2)
     return Pairing(table)
 
 

@@ -8,10 +8,13 @@ project(m, n) sends any composable pair to its representative, so actions on
 the composite are "act on one leg, then project".
 
 Two strategies compute representatives. When the right H-action on M is free
-and transitive on each lmap fiber (checked per fiber, not assumed), the
-unique arrow into the fiber-least element gives an O(1) projection. The
-orbit walk below handles everything else. Both give the same representative,
-so callers never see which one ran.
+and transitive on each lmap fiber, the unique arrow into the fiber-least
+element gives an O(1) projection; one orbit pass of the action decides this
+and yields those arrows. Otherwise each orbit of pairs is taken in one step,
+as the image of one pair under the arrows at its moment. Both give the same
+representative, so callers never see which one ran. The passes also give the
+pairings, from which is_weak_isomorphism builds its 2-cells; only find_iso
+and all_isos search.
 """
 from __future__ import annotations
 
@@ -19,7 +22,15 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .bibundle import Bibundle, PrincipalityReport, check_principal
+from .bibundle import (
+    Bibundle,
+    PrincipalityReport,
+    _OrbitPass,
+    _biprincipal_passes,
+    _fibers,
+    _orbit_pass,
+    _principality,
+)
 from .core import (
     FinGroupoid,
     FinSet,
@@ -183,7 +194,11 @@ def opposite_bibundle(M: Bibundle) -> Bibundle:
 
 
 def tensor_bibundle(M: Bibundle, N: Bibundle) -> Bibundle:
-    """(GxG')-(HxH') bibundle of pairs with componentwise actions."""
+    """(GxG')-(HxH') bibundle of pairs with componentwise actions.
+
+    M and N must be valid bibundles (see validate_bibundle): the actions are
+    read through their accessors without domain checks.
+    """
     G = product_groupoid([M.left_groupoid, N.left_groupoid])
     H = product_groupoid([M.right_groupoid, N.right_groupoid])
     gidx, hidx = G.index, H.index
@@ -251,30 +266,21 @@ def factor_indexes(M: Bibundle) -> tuple[LabelIndex, LabelIndex]:
 
 
 def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
-    """For each m, the unique h with m.h == fiber-least element, if the right
-    action is free and transitive on every lmap fiber; else None. Cached.
+    """For each m, (m0, h) with m0 the first point of its lmap fiber and h the
+    unique arrow with m . h == m0, if the right action is free and transitive
+    on every lmap fiber; else None. Cached.
 
-    One pass per fiber: the first point m0 is moved by every arrow at its
-    moment. The images must be distinct (free) and cover the fiber
-    (transitive); then m0.h has the arrow inv(h) back to m0.
+    Read off the right orbit pass: each fiber is then one orbit with its first
+    point as representative, reaching m by a_m, so h is inv(a_m).
     """
     cached = getattr(M, "_rp_column_cache", "unset")
     if cached != "unset":
         return cached
-    H = M.right_groupoid
-    fibers: dict[str, list[str]] = {}
-    for m in M.carrier:
-        fibers.setdefault(M.lmap[m], []).append(m)
-    column: dict[str, tuple[str, str]] | None = {}
-    for fiber in fibers.values():
-        m0 = fiber[0]
-        arrows = H.l_fiber(M.rmap[m0])
-        images = {M.right_fn(m0, h): h for h in arrows}
-        if len(images) < len(arrows) or not all(m in images for m in fiber):
-            column = None  # an image repeats (not free) or a point is missed (not transitive)
-            break
-        for m, h in images.items():
-            column[m] = (m0, H.inv[h])
+    orbits = _orbit_pass(M, "right")
+    rep = _principality(M, orbits)
+    Hinv = M.right_groupoid.inv
+    column = ({m: (m0, Hinv[a]) for m, (m0, a) in orbits.reach.items()}
+              if rep.free and rep.transitive else None)
     object.__setattr__(M, "_rp_column_cache", column)
     return column
 
@@ -292,9 +298,7 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     G = M.left_groupoid
     H = M.right_groupoid
     K = N.right_groupoid
-    n_by_obj: dict[str, list[str]] = {}
-    for n in N.carrier:
-        n_by_obj.setdefault(N.lmap[n], []).append(n)
+    n_by_obj = _fibers(N, N.lmap)
 
     column = _rp_column(M)
     index = LabelIndex()
@@ -662,16 +666,25 @@ class WeakIso:
 
 
 def is_weak_isomorphism(M: Bibundle) -> WeakIso:
-    """M is weakly invertible iff it is biprincipal; then op(M) inverts it."""
-    right = check_principal(M, "right")
-    if not right.ok:
-        return WeakIso(False, failure=right)
-    left = check_principal(M, "left")
-    if not left.ok:
-        return WeakIso(False, failure=left)
+    """M is weakly invertible iff it is biprincipal; then op(M) inverts it.
+
+    M must be a valid bibundle (see validate_bibundle). The two 2-cells are
+    built from the pairings, not searched for:
+    M . op(M) ~ Id_G by [m, m'] |-> the left pairing <m, m'>, and
+    op(M) . M ~ Id_H by [m', m] |-> the right pairing <m', m>.
+    """
+    passes = _biprincipal_passes(M)
+    if isinstance(passes, PrincipalityReport):
+        return WeakIso(False, failure=passes)
+    right, left = passes
     inv = opposite_bibundle(M)
-    w1 = find_iso(compose(M, inv), identity_bibundle(M.left_groupoid))
-    w2 = find_iso(compose(inv, M), identity_bibundle(M.right_groupoid))
-    if w1 is None or w2 is None:
-        raise StructuralError("biprincipal bibundle failed to invert; this is a bug")
+    w1 = _pairing_witness(compose(M, inv), identity_bibundle(M.left_groupoid), left)
+    w2 = _pairing_witness(compose(inv, M), identity_bibundle(M.right_groupoid), right)
     return WeakIso(True, inv, w1, w2, None)
+
+
+def _pairing_witness(composed: ComposedBibundle, target: Bibundle, orbits: _OrbitPass) -> IsoWitness:
+    """[m, m2] |-> <m, m2>, the pairing of the pass, onto an identity bibundle."""
+    pair_of = composed.index.parts_of
+    forward = {rep: orbits.pairing(*pair_of[rep]) for rep in composed.carrier}
+    return _bijection_witness(composed, target, forward)

@@ -40,12 +40,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.entries
 
-    def structural(self) -> tuple[Violation, ...]:
-        return tuple(v for v in self.entries if v.kind == "structural")
-
-    def axiom(self) -> tuple[Violation, ...]:
-        return tuple(v for v in self.entries if v.kind == "axiom")
-
     def first(self) -> Violation | None:
         return self.entries[0] if self.entries else None
 
@@ -186,18 +180,6 @@ class FinGroupoid:
                 f"l(g2)={self.l.get(g2)!r}"
             ) from None
 
-    def inverse(self, g: str) -> str:
-        try:
-            return self.inv[g]
-        except KeyError:
-            raise StructuralError(f"inv undefined on {g!r}") from None
-
-    def unit_at(self, x: str) -> str:
-        try:
-            return self.unit[x]
-        except KeyError:
-            raise StructuralError(f"unit undefined on object {x!r}") from None
-
     def l_fiber(self, x: str) -> tuple[str, ...]:
         """Arrows g with l(g) == x, in arrow order."""
         try:
@@ -210,9 +192,6 @@ class FinGroupoid:
             return self._r_fibers[x]  # type: ignore[attr-defined]
         except KeyError:
             raise StructuralError(f"object {x!r} not in groupoid") from None
-
-    def is_composable(self, g: str, g2: str) -> bool:
-        return self.r.get(g) is not None and self.r[g] == self.l.get(g2)
 
 
 @dataclass(frozen=True, eq=True)

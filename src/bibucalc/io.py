@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import Counter
 from typing import Any, Mapping
 
 from .bibundle import Bibundle, bibundle_from_tables, validate_bibundle
@@ -41,9 +42,18 @@ def save_json(path: str, obj: Any) -> str:
     return path
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)
+        raise StructuralError(f"JSON object repeats the key {key!r}")
+    return obj
+
+
 def load_json(path: str) -> Any:
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def sha256_file(path: str) -> str:
@@ -67,7 +77,11 @@ def _untriples(rows, what: str) -> dict[tuple[str, str], str]:
             isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)
             for row in rows)):
         raise StructuralError(f"field {what!r} must be a list of [a, b, value] string triples")
-    return {(a, b): v for a, b, v in rows}
+    table = {(a, b): v for a, b, v in rows}
+    if len(table) < len(rows):
+        a, b = next(k for k, n in Counter((a, b) for a, b, _ in rows).items() if n > 1)
+        raise StructuralError(f"field {what!r} holds two rows for [{a!r}, {b!r}]")
+    return table
 
 
 def _label_list(obj: dict, key: str) -> list[str]:

@@ -14,15 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .bibundle import (
-    Bibundle,
-    NoPairing,
-    Pairing,
-    PrincipalityReport,
-    check_principal,
-    compute_pairing,
-)
-from .calculus import opposite_bibundle
+from .bibundle import Bibundle, PrincipalityReport, _biprincipal_passes, _fibers
 from .core import (
     FinCategory,
     FinGroupoid,
@@ -159,56 +151,28 @@ def principality_via_linking(M: Bibundle) -> PrincipalityReport:
 
 
 def linking_groupoid(M: Bibundle) -> LinkingGroupoid | NotBiprincipal:
-    """The groupoid on G_1 + M + op(M) + H_1; needs M biprincipal."""
-    right = check_principal(M, "right")
-    if not right.ok:
-        return NotBiprincipal(right)
-    left = check_principal(M, "left")
-    if not left.ok:
-        return NotBiprincipal(left)
+    """The groupoid on G_1 + M + op(M) + H_1; needs M biprincipal. The mixed
+    composites M . op(M) and op(M) . M are the left and right pairings, read
+    off the two orbit passes."""
+    passes = _biprincipal_passes(M)
+    if isinstance(passes, PrincipalityReport):
+        return NotBiprincipal(passes)
+    right, left = passes
     G, H = M.left_groupoid, M.right_groupoid
-    right_pairing = compute_pairing(M)
-    left_pairing = compute_pairing(opposite_bibundle(M))
-    assert isinstance(right_pairing, Pairing) and isinstance(left_pairing, Pairing)
-
+    C = linking_category(M).category
     points = list(M.carrier)
-    objects = [f"G:{x}" for x in G.objects] + [f"H:{y}" for y in H.objects]
-    arrows = (
-        [f"G:{g}" for g in G.arrows]
-        + [f"M:{m}" for m in points]
-        + [f"Mop:{m}" for m in points]
-        + [f"H:{h}" for h in H.arrows]
-    )
-    l = {f"G:{g}": f"G:{G.l[g]}" for g in G.arrows}
-    r = {f"G:{g}": f"G:{G.r[g]}" for g in G.arrows}
+    arrows = list(C.arrows)
+    # op(M) sits between M and H_1
+    arrows[len(G.arrows) + len(points):len(G.arrows) + len(points)] = [f"Mop:{m}" for m in points]
+    l, r, comp = dict(C.l), dict(C.r), dict(C.comp)
     inv = {f"G:{g}": f"G:{G.inv[g]}" for g in G.arrows}
+    inv.update({f"H:{h}": f"H:{H.inv[h]}" for h in H.arrows})
+    fibers_l, fibers_r = _fibers(M, M.lmap), _fibers(M, M.rmap)
     for m in points:
-        l[f"M:{m}"] = f"G:{M.lmap[m]}"
-        r[f"M:{m}"] = f"H:{M.rmap[m]}"
         l[f"Mop:{m}"] = f"H:{M.rmap[m]}"
         r[f"Mop:{m}"] = f"G:{M.lmap[m]}"
         inv[f"M:{m}"] = f"Mop:{m}"
         inv[f"Mop:{m}"] = f"M:{m}"
-    for h in H.arrows:
-        l[f"H:{h}"] = f"H:{H.l[h]}"
-        r[f"H:{h}"] = f"H:{H.r[h]}"
-        inv[f"H:{h}"] = f"H:{H.inv[h]}"
-
-    comp: dict[tuple[str, str], str] = {}
-    for (g, g2), g3 in G.comp.items():
-        comp[(f"G:{g}", f"G:{g2}")] = f"G:{g3}"
-    for (h, h2), h3 in H.comp.items():
-        comp[(f"H:{h}", f"H:{h2}")] = f"H:{h3}"
-    fibers_l: dict[str, list[str]] = {}
-    fibers_r: dict[str, list[str]] = {}
-    for m in points:
-        fibers_l.setdefault(M.lmap[m], []).append(m)
-        fibers_r.setdefault(M.rmap[m], []).append(m)
-    for m in points:
-        for g in G.r_fiber(M.lmap[m]):
-            comp[(f"G:{g}", f"M:{m}")] = f"M:{M.act_left(g, m)}"
-        for h in H.l_fiber(M.rmap[m]):
-            comp[(f"M:{m}", f"H:{h}")] = f"M:{M.act_right(m, h)}"
         # op(M) legs
         for g in G.l_fiber(M.lmap[m]):
             comp[(f"Mop:{m}", f"G:{g}")] = f"Mop:{M.act_left(G.inv[g], m)}"
@@ -216,11 +180,8 @@ def linking_groupoid(M: Bibundle) -> LinkingGroupoid | NotBiprincipal:
             comp[(f"H:{h}", f"Mop:{m}")] = f"Mop:{M.act_right(m, H.inv[h])}"
         # pairings
         for m2 in fibers_r.get(M.rmap[m], []):
-            comp[(f"M:{m}", f"Mop:{m2}")] = f"G:{left_pairing.table[(m, m2)]}"
+            comp[(f"M:{m}", f"Mop:{m2}")] = f"G:{left.pairing(m, m2)}"
         for m2 in fibers_l.get(M.lmap[m], []):
-            comp[(f"Mop:{m}", f"M:{m2}")] = f"H:{right_pairing.table[(m, m2)]}"
-
-    unit = {f"G:{x}": f"G:{G.unit[x]}" for x in G.objects}
-    unit.update({f"H:{y}": f"H:{H.unit[y]}" for y in H.objects})
-    lk = FinGroupoid(finset(objects), finset(arrows), l, r, comp, inv, unit)
+            comp[(f"Mop:{m}", f"M:{m2}")] = f"H:{right.pairing(m, m2)}"
+    lk = FinGroupoid(C.objects, finset(arrows), l, r, comp, inv, dict(C.unit))
     return LinkingGroupoid(lk, M)

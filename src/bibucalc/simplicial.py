@@ -25,7 +25,7 @@ from .core import (
     Violation,
     finset,
 )
-from .labels import tup, untup
+from .labels import tup
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,6 @@ def _chain_label(chain: Sequence[str]) -> str:
     return tup(*chain)
 
 
-def _chain_parts(label: str, n: int) -> tuple[str, ...]:
-    if n == 1:
-        return (label,)
-    parts = untup(label)
-    if len(parts) != n:
-        raise StructuralError(f"label {label!r} is not a {n}-chain")
-    return parts
-
-
 def nerve(C: FinCategory | FinGroupoid, k: int = 3) -> TruncatedSSet:
     """The chains-of-composable-arrows simplicial set of a finite category,
     stored up to level k. An n-chain (g_1, ..., g_n) runs through vertices
@@ -216,15 +207,6 @@ class HornFiller:
             if jj == j:
                 return x
         raise StructuralError(f"horn has no face {j}")
-
-
-def _check_horn(X: TruncatedSSet, h: HornFiller) -> bool:
-    idx = [j for j, _ in h.faces]
-    for a in idx:
-        for b in idx:
-            if a < b and X.d(h.n - 1, a, h.face(b)) != X.d(h.n - 1, b - 1, h.face(a)):
-                return False
-    return True
 
 
 def horn_set(X: TruncatedSSet, n: int, i: int) -> tuple[HornFiller, ...]:

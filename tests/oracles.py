@@ -1,18 +1,28 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the code paths they are checking: the pairing oracle
-derives the table by constraint propagation from the axioms, not by the
-search compute_pairing uses, the orbit oracle quotients pairs with a
+derives the table by constraint propagation from the axioms, and the pairing
+search tries every arrow for every pair of fiber points, where
+compute_pairing reads the table off one orbit pass; the principality scan
+looks for a fixing arrow at every point and for an arrow from every fiber
+point to the fiber's first one, where check_principal moves one
+representative per orbit; the orbit oracle quotients pairs with a
 union-find rather than the composer's one-step image, the product oracle
 stores every composite up front instead of reading it from the factors, the
-column oracle scans every arrow for every point instead of moving one point
-per fiber, and the codec oracle escapes labels character by character.
+column oracle scans every arrow for every point instead of reading the
+orbit pass, and the codec oracle escapes labels character by character.
 """
 from __future__ import annotations
 
 import itertools
 
-from bibucalc.bibundle import Bibundle, check_pairing_axioms, Pairing
+from bibucalc.bibundle import (
+    Bibundle,
+    NoPairing,
+    Pairing,
+    PrincipalityReport,
+    check_pairing_axioms,
+)
 from bibucalc.labels import tup
 
 
@@ -47,6 +57,102 @@ def pairing_solutions(M: Bibundle) -> list[dict]:
     if not check_pairing_axioms(M, Pairing(table)).ok:
         return []
     return [table]
+
+
+def _fibers(M: Bibundle, moment) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for m in M.carrier:
+        out.setdefault(moment[m], []).append(m)
+    return out
+
+
+def principality_scan(M: Bibundle, side: str = "right") -> PrincipalityReport:
+    """One-sided principality by scanning: every point is tried against
+    every arrow at its moment for a fixing non-unit, and every fiber point
+    against every arrow for one that moves it to the fiber's first point."""
+    witnesses: dict = {}
+    note = ""
+    if side == "right":
+        base_objects = M.left_groupoid.objects
+        fiber_of = _fibers(M, M.lmap)
+        acting = M.right_groupoid
+        moment = M.rmap
+
+        def move(m: str, k: str) -> str:
+            return M.act_right(m, k)
+
+        def arrows_at(m: str) -> tuple[str, ...]:
+            return acting.l_fiber(moment[m])
+    else:
+        base_objects = M.right_groupoid.objects
+        fiber_of = _fibers(M, M.rmap)
+        acting = M.left_groupoid
+        moment = M.lmap
+
+        def move(m: str, k: str) -> str:
+            return M.act_left(k, m)
+
+        def arrows_at(m: str) -> tuple[str, ...]:
+            return acting.r_fiber(moment[m])
+
+    surjective = True
+    for x in base_objects:
+        if not fiber_of.get(x):
+            surjective = False
+            witnesses["surjective"] = x
+            break
+    free = True
+    for m in M.carrier:
+        if not free:
+            break
+        u = acting.unit[moment[m]]
+        for k in arrows_at(m):
+            if k != u and move(m, k) == m:
+                free = False
+                witnesses["free"] = (m, k)
+                break
+    transitive = True
+    empty_seen = False
+    for x, fiber in ((x, fiber_of.get(x, [])) for x in base_objects):
+        if not fiber:
+            empty_seen = True
+            continue
+        m0 = fiber[0]
+        for m in fiber[1:]:
+            if not any(move(m, k) == m0 for k in arrows_at(m)):
+                transitive = False
+                witnesses["transitive"] = (m, m0)
+                break
+        if not transitive:
+            break
+    if empty_seen and transitive:
+        note = "some fibers are empty; transitivity holds vacuously there"
+    return PrincipalityReport(side, surjective, free, transitive, witnesses, note)
+
+
+def pairing_search(M: Bibundle) -> Pairing | NoPairing:
+    """The right pairing by search: a fixing non-unit at any point refuses
+    it (not free), else each fiber pair gets the first arrow carrying one
+    point to the other, and a pair with none refuses it (not transitive)."""
+    H = M.right_groupoid
+    for m in M.carrier:
+        u = H.unit[M.rmap[m]]
+        for h in H.l_fiber(M.rmap[m]):
+            if h != u and M.act_right(m, h) == m:
+                return NoPairing("free", (m, h))
+    table: dict[tuple[str, str], str] = {}
+    for fiber in _fibers(M, M.lmap).values():
+        for m in fiber:
+            for m2 in fiber:
+                found = None
+                for h in H.l_fiber(M.rmap[m]):
+                    if M.act_right(m, h) == m2:
+                        found = h
+                        break
+                if found is None:
+                    return NoPairing("transitive", (m, m2))
+                table[(m, m2)] = found
+    return Pairing(table)
 
 
 def orbit_quotient(pairs, moves) -> dict:

@@ -5,7 +5,7 @@ Every test prints a single `criterion N (...): PASS|FAIL` line (visible under
 was reached.  All randomness is seeded per test; reruns are identical.
 
 Run with:  python3 -m pytest tests/test_acceptance.py -v -s
-The slowest tests are 8 and 9 (weak-inverse and coherence searches on the
+The slowest tests are 8 and 9 (group checks and coherence searches on the
 larger group fixtures); the whole file takes a few minutes.
 """
 

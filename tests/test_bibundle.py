@@ -30,7 +30,7 @@ from bibucalc.calculus import (
 from bibucalc.generators import random_bibundle, random_right_principal_bibundle
 from bibucalc.labels import tup, untup
 
-from oracles import pairing_solutions
+from oracles import pairing_search, pairing_solutions, principality_scan
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +204,49 @@ def test_empty_fiber_is_vacuously_transitive():
     rep = check_principal(M, "right")
     assert rep.transitive and rep.free and not rep.surjective
     assert "empty" in rep.note
+
+
+def _sampled_bundle(seed: int, principal: bool):
+    rng = random.Random(seed)
+    if principal:
+        return random_right_principal_bibundle(rng, max_objects=3, max_isotropy=3)
+    return random_bibundle(rng, max_objects=3, max_isotropy=3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(["right", "left"]))
+def test_check_principal_matches_scan(seed, principal, side):
+    M = _sampled_bundle(seed, principal)
+    got, want = check_principal(M, side), principality_scan(M, side)
+    assert got == want
+    assert list(got.witnesses.items()) == list(want.witnesses.items())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(["right", "left"]))
+def test_compute_pairing_matches_search(seed, principal, side):
+    M = _sampled_bundle(seed, principal)
+    if side == "left":
+        M = opposite_bibundle(M)
+    got, want = compute_pairing(M), pairing_search(M)
+    assert got == want
+    if isinstance(got, Pairing):
+        assert list(got.table.items()) == list(want.table.items())
+
+
+def test_stabiliser_found_past_the_first_orbit_of_a_fiber():
+    # Z/2 acting on the right of one lmap fiber: 1 swaps "a" and "b" and
+    # fixes "c", so the fiber's first orbit is free and its second is not
+    G, H = trivial_groupoid(1), cyclic_groupoid(2)
+    carrier = ["a", "b", "c"]
+    right = {("a", "0"): "a", ("a", "1"): "b", ("b", "0"): "b", ("b", "1"): "a",
+             ("c", "0"): "c", ("c", "1"): "c"}
+    M = bibundle_from_tables(
+        G, H, carrier, {m: "0" for m in carrier}, {m: "*" for m in carrier},
+        {("0", m): m for m in carrier}, right,
+    )
+    assert validate_bibundle(M).ok
+    rep = check_principal(M, "right")
+    assert rep == principality_scan(M, "right")
+    assert rep.witnesses == {"free": ("c", "1"), "transitive": ("c", "a")}
+    assert compute_pairing(M) == NoPairing("free", ("c", "1"))

@@ -12,6 +12,7 @@ from bibucalc import (
     power_groupoid,
     trivial_groupoid,
 )
+from bibucalc import calculus
 from bibucalc.bibundle import check_principal, validate_bibundle
 from bibucalc.calculus import (
     _rp_column,
@@ -48,7 +49,7 @@ from bibucalc.generators import (
     random_right_principal_bibundle,
     relabel_randomly,
 )
-from bibucalc.groups import kronecker_finite
+from bibucalc.groups import kronecker_finite, preinverse
 from bibucalc.labels import tup, untup
 
 from oracles import orbit_quotient, rp_column_scan
@@ -308,6 +309,32 @@ def test_weak_isomorphism_cases():
     res3 = is_weak_isomorphism(e)
     assert not res3.ok
     assert res3.failure is not None
+
+
+def _biprincipal_samples(count: int) -> list:
+    """The first random right-principal bundles, by seed, that are also
+    left principal."""
+    out, seed = [], 0
+    while len(out) < count:
+        M = random_right_principal_bibundle(random.Random(seed), max_objects=3, max_isotropy=3)
+        if check_principal(M, "left").ok:
+            out.append(M)
+        seed += 1
+    return out
+
+
+def test_weak_inverse_witnesses_come_from_the_pairings(monkeypatch):
+    def no_search(M, N):
+        raise AssertionError("is_weak_isomorphism searched for a 2-cell")
+
+    monkeypatch.setattr(calculus, "find_iso", no_search)
+    kronecker = [preinverse(kronecker_finite(n, q)) for n, q in ((2, 1), (3, 1), (4, 2))]
+    for M in kronecker + _biprincipal_samples(12):
+        res = is_weak_isomorphism(M)
+        assert res.ok
+        for w, unit in ((res.left_identity, M.left_groupoid), (res.right_identity, M.right_groupoid)):
+            assert w.target == identity_bibundle(unit)
+            assert validate_iso(w).ok
 
 
 @settings(max_examples=20, deadline=None)

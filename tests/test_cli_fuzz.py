@@ -1,0 +1,137 @@
+"""CLI fuzz gate: damaged copies of a gen-fixture bibundle file run through
+the verbs that read one. Every run must exit 0, 1 or 2 and print no
+traceback. Structural damage (dropped or retyped keys, non-string or
+duplicate labels, repeated table rows, dangling or self references to
+groupoid files) must exit 2 with an `error` in the manifest. Labels that
+name nothing make `validate` exit 1, and the verbs that validate on ingest
+exit 2."""
+import contextlib
+import io as _io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bibucalc import io
+from bibucalc.cli import main
+
+NAME = "damaged.json"
+VERBS = [
+    ["validate", NAME],
+    ["principal", "--bibundle", NAME],
+    ["pairing", "--bibundle", NAME],
+    ["morita", "--bibundle", NAME],
+    ["linking", "--groupoid", "--bibundle", NAME],
+]
+GROUPOIDS = ("leftGroupoid", "rightGroupoid")
+# the fields of a bundle file and of a groupoid file, by shape
+BUNDLE_FIELDS = {"carrier": "list", "lM": "map", "rM": "map",
+                 "leftAct": "table", "rightAct": "table",
+                 "leftGroupoid": "groupoid", "rightGroupoid": "groupoid"}
+GROUPOID_FIELDS = {"objects": "list", "arrows": "list", "l": "map", "r": "map",
+                   "inv": "map", "unit": "map", "comp": "table"}
+WRONG_TYPES = [None, 0, 1.5, True, "x", [], {}]
+NON_STRINGS = [None, 0, 1.5, True, [], {}]
+
+
+@pytest.fixture(scope="module")
+def fixture(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    with contextlib.redirect_stdout(_io.StringIO()):
+        assert main(["gen-fixture", "--family", "kronecker_finite", "--n", "4", "--q", "2",
+                     "--out", str(root)]) == 0
+    return root, io.load_json(str(root / "kronecker_4_2_i.json"))
+
+
+def _fields(d: dict, shapes: tuple[str, ...]) -> list[tuple[dict, str, str]]:
+    """(object, key, shape) for the fields of the bundle and of its inline
+    groupoids whose shape is one of shapes."""
+    out = [(d, k, s) for k, s in BUNDLE_FIELDS.items() if s in shapes]
+    for g in GROUPOIDS:
+        out += [(d[g], k, s) for k, s in GROUPOID_FIELDS.items() if s in shapes]
+    return out
+
+
+@st.composite
+def damaged(draw, original: dict) -> tuple[dict, bool]:
+    """A damaged copy of a bundle file and whether the damage is structural."""
+    d = json.loads(json.dumps(original))
+    what = draw(st.sampled_from(["drop", "retype", "non-string", "duplicate",
+                                 "reference", "dangling"]))
+    if what == "reference":
+        d[draw(st.sampled_from(GROUPOIDS))] = draw(st.sampled_from([NAME, "missing.json", "."]))
+        return d, True
+    shapes = {
+        "drop": ("list", "map", "table", "groupoid"),
+        "retype": ("list", "map", "table", "groupoid"),
+        "non-string": ("list", "map", "table"),
+        "duplicate": ("list", "table"),
+        "dangling": ("list", "map", "table"),
+    }[what]
+    obj, key, shape = draw(st.sampled_from(_fields(d, shapes)))
+    value = obj[key]
+    if what == "drop":
+        del obj[key]
+    elif what == "retype":
+        obj[key] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(value)]))
+    elif what == "non-string":
+        bad = draw(st.sampled_from(NON_STRINGS))
+        if shape == "list":
+            value[draw(st.integers(0, len(value) - 1))] = bad
+        elif shape == "map":
+            value[draw(st.sampled_from(sorted(value)))] = bad
+        else:
+            value[draw(st.integers(0, len(value) - 1))][draw(st.integers(0, 2))] = bad
+    elif what == "duplicate":
+        # a label listed twice, or a second row for a table key, with the
+        # same value or another one
+        copy = value[draw(st.integers(0, len(value) - 1))]
+        if shape == "table":
+            copy = copy[:2] + [draw(st.sampled_from([row[2] for row in value]))]
+        value.insert(draw(st.integers(0, len(value))), copy)
+    else:
+        # a label that names nothing: a new list entry or map key, a map
+        # value, a table value, or a new row with a key off the table
+        if shape == "list":
+            value.append("nowhere")
+        elif shape == "map" and draw(st.booleans()):
+            value["nowhere"] = value[draw(st.sampled_from(sorted(value)))]
+        elif shape == "map":
+            value[draw(st.sampled_from(sorted(value)))] = "nowhere"
+        else:
+            i, j = draw(st.integers(0, len(value) - 1)), draw(st.integers(0, 2))
+            row = list(value[i])
+            row[j] = "nowhere"
+            if j == 2:
+                value[i] = row
+            else:
+                value.append(row)
+        return d, False
+    return d, True
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = _io.StringIO(), _io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv + ["--json", "--out", "out"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_damaged_files_keep_the_exit_code_contract(fixture, data):
+    root, original = fixture
+    d, structural = data.draw(damaged(original))
+    with contextlib.chdir(root):
+        io.save_json(NAME, d)
+        for argv in VERBS:
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err
+            manifest = json.loads(out)
+            if structural or argv[0] != "validate":
+                assert code == 2, (argv, manifest)
+                assert "error" in manifest["verdicts"]
+            else:
+                assert code == 1, (argv, manifest)
+                assert manifest["verdicts"][NAME]["ok"] is False

@@ -1,0 +1,153 @@
+"""Golden outputs: sha256 of the --json manifests and written files of the
+principality, pairing, Morita, linking and group verbs on the Kronecker (4,2)
+fixture. Every command runs inside a temporary directory with relative paths,
+so manifests hold only relative paths and the inputs' sha256, and the bytes
+do not depend on where the test runs."""
+import contextlib
+import hashlib
+import os
+
+import pytest
+
+from bibucalc.cli import main
+
+STEM = "kronecker_4_2"
+
+# (name, argv, exit code); each run writes into an --out directory of its name
+RUNS = [
+    ("principal_mu_right", ["principal", "--bibundle", f"{STEM}_mu.json", "--side", "right"], 0),
+    ("principal_mu_left", ["principal", "--bibundle", f"{STEM}_mu.json", "--side", "left"], 1),
+    ("principal_i_right", ["principal", "--bibundle", f"{STEM}_i.json", "--side", "right"], 0),
+    ("principal_i_left", ["principal", "--bibundle", f"{STEM}_i.json", "--side", "left"], 0),
+    ("pairing_mu", ["pairing", "--bibundle", f"{STEM}_mu.json"], 0),
+    ("pairing_i", ["pairing", "--bibundle", f"{STEM}_i.json"], 0),
+    ("morita_i", ["morita", "--bibundle", f"{STEM}_i.json"], 0),
+    ("morita_mu", ["morita", "--bibundle", f"{STEM}_mu.json"], 1),
+    ("linking_i", ["linking", "--groupoid", "--bibundle", f"{STEM}_i.json"], 0),
+    ("linking_mu", ["linking", "--groupoid", "--bibundle", f"{STEM}_mu.json"], 1),
+    ("preinverse", ["preinverse", "--spec", f"{STEM}.json"], 0),
+    ("check_group", ["check-group", "--spec", f"{STEM}.json"], 0),
+]
+
+GOLDEN = {
+    "check_group": {
+        "stdout":
+            "9ac1f0ee7524a35da829a6a5bd7242eb658fcf94b72fb3517553507064cb3b16",
+    },
+    "gen_fixture": {
+        "kronecker_4_2.json":
+            "ba3c0cdf03f6e787ffdf2c8da51ef5a714006db5f859edf13336eb20e5618a83",
+        "kronecker_4_2_e.json":
+            "72ee173d37dc15bbbcd8adcebbc963c89b936e6435c16aec3cb336dc18def2e5",
+        "kronecker_4_2_groupoid.json":
+            "32826bef941b541dde5830ce117208fe8caf44f94becfab4eb34235d52407d1a",
+        "kronecker_4_2_i.json":
+            "95c1e37632302dee6f348c093f7832e9a83cd24422105fb44ed43e77f2ea0d0f",
+        "kronecker_4_2_mu.json":
+            "a3d39eaa6c078c4532dfadb359f7d9de354576523d9e2f398c4bb82ce3a36d06",
+        "stdout":
+            "554d8ec9c6ed432e9cb251c646f059334b95a37a18932741921bd6775d7ef6b8",
+    },
+    "linking_i": {
+        "linking_groupoid.json":
+            "f8dd8349b7209d9761797be11dad2640d343ae824e6b96563f8468110f6201a9",
+        "stdout":
+            "438d48c3bf3c465afdfbea20910175e22a0d71d23319bf0d11fe6e6d7ca3893c",
+    },
+    "linking_mu": {
+        "linking_witness.json":
+            "501289f2bd415e6b3f80317937f48ed6f644b83820e1afb458dc716f7b4458da",
+        "stdout":
+            "2203c08a8d96c08d4e9a9fac91919b113f86744c02b0aa60935989c326de9b1c",
+    },
+    "morita_i": {
+        "stdout":
+            "1db58a4e02aa6eaa0ab17123adfd72b58445484c94e35812ef1ef437d3525531",
+    },
+    "morita_mu": {
+        "morita_witness.json":
+            "f4b4fc9eba15f929f83089ac638649d8e58beb41684bffe7916304d2789c4df7",
+        "stdout":
+            "1113f58d51b9aeafceed1177160f8f9cceb76f456d825906d88e148fad1df76c",
+    },
+    "pairing_i": {
+        "pairing.json":
+            "a82b2949c737d3ed415b6e65f2a944dfea039a9467134dc3a064244b6ca9b45d",
+        "stdout":
+            "b2647278578068ca3e9deee886d079a32610a4b7bc8bbdd2bc931a5337c65155",
+    },
+    "pairing_mu": {
+        "pairing.json":
+            "1a38b8ba743af555cf8ea833ce147ff7b3188f00a7f5c565012cbd6f89329c89",
+        "stdout":
+            "90e7bacf274f2f6fab025b7e946b8a3cc018ce03683894fbe634966df06f3b70",
+    },
+    "preinverse": {
+        "preinverse.json":
+            "d9c866c0e7f3c753ea0ba338960f959db704b4e26f5ab08380ba8eb768adca30",
+        "stdout":
+            "295c58e21061b3a5637b8944e010e6fda14ffe14f8d2c9660aafee8c97f9404a",
+    },
+    "principal_i_left": {
+        "stdout":
+            "11e7c5354f5ed4e877c83d81b4f1a633e14d0e59c33bfb7c98ced0c8f4267b76",
+    },
+    "principal_i_right": {
+        "stdout":
+            "cb702802ebc8c5146726313b071a82ba6d8bc1a4cff33a8bcc059080a9285dff",
+    },
+    "principal_mu_left": {
+        "principal_witness.json":
+            "501289f2bd415e6b3f80317937f48ed6f644b83820e1afb458dc716f7b4458da",
+        "stdout":
+            "eb1bb9bcb0b4d7d9c33aab64b305dba90b97de9002571f15a1c905949c49fe82",
+    },
+    "principal_mu_right": {
+        "stdout":
+            "16336d7b8443bd52f35993b87954bcfe8922f99f7549bd741edeff0a65092b63",
+    },
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _digests(directory) -> dict[str, str]:
+    """sha256 of every file under the directory, by relative path."""
+    out = {}
+    for root, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = _sha(fh.read())
+    return out
+
+
+def _run(capsys, argv) -> tuple[int, str]:
+    capsys.readouterr()
+    code = main(argv + ["--json"])
+    return code, _sha(capsys.readouterr().out.encode())
+
+
+@pytest.fixture
+def fixture_dir(tmp_path, capsys):
+    with contextlib.chdir(tmp_path):
+        code, stdout = _run(capsys, ["gen-fixture", "--family", "kronecker_finite",
+                                     "--n", "4", "--q", "2"])
+    assert code == 0
+    return tmp_path, {"stdout": stdout, **_digests(tmp_path)}
+
+
+def test_gen_fixture_golden(fixture_dir):
+    _, got = fixture_dir
+    assert got == GOLDEN["gen_fixture"]
+
+
+@pytest.mark.parametrize("name, argv, code", RUNS, ids=[r[0] for r in RUNS])
+def test_verb_golden(fixture_dir, capsys, name, argv, code):
+    root, _ = fixture_dir
+    with contextlib.chdir(root):
+        got_code, stdout = _run(capsys, argv + ["--out", name])
+    assert got_code == code
+    assert {"stdout": stdout, **_digests(root / name)} == GOLDEN[name]

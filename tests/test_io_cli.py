@@ -342,3 +342,44 @@ def test_cli_validate_checks_each_distinct_groupoid_once(tmp_path, capsys, monke
     # the base, G x G and the one-point G^0, though seven parts name a groupoid
     assert len(checked) == 3
     assert all(a != b for a, b in itertools.combinations(checked, 2))
+
+
+def test_loaders_refuse_repeated_table_rows():
+    d = io.bibundle_to_json(identity_bibundle(cyclic_groupoid(3)))
+    g, m, _ = d["leftAct"][0]
+    d["leftAct"].insert(0, [g, m, "2"])
+    with pytest.raises(StructuralError, match=r"'leftAct' holds two rows for \['0', '0'\]"):
+        io.bibundle_from_json(d, validate=False)
+    G = io.groupoid_to_json(cyclic_groupoid(2))
+    G["comp"].append(list(G["comp"][-1]))
+    with pytest.raises(StructuralError, match="'comp' holds two rows"):
+        io.groupoid_from_json(G, validate=False)
+
+
+@pytest.mark.parametrize("table, row, code", [
+    ("leftAct", ["1", "nowhere", "0"], "left-act-domain"),
+    ("rightAct", ["0", "x", "0"], "right-act-domain"),
+])
+def test_cli_validate_refuses_action_rows_off_the_domain(tmp_path, capsys, table, row, code):
+    d = io.bibundle_to_json(identity_bibundle(cyclic_groupoid(3)))
+    d[table].append(row)
+    bad = str(tmp_path / "bad.json")
+    io.save_json(bad, d)
+    capsys.readouterr()
+    assert main(["validate", bad, "--json", "--out", str(tmp_path)]) == 1
+    verdict = json.loads(capsys.readouterr().out)["verdicts"][bad]
+    assert [v["code"] for v in verdict["violations"]["bibundle"]] == [code]
+    assert main(["principal", "--bibundle", bad]) == 2
+
+
+def test_cli_refuses_repeated_json_keys(tmp_path, capsys):
+    text = io.dumps(io.bibundle_to_json(identity_bibundle(cyclic_groupoid(3))))
+    # a second lM entry for point "0", ahead of the real one
+    bad = str(tmp_path / "bad.json")
+    with open(bad, "w") as fh:
+        fh.write(text.replace('"lM": {', '"lM": {\n    "0": "nowhere",', 1))
+    capsys.readouterr()
+    assert main(["validate", bad, "--json"]) == 2
+    manifest = json.loads(capsys.readouterr().out)
+    assert manifest["verdicts"]["error"] == "JSON object repeats the key '0'"
+    assert main(["principal", "--bibundle", bad]) == 2
