@@ -14,13 +14,15 @@ and yields those arrows. Otherwise each orbit of pairs is taken in one step,
 as the image of one pair under the arrows at its moment. Both give the same
 representative, so callers never see which one ran. The passes also give the
 pairings, from which is_weak_isomorphism builds its 2-cells; only find_iso
-and all_isos search.
+and all_isos search, one orbit at a time: a biequivariant bijection is fixed
+by its value on one point of each orbit, so only representatives branch.
 """
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping
 
 from .bibundle import (
     Bibundle,
@@ -33,7 +35,6 @@ from .bibundle import (
 )
 from .core import (
     FinGroupoid,
-    FinSet,
     GroupoidHom,
     StructuralError,
     ValidationReport,
@@ -42,7 +43,6 @@ from .core import (
     power_groupoid,
     product_groupoid,
     swap_hom,
-    trivial_groupoid,
 )
 from .labels import LabelIndex
 
@@ -255,14 +255,6 @@ class ComposedBibundle(Bibundle):
     def project(self, m: str, n: str) -> str:
         """Canonical representative of the orbit of the pair (m, n)."""
         return self.project_fn(m, n)
-
-
-def factor_indexes(M: Bibundle) -> tuple[LabelIndex, LabelIndex]:
-    """The label indexes of a composite's two factors, which name the parts of
-    its representative pairs. A bundle that keeps no factors (a composite
-    pinned onto other groupoids) gets empty indexes, which are the plain codec."""
-    factors = getattr(M, "factors", ())
-    return (factors[0].index, factors[1].index) if factors else (LabelIndex(), LabelIndex())
 
 
 def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
@@ -535,7 +527,7 @@ def interchange_witness(
     AC = AC if AC is not None else compose(A, C)
     BD = BD if BD is not None else compose(B, D)
     target = target if target is not None else tensor_bibundle(AC, BD)
-    top, bottom = factor_indexes(source)
+    top, bottom = (f.index for f in source.factors)
     forward = {}
     for rep in source.carrier:
         ab, cd = source.index.parts_of[rep]
@@ -549,98 +541,100 @@ def interchange_witness(
 # isomorphism search
 
 
-def _signatures(M: Bibundle) -> dict[str, tuple]:
-    G, H = M.left_groupoid, M.right_groupoid
-    sig = {}
-    for m in M.carrier:
-        lstab = sum(1 for g in G.r_fiber(M.lmap[m]) if M.left_fn(g, m) == m)
-        rstab = sum(1 for h in H.l_fiber(M.rmap[m]) if M.right_fn(m, h) == m)
-        sig[m] = (M.lmap[m], M.rmap[m], lstab, rstab)
-    return sig
+def _moments(X: Bibundle) -> list[tuple[str, str]]:
+    return [(X.lmap[x], X.rmap[x]) for x in X.carrier]
 
 
 def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
-    """Depth-first enumeration of biequivariant bijections, lex-least first."""
-    if not _same_groupoid(M.left_groupoid, N.left_groupoid):
+    """Biequivariant bijections M -> N, lex-least first in M's carrier order.
+
+    Only orbit representatives (the first carrier point not yet assigned) are
+    branched on, over N's points with the same moments in carrier order.
+    Placing m |-> n sends g.(m.h) |-> g.(n.h) for the arrows g, h at m, and
+    fails on a clash (a point already sent elsewhere) or a reuse (an image
+    already taken). Every point before a representative lies in an earlier
+    representative's orbit, so lex order over the representatives is lex
+    order over the whole map.
+    """
+    n_moments = _moments(N)
+    if not (_same_groupoid(M.left_groupoid, N.left_groupoid)
+            and _same_groupoid(M.right_groupoid, N.right_groupoid)
+            and Counter(_moments(M)) == Counter(n_moments)):
         return
-    if not _same_groupoid(M.right_groupoid, N.right_groupoid):
-        return
-    if len(M.carrier) != len(N.carrier):
-        return
-    sigM = _signatures(M)
-    sigN = _signatures(N)
-    cand: dict[tuple, list[str]] = {}
-    for n in N.carrier:
-        cand.setdefault(sigN[n], []).append(n)
-    order = list(M.carrier)
-    cand_for = []
-    for m in order:
-        cs = cand.get(sigM[m], [])
-        cand_for.append(cs)
-        if not cs:
-            return
+    cands: dict[tuple[str, str], list[str]] = {}
+    for n, key in zip(N.carrier, n_moments):
+        cands.setdefault(key, []).append(n)
     G, H = M.left_groupoid, M.right_groupoid
     mleft, mright = M.left_fn, M.right_fn
     nleft, nright = N.left_fn, N.right_fn
-    assign: dict[str, str] = {}
-    used: set[str] = set()
+    forward: dict[str, str] = {}
+    taken: set[str] = set()
 
-    def consistent(m: str, n: str) -> bool:
-        for g in G.r_fiber(M.lmap[m]):
-            m2 = mleft(g, m)
-            n2 = assign.get(m2)
-            if n2 is not None and nleft(g, n) != n2:
-                return False
-        for h in H.l_fiber(M.rmap[m]):
-            m2 = mright(m, h)
-            n2 = assign.get(m2)
-            if n2 is not None and nright(n, h) != n2:
-                return False
-        return True
+    def undo(trail: list[str]) -> None:
+        for p in trail:
+            taken.discard(forward.pop(p))
 
-    size = len(order)
+    def place(m: str, n: str) -> list[str] | None:
+        """Assign g.(m.h) |-> g.(n.h) for every arrow pair at m, which covers
+        m's orbit; the points assigned, or None (undone) if that is not a
+        well-defined injection. Well defined, it is biequivariant."""
+        trail: list[str] = []
+
+        def fits(p: str, q: str) -> bool:
+            got = forward.get(p)
+            if got is not None:
+                return got == q  # else a clash
+            if q in taken:
+                return False  # a reuse
+            forward[p] = q
+            taken.add(q)
+            trail.append(p)
+            return True
+
+        if all(fits(mright(m, h), nright(n, h)) for h in H.l_fiber(M.rmap[m])):
+            # the left arrows at m act on each point of m's right orbit
+            gs = G.r_fiber(M.lmap[m])
+            if all(fits(mleft(g, p), nleft(g, forward[p])) for p in list(trail) for g in gs):
+                return trail
+        undo(trail)
+        return None
+
+    def placements(m: str) -> Iterator[bool]:
+        """Place m on each of its candidates in turn, undoing the last."""
+        for n in cands[(M.lmap[m], M.rmap[m])]:
+            trail = None if n in taken else place(m, n)
+            if trail is not None:
+                yield True
+                undo(trail)
+
+    # an explicit stack of (representative's position, its placements)
+    order = M.carrier.elements
+    frames: list[tuple[int, Iterator[bool]]] = []
     pos = 0
-    idx = [0] * size
-    if size == 0:
-        yield {}
-        return
-    while pos >= 0:
-        if pos == size:
-            yield dict(assign)
-            pos -= 1
-            m = order[pos]
-            used.discard(assign.pop(m))
-            continue
-        m = order[pos]
-        cs = cand_for[pos]
-        i = idx[pos]
-        advanced = False
-        while i < len(cs):
-            n = cs[i]
-            i += 1
-            if n in used:
-                continue
-            assign[m] = n
-            used.add(n)
-            if consistent(m, n):
-                idx[pos] = i
-                pos += 1
-                advanced = True
+    while True:
+        while pos < len(order) and order[pos] in forward:
+            pos += 1
+        if pos == len(order):
+            yield {m: forward[m] for m in order}
+        else:
+            frames.append((pos, placements(order[pos])))
+        # move the deepest representative with a candidate left onto it
+        while frames:
+            pos, tries = frames[-1]
+            if next(tries, False):
                 break
-            used.discard(n)
-            del assign[m]
-        if not advanced:
-            idx[pos] = 0
-            pos -= 1
-            if pos >= 0:
-                used.discard(assign.pop(order[pos]))
+            frames.pop()
+        else:
+            return
 
 
 def find_iso(M: Bibundle, N: Bibundle) -> IsoWitness | None:
     """Least biequivariant isomorphism in carrier order, or None.
 
-    Bibundles over different groupoids are never isomorphic, so None comes
-    back for those rather than an error.
+    Each orbit representative of M tries N's points with its moments, in N's
+    order, and takes its whole orbit along (see _iso_search). Bibundles over
+    different groupoids are never isomorphic, so None comes back for those
+    rather than an error.
     """
     for forward in _iso_search(M, N):
         return IsoWitness(M, N, forward, {v: k for k, v in forward.items()})

@@ -145,6 +145,8 @@ def _cmd_validate(args, man: RunManifest) -> int:
         else:
             parts = _validation_parts(kind, loaded)
             ok = all(r.ok for r in parts.values())
+            if ok and kind == "group-spec":
+                io.check_spec_wiring(loaded)
             man.verdicts[path] = {
                 "kind": kind, "ok": ok,
                 "violations": {k: _violations(r) for k, r in parts.items() if not r.ok},

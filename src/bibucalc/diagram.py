@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from dataclasses import dataclass, field, replace
+from typing import Callable, Mapping, Sequence, Union
 
 from .bibundle import Bibundle
 from .calculus import (
@@ -29,7 +29,6 @@ from .calculus import (
     cv_bibundle,
     diagonal_bibundle,
     ev_bibundle,
-    factor_indexes,
     find_iso,
     identity_bibundle,
     terminal_bibundle,
@@ -201,13 +200,13 @@ class DiagramEnv:
             f"groupoid is not a power of the base up to arity {self.max_arity}", span)
 
     def wire(self, bib: Bibundle, span: Span | None = None) -> Wired:
-        """Pin a bibundle onto the cached power groupoids."""
+        """Pin a bibundle onto the cached power groupoids; the bundle keeps its
+        type and every other field (a composite keeps its factors)."""
         m = self._arity_of(bib.left_groupoid, span)
         n = self._arity_of(bib.right_groupoid, span)
         if bib.left_groupoid is self.power(m) and bib.right_groupoid is self.power(n):
             return Wired(bib, m, n)
-        pinned = Bibundle(self.power(m), self.power(n), bib.carrier,
-                          bib.lmap, bib.rmap, bib.left_fn, bib.right_fn, bib.index)
+        pinned = replace(bib, left_groupoid=self.power(m), right_groupoid=self.power(n))
         return Wired(pinned, m, n)
 
     def resolve(self, name: str, span: Span | None = None) -> Wired:
@@ -411,7 +410,7 @@ def interchange_blocks(env: DiagramEnv,
             bib = compose(tensor_wired(env, t_slice).bib, tensor_wired(env, b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
     target = tensor_wired(env, comps)
-    top_index, bottom_index = factor_indexes(source)
+    top_index, bottom_index = (f.index for f in source.factors)
     forward = {}
     for rep in source.carrier:
         t_elt, b_elt = source.index.parts_of[rep]
@@ -419,7 +418,7 @@ def interchange_blocks(env: DiagramEnv,
         b_parts = bottom_index.parts_of[b_elt] if len(bottom) > 1 else (b_elt,)
         vals = []
         for (t0, kt, b0, kb), blk in zip(spans, comps):
-            blk_top, blk_bottom = factor_indexes(blk.bib)
+            blk_top, blk_bottom = (f.index for f in blk.bib.factors)
             t_sub = _tensor_label(blk_top, t_parts[t0:t0 + kt])
             b_sub = _tensor_label(blk_bottom, b_parts[b0:b0 + kb])
             vals.append(blk.bib.project(t_sub, b_sub))

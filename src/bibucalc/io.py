@@ -96,17 +96,23 @@ def _label_map(obj: dict, key: str) -> dict[str, str]:
     return dict(obj[key])
 
 
-def _deref(ref: Any, base: str | None, loader, what: str):
+def _deref(ref: Any, base: str | None, loader, what: str, validate: bool):
+    """Load a referenced file (a path relative to base) or an inline object."""
     if isinstance(ref, str):
         path = ref if os.path.isabs(ref) or base is None else os.path.join(base, ref)
         try:
             obj = load_json(path)
         except OSError as exc:
             raise StructuralError(f"cannot read {what} reference {ref!r}: {exc}") from None
-        return loader(obj, os.path.dirname(path) or ".")
+        return loader(obj, os.path.dirname(path) or ".", validate)
     if isinstance(ref, dict):
-        return loader(ref, base)
+        return loader(ref, base, validate)
     raise StructuralError(f"{what} reference must be a path or an inline object")
+
+
+def _refuse_invalid(rep, kind: str) -> None:
+    if not rep.ok:
+        raise StructuralError(f"{kind} file invalid: {rep.first()}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +143,7 @@ def groupoid_from_json(obj: Any, base: str | None = None, validate: bool = True)
         _untriples(obj["comp"], "comp"), _label_map(obj, "inv"), _label_map(obj, "unit"),
     )
     if validate:
-        rep = validate_groupoid(G)
-        if not rep.ok:
-            raise StructuralError(f"groupoid file invalid: {rep.first()}")
+        _refuse_invalid(validate_groupoid(G), "groupoid")
     return G
 
 
@@ -166,9 +170,7 @@ def category_from_json(obj: Any, base: str | None = None, validate: bool = True)
         _untriples(obj["comp"], "comp"), _label_map(obj, "unit"),
     )
     if validate:
-        rep = validate_category(C)
-        if not rep.ok:
-            raise StructuralError(f"category file invalid: {rep.first()}")
+        _refuse_invalid(validate_category(C), "category")
     return C
 
 
@@ -198,18 +200,14 @@ def bibundle_from_json(obj: Any, base: str | None = None, validate: bool = True)
                "leftAct", "rightAct"} - set(obj)
     if missing:
         raise StructuralError(f"bibundle file missing keys: {sorted(missing)}")
-    G = _deref(obj["leftGroupoid"], base,
-               lambda o, b: groupoid_from_json(o, b, validate), "left groupoid")
-    H = _deref(obj["rightGroupoid"], base,
-               lambda o, b: groupoid_from_json(o, b, validate), "right groupoid")
+    G = _deref(obj["leftGroupoid"], base, groupoid_from_json, "left groupoid", validate)
+    H = _deref(obj["rightGroupoid"], base, groupoid_from_json, "right groupoid", validate)
     M = bibundle_from_tables(
         G, H, _label_list(obj, "carrier"), _label_map(obj, "lM"), _label_map(obj, "rM"),
         _untriples(obj["leftAct"], "leftAct"), _untriples(obj["rightAct"], "rightAct"),
     )
     if validate:
-        rep = validate_bibundle(M)
-        if not rep.ok:
-            raise StructuralError(f"bibundle file invalid: {rep.first()}")
+        _refuse_invalid(validate_bibundle(M), "bibundle")
     return M
 
 
@@ -228,15 +226,11 @@ def hom_from_json(obj: Any, base: str | None = None, validate: bool = True) -> G
     missing = {"source", "target", "f0", "f1"} - set(obj)
     if missing:
         raise StructuralError(f"hom file missing keys: {sorted(missing)}")
-    S = _deref(obj["source"], base,
-               lambda o, b: groupoid_from_json(o, b, validate), "source groupoid")
-    T = _deref(obj["target"], base,
-               lambda o, b: groupoid_from_json(o, b, validate), "target groupoid")
+    S = _deref(obj["source"], base, groupoid_from_json, "source groupoid", validate)
+    T = _deref(obj["target"], base, groupoid_from_json, "target groupoid", validate)
     phi = GroupoidHom(S, T, _label_map(obj, "f0"), _label_map(obj, "f1"))
     if validate:
-        rep = check_hom(phi)
-        if not rep.ok:
-            raise StructuralError(f"hom file invalid: {rep.first()}")
+        _refuse_invalid(check_hom(phi), "hom")
     return phi
 
 
@@ -284,9 +278,7 @@ def sset_from_json(obj: Any, base: str | None = None, validate: bool = True) -> 
     levels = tuple(finset(L) for L in obj["levels"])
     X = TruncatedSSet(levels, _level_maps(obj, "face"), _level_maps(obj, "degen"))
     if validate:
-        rep = validate_sset(X)
-        if not rep.ok:
-            raise StructuralError(f"simplicial set file invalid: {rep.first()}")
+        _refuse_invalid(validate_sset(X), "simplicial set")
     return X
 
 
@@ -312,17 +304,29 @@ def group_spec_from_json(obj: Any, base: str | None = None,
     missing = {"groupoid", "mu", "e"} - set(obj)
     if missing:
         raise StructuralError(f"group spec file missing keys: {sorted(missing)}")
-    G = _deref(obj["groupoid"], base,
-               lambda o, b: groupoid_from_json(o, b, validate), "base groupoid")
-    mu = _deref(obj["mu"], base,
-                lambda o, b: bibundle_from_json(o, b, validate), "mu")
-    e = _deref(obj["e"], base,
-               lambda o, b: bibundle_from_json(o, b, validate), "e")
-    i = None
-    if "i" in obj:
-        i = _deref(obj["i"], base,
-                   lambda o, b: bibundle_from_json(o, b, validate), "i")
-    return StackyGroupData(base=G, mu=mu, e=e, i=i)
+    G = _deref(obj["groupoid"], base, groupoid_from_json, "base groupoid", validate)
+    parts = {name: _deref(obj[name], base, bibundle_from_json, name, validate)
+             for name in ("mu", "e", "i") if name in obj}
+    data = StackyGroupData(base=G, **parts)
+    if validate:
+        check_spec_wiring(data)
+    return data
+
+
+def check_spec_wiring(data: StackyGroupData) -> None:
+    """Refuse a spec whose mu, e or i does not run G^2 -> G, G^0 -> G or
+    G -> G, naming the part. The parts must be valid: each is pinned onto
+    the base's powers to read its arity."""
+    env = data.env()
+    for name, wires in {"mu": (2, 1), "e": (0, 1), "i": (1, 1)}.items():
+        if getattr(data, name) is not None:
+            try:
+                w = env.resolve(name)
+            except StructuralError as exc:
+                raise StructuralError(f"group spec {name}: {exc}") from None
+            if (w.m, w.n) != wires:
+                raise StructuralError(f"group spec {name} must run from G^{wires[0]} to "
+                                      f"G^{wires[1]}, not from G^{w.m} to G^{w.n}")
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from .core import (
     FinCategory,
     FinGroupoid,
     FinSet,
-    StructuralError,
     finset,
 )
 

@@ -13,8 +13,8 @@ which Kan patterns hold on the stored levels only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from .core import (
     FinCategory,

@@ -10,11 +10,15 @@ representative per orbit; the orbit oracle quotients pairs with a
 union-find rather than the composer's one-step image, the product oracle
 stores every composite up front instead of reading it from the factors, the
 column oracle scans every arrow for every point instead of reading the
-orbit pass, and the codec oracle escapes labels character by character.
+orbit pass, the isomorphism oracle iso_search_dfs assigns every carrier point
+in turn behind a stabiliser-signature filter where find_iso branches only on
+orbit representatives, and the codec oracle escapes labels character by
+character.
 """
 from __future__ import annotations
 
 import itertools
+from typing import Iterator
 
 from bibucalc.bibundle import (
     Bibundle,
@@ -153,6 +157,95 @@ def pairing_search(M: Bibundle) -> Pairing | NoPairing:
                     return NoPairing("transitive", (m, m2))
                 table[(m, m2)] = found
     return Pairing(table)
+
+
+def _signatures(M: Bibundle) -> dict[str, tuple]:
+    G, H = M.left_groupoid, M.right_groupoid
+    sig = {}
+    for m in M.carrier:
+        lstab = sum(1 for g in G.r_fiber(M.lmap[m]) if M.left_fn(g, m) == m)
+        rstab = sum(1 for h in H.l_fiber(M.rmap[m]) if M.right_fn(m, h) == m)
+        sig[m] = (M.lmap[m], M.rmap[m], lstab, rstab)
+    return sig
+
+
+def iso_search_dfs(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
+    """Biequivariant bijections by depth-first search over every carrier
+    point in turn, lex-least first; candidates share moments and stabiliser
+    sizes, and each assignment is checked against the points already placed."""
+    if not (M.left_groupoid is N.left_groupoid or M.left_groupoid == N.left_groupoid):
+        return
+    if not (M.right_groupoid is N.right_groupoid or M.right_groupoid == N.right_groupoid):
+        return
+    if len(M.carrier) != len(N.carrier):
+        return
+    sigM = _signatures(M)
+    sigN = _signatures(N)
+    cand: dict[tuple, list[str]] = {}
+    for n in N.carrier:
+        cand.setdefault(sigN[n], []).append(n)
+    order = list(M.carrier)
+    cand_for = []
+    for m in order:
+        cs = cand.get(sigM[m], [])
+        cand_for.append(cs)
+        if not cs:
+            return
+    G, H = M.left_groupoid, M.right_groupoid
+    mleft, mright = M.left_fn, M.right_fn
+    nleft, nright = N.left_fn, N.right_fn
+    assign: dict[str, str] = {}
+    used: set[str] = set()
+
+    def consistent(m: str, n: str) -> bool:
+        for g in G.r_fiber(M.lmap[m]):
+            m2 = mleft(g, m)
+            n2 = assign.get(m2)
+            if n2 is not None and nleft(g, n) != n2:
+                return False
+        for h in H.l_fiber(M.rmap[m]):
+            m2 = mright(m, h)
+            n2 = assign.get(m2)
+            if n2 is not None and nright(n, h) != n2:
+                return False
+        return True
+
+    size = len(order)
+    pos = 0
+    idx = [0] * size
+    if size == 0:
+        yield {}
+        return
+    while pos >= 0:
+        if pos == size:
+            yield dict(assign)
+            pos -= 1
+            m = order[pos]
+            used.discard(assign.pop(m))
+            continue
+        m = order[pos]
+        cs = cand_for[pos]
+        i = idx[pos]
+        advanced = False
+        while i < len(cs):
+            n = cs[i]
+            i += 1
+            if n in used:
+                continue
+            assign[m] = n
+            used.add(n)
+            if consistent(m, n):
+                idx[pos] = i
+                pos += 1
+                advanced = True
+                break
+            used.discard(n)
+            del assign[m]
+        if not advanced:
+            idx[pos] = 0
+            pos -= 1
+            if pos >= 0:
+                used.discard(assign.pop(order[pos]))
 
 
 def orbit_quotient(pairs, moves) -> dict:

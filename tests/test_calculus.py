@@ -1,4 +1,6 @@
+import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,12 +10,13 @@ from bibucalc import (
     StructuralError,
     compose_homs,
     cyclic_groupoid,
+    finset,
     pair_groupoid,
     power_groupoid,
     trivial_groupoid,
 )
 from bibucalc import calculus
-from bibucalc.bibundle import check_principal, validate_bibundle
+from bibucalc.bibundle import Bibundle, check_principal, validate_bibundle
 from bibucalc.calculus import (
     _rp_column,
     all_isos,
@@ -52,7 +55,7 @@ from bibucalc.generators import (
 from bibucalc.groups import kronecker_finite, preinverse
 from bibucalc.labels import tup, untup
 
-from oracles import orbit_quotient, rp_column_scan
+from oracles import iso_search_dfs, orbit_quotient, rp_column_scan
 
 
 def _composable_pairs(M, N):
@@ -281,6 +284,69 @@ def test_find_iso_none_cases():
     assert find_iso(terminal_bibundle(G), identity_bibundle(G)) is None
     H = cyclic_groupoid(3)
     assert find_iso(identity_bibundle(G), identity_bibundle(H)) is None
+
+
+def _z2_points(free: bool) -> Bibundle:
+    """Two points over the one object of Z/2 and the point: swapped by the
+    generator (one free orbit) or both fixed by it (two orbits)."""
+    G, T = cyclic_groupoid(2), trivial_groupoid(1)
+    swap = {"a": "b", "b": "a"}
+    return Bibundle(
+        G, T, finset(["a", "b"]), {"a": "*", "b": "*"}, {"a": "0", "b": "0"},
+        lambda g, m: swap[m] if free and g == "1" else m,
+        lambda m, h: m,
+    )
+
+
+def test_find_iso_refuses_fixed_points_against_a_free_orbit():
+    # same moments and carrier size, so only equivariance tells them apart:
+    # a fixed point sent into the free orbit clashes with its own image, and
+    # a free orbit sent onto fixed points reuses one
+    fixed, free = _z2_points(False), _z2_points(True)
+    assert validate_bibundle(fixed).ok and validate_bibundle(free).ok
+    assert find_iso(fixed, free) is None
+    assert find_iso(free, fixed) is None
+    assert [w.forward for w in all_isos(free, free)] == [{"a": "a", "b": "b"}, {"a": "b", "b": "a"}]
+    assert len(list(all_isos(fixed, fixed))) == 2
+
+
+def test_iso_search_runs_deeper_than_the_recursion_limit():
+    # with trivial groupoids every point is its own orbit, so the search is
+    # as deep as the carrier is large
+    size = sys.getrecursionlimit() + 100
+    T = trivial_groupoid(1)
+    points = [f"p{k}" for k in range(size)]
+    M = Bibundle(T, T, finset(points), dict.fromkeys(points, "0"), dict.fromkeys(points, "0"),
+                 lambda g, m: m, lambda m, h: m)
+    reverse = dict(zip(points, reversed(points)))
+    w = find_iso(M, relabel_bibundle(M, reverse))
+    # the relabelled carrier runs backwards, and candidates come in its order
+    assert w is not None and list(w.forward.items()) == list(reverse.items())
+
+
+def _search_pairs(rng: random.Random, M: Bibundle) -> list[tuple[Bibundle, Bibundle]]:
+    """M against itself and a relabelling, and the counit and comultiplication
+    squares of M."""
+    G, H = M.left_groupoid, M.right_groupoid
+    return [
+        (M, M),
+        (M, relabel_randomly(rng, M)),
+        (compose(M, terminal_bibundle(H)), terminal_bibundle(G)),
+        (compose(M, diagonal_bibundle(H)), compose(diagonal_bibundle(G), tensor_bibundle(M, M))),
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_iso_search_matches_dfs_oracle(seed, principal):
+    rng = random.Random(seed)
+    make = random_right_principal_bibundle if principal else random_bibundle
+    M = make(rng, max_objects=2, max_isotropy=2)
+    for A, B in _search_pairs(rng, M):
+        got = list(all_isos(A, B, limit=50))
+        want = [list(f.items()) for f in itertools.islice(iso_search_dfs(A, B), 50)]
+        assert [list(w.forward.items()) for w in got] == want
+        assert all(validate_iso(w).ok for w in got)
 
 
 def test_all_isos_counts_automorphisms():

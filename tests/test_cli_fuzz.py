@@ -4,7 +4,9 @@ traceback. Structural damage (dropped or retyped keys, non-string or
 duplicate labels, repeated table rows, dangling or self references to
 groupoid files) must exit 2 with an `error` in the manifest. Labels that
 name nothing make `validate` exit 1, and the verbs that validate on ingest
-exit 2."""
+exit 2. A group spec whose mu, e or i names another part's file is wired
+wrongly: every verb that reads a spec, `validate` included, must exit 2 with
+an `error` naming that part."""
 import contextlib
 import io as _io
 import json
@@ -135,3 +137,26 @@ def test_damaged_files_keep_the_exit_code_contract(fixture, data):
             else:
                 assert code == 1, (argv, manifest)
                 assert manifest["verdicts"][NAME]["ok"] is False
+
+
+SPEC_VERBS = [
+    ["validate", NAME],
+    ["preinverse", "--spec", NAME],
+    ["coherence", "--spec", NAME],
+    ["check-group", "--spec", NAME],
+]
+PARTS = ("mu", "e", "i")
+
+
+@pytest.mark.parametrize("part, other", [(p, q) for p in PARTS for q in PARTS if p != q])
+def test_wrongly_wired_group_spec_exits_2(fixture, part, other):
+    root, _ = fixture
+    with contextlib.chdir(root):
+        spec = io.load_json("kronecker_4_2.json")
+        spec[part] = spec[other]
+        io.save_json(NAME, spec)
+        for argv in SPEC_VERBS:
+            code, out, err = _run(argv)
+            assert code == 2, (argv, out)
+            assert "Traceback" not in err
+            assert f"group spec {part} " in json.loads(out)["verdicts"]["error"]

@@ -173,7 +173,9 @@ def test_interchange_blocks_takes_a_pinned_composite():
     composite = compose(evaluate_wired(built, "delta * id").bib,
                         evaluate_wired(built, "tau * id").bib)
     pinned = env.wire(composite).bib
-    assert not hasattr(pinned, "factors")  # a plain bundle over env's powers
+    # pinned over env's powers, and still a composite of the same factors
+    assert pinned.left_groupoid is env.power(2) and pinned.right_groupoid is env.power(3)
+    assert pinned.factors is composite.factors
     top = [env.resolve("delta"), env.resolve("id")]
     bottom = [env.resolve("tau"), env.resolve("id")]
     w, _ = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)], source=pinned)

@@ -1,6 +1,8 @@
 """Golden outputs: sha256 of the --json manifests and written files of the
-principality, pairing, Morita, linking and group verbs on the Kronecker (4,2)
-fixture. Every command runs inside a temporary directory with relative paths,
+principality, pairing, Morita, linking, group, coherence and identity-check
+verbs on the Kronecker (4,2) fixture. The check runs pin the bijection the
+isomorphism search finds (or its failure), the coherence run the associator
+and unitor candidates it tries. Every command runs inside a temporary directory with relative paths,
 so manifests hold only relative paths and the inputs' sha256, and the bytes
 do not depend on where the test runs."""
 import contextlib
@@ -27,12 +29,42 @@ RUNS = [
     ("linking_mu", ["linking", "--groupoid", "--bibundle", f"{STEM}_mu.json"], 1),
     ("preinverse", ["preinverse", "--spec", f"{STEM}.json"], 0),
     ("check_group", ["check-group", "--spec", f"{STEM}.json"], 0),
+    ("coherence", ["coherence", "--spec", f"{STEM}.json"], 0),
+    ("check_assoc", ["check", "--groupoid", f"{STEM}_groupoid.json", "--bind", f"mu={STEM}_mu.json",
+                     "--lhs", "(mu * id) ; mu", "--rhs", "(id * mu) ; mu"], 0),
+    # the Z/2-action on Z/4 is free, so the counit square holds on this fixture
+    ("check_counit", ["check", "--groupoid", f"{STEM}_groupoid.json",
+                      "--lhs", "delta ; ev", "--rhs", "eps"], 0),
+    ("check_swap_fails", ["check", "--groupoid", f"{STEM}_groupoid.json",
+                          "--lhs", "tau", "--rhs", "id * id"], 1),
 ]
 
 GOLDEN = {
+    "check_assoc": {
+        "check_witness.json":
+            "87876d710bc68cd9f5eefc49fcea633c377370faa0809445d5057ada7acdc127",
+        "stdout":
+            "13e32481d824d45efef47a8e3f72db204455cbb24d82531bd14508a0d787a426",
+    },
+    "check_counit": {
+        "check_witness.json":
+            "8298ef25bbba5d1fcf31029d111ed92009d2a03c1b619043f8f5da0f9395f43c",
+        "stdout":
+            "10033508b94b6d19b88e9a596f81a48c43b320e3ee9cf96381445534fffcf654",
+    },
     "check_group": {
         "stdout":
             "9ac1f0ee7524a35da829a6a5bd7242eb658fcf94b72fb3517553507064cb3b16",
+    },
+    "check_swap_fails": {
+        "check_witness.json":
+            "cbc50db750d17ca8dbedef2c2a02565e0b057290d4cf3acc2967df22b96f574f",
+        "stdout":
+            "e541545efe831d552f61c1fc416abfb8bb7b1b7fe6053b62dfb7cd01aa9e4a32",
+    },
+    "coherence": {
+        "stdout":
+            "6c637372e7bd8a41d1f76d04fa41744b16c2c2dd59a0be740147973435905b76",
     },
     "gen_fixture": {
         "kronecker_4_2.json":

@@ -1,0 +1,39 @@
+"""Every module of the package uses each name it imports (the package's
+__init__ re-exports, so it is left out). Found with the stdlib ast module: a
+name counts as used when it is read anywhere in the module; annotations stay
+expressions in the tree even under `from __future__ import annotations`."""
+import ast
+import pathlib
+
+import pytest
+
+import bibucalc
+
+PACKAGE = pathlib.Path(bibucalc.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                imported[name] = node.lineno
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted(n for n in imported if n not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_import(path):
+    assert _unused_imports(path.read_text()) == []
+
+
+def test_scan_sees_an_unused_import():
+    assert _unused_imports("import os\nfrom typing import Mapping, Sequence\nx: Mapping\n") == ["Sequence", "os"]
