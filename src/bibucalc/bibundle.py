@@ -42,6 +42,8 @@ class Bibundle:
     # the explicit action tables a bundle was built from, if any; validation
     # refuses rows off the actions' domains, which the accessors never read
     tables: tuple[Mapping, Mapping] | None = field(default=None, repr=False)
+    # the orbit passes of the two actions by side, filled by _orbit_pass
+    _passes: dict = field(default_factory=dict, init=False, repr=False)
 
     def act_left(self, g: str, m: str) -> str:
         if m not in self.carrier:
@@ -210,21 +212,29 @@ def _fibers(M: Bibundle, moment: Mapping[str, str]) -> dict[str, list[str]]:
 
 @dataclass(frozen=True)
 class _OrbitPass:
-    """One pass of one side's action over the carrier.
+    """One pass of one side's action over the carrier, made once per bundle
+    and side and cached on the bundle.
 
     The carrier is walked in order; each point not reached yet becomes the
     representative of its orbit and is moved once by every arrow at its
     moment. reach[m] is (rep, a) with rep . a == m on the right, a . rep == m
-    on the left. stabiliser is the first (rep, k), k not a unit, with rep
-    fixed by k: stabilisers are conjugate along an orbit, so the
-    representatives decide freeness, and the first carrier point with a
-    nontrivial stabiliser is always a representative.
+    on the left. stabilisers maps each representative with a nontrivial
+    stabiliser, in carrier order, to the non-unit arrows fixing it, in arrow
+    order. Stabilisers are conjugate along an orbit, so the representatives
+    decide freeness; stabiliser, the first of those arrows, witnesses that the
+    action is not free.
     """
 
     side: str
     acting: FinGroupoid
     reach: dict[str, tuple[str, str]]
-    stabiliser: tuple[str, str] | None
+    stabilisers: dict[str, tuple[str, ...]]
+
+    @property
+    def stabiliser(self) -> tuple[str, str] | None:
+        for rep, fixing in self.stabilisers.items():
+            return rep, fixing[0]
+        return None
 
     def pairing(self, m: str, m2: str) -> str:
         """For a free action and m, m2 in one orbit, the unique arrow with
@@ -237,6 +247,9 @@ class _OrbitPass:
 
 
 def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
+    cached = M._passes.get(side)
+    if cached is not None:
+        return cached
     if side == "right":
         acting, moment = M.right_groupoid, M.rmap
         arrows_at, move = acting.l_fiber, M.right_fn
@@ -248,19 +261,23 @@ def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
             return left_fn(k, m)
 
     reach: dict[str, tuple[str, str]] = {}
-    stabiliser = None
+    stabilisers: dict[str, tuple[str, ...]] = {}
     for rep in M.carrier:
         if rep in reach:
             continue
         unit = acting.unit[moment[rep]]
         reach[rep] = (rep, unit)
+        fixing = []
         for k in arrows_at(moment[rep]):
             m = move(rep, k)
             if m != rep:
                 reach.setdefault(m, (rep, k))
-            elif k != unit and stabiliser is None:
-                stabiliser = (rep, k)
-    return _OrbitPass(side, acting, reach, stabiliser)
+            elif k != unit:
+                fixing.append(k)
+        if fixing:
+            stabilisers[rep] = tuple(fixing)
+    M._passes[side] = orbits = _OrbitPass(side, acting, reach, stabilisers)
+    return orbits
 
 
 def _principality(M: Bibundle, orbits: _OrbitPass) -> PrincipalityReport:

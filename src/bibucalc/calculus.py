@@ -7,15 +7,15 @@ representative per orbit: the lexicographically least pair in carrier order.
 project(m, n) sends any composable pair to its representative, so actions on
 the composite are "act on one leg, then project".
 
-Two strategies compute representatives. When the right H-action on M is free
-and transitive on each lmap fiber, the unique arrow into the fiber-least
-element gives an O(1) projection; one orbit pass of the action decides this
-and yields those arrows. Otherwise each orbit of pairs is taken in one step,
-as the image of one pair under the arrows at its moment. Both give the same
-representative, so callers never see which one ran. The passes also give the
-pairings, from which is_weak_isomorphism builds its 2-cells; only find_iso
-and all_isos search, one orbit at a time: a biequivariant bijection is fixed
-by its value on one point of each orbit, so only representatives branch.
+One rule computes representatives, read off the right orbit pass of M: a
+pair (m, n) is first moved along m's orbit to (m0, a.n), where m0 . a == m
+and m0 is the orbit's first carrier point, and then its second leg is
+replaced by its least image, in N's carrier order, under the arrows fixing
+m0. A free action has no such arrows, so there the second step is empty.
+The passes also give the pairings, from which is_weak_isomorphism builds its
+2-cells; only find_iso and all_isos search, one orbit at a time: a
+biequivariant bijection is fixed by its value on one point of each orbit, so
+only representatives branch.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from .bibundle import (
     _biprincipal_passes,
     _fibers,
     _orbit_pass,
-    _principality,
 )
 from .core import (
     FinGroupoid,
@@ -253,99 +252,62 @@ class ComposedBibundle(Bibundle):
     project_fn: Callable[[str, str], str] = field(repr=False, default=None)
 
     def project(self, m: str, n: str) -> str:
-        """Canonical representative of the orbit of the pair (m, n)."""
+        """Canonical representative of the orbit of the pair (m, n); a
+        StructuralError when rmap(m) != lmap(n) or either is not a point."""
         return self.project_fn(m, n)
-
-
-def _rp_column(M: Bibundle) -> dict[str, tuple[str, str]] | None:
-    """For each m, (m0, h) with m0 the first point of its lmap fiber and h the
-    unique arrow with m . h == m0, if the right action is free and transitive
-    on every lmap fiber; else None. Cached.
-
-    Read off the right orbit pass: each fiber is then one orbit with its first
-    point as representative, reaching m by a_m, so h is inv(a_m).
-    """
-    cached = getattr(M, "_rp_column_cache", "unset")
-    if cached != "unset":
-        return cached
-    orbits = _orbit_pass(M, "right")
-    rep = _principality(M, orbits)
-    Hinv = M.right_groupoid.inv
-    column = ({m: (m0, Hinv[a]) for m, (m0, a) in orbits.reach.items()}
-              if rep.free and rep.transitive else None)
-    object.__setattr__(M, "_rp_column_cache", column)
-    return column
 
 
 def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     """M . N with canonical (lex-least) orbit representatives.
 
-    M and N must be valid bibundles (see validate_bibundle): both the
-    principal path and the one-step orbit path rely on the action laws.
-    Each representative is encoded once; the composite's label index holds
-    its pair, and project looks representatives up.
+    M and N must be valid bibundles (see validate_bibundle): the projection
+    relies on the action laws. It reads M's right orbit pass, where
+    reach[m] = (m0, a) with m0 . a == m and m0 the first carrier point of m's
+    orbit: (m, n) ~ (m0, a . n), and two pairs with first leg m0 are
+    equivalent exactly when the second legs differ by an arrow fixing m0. So
+    the representatives are the pairs (m0, n) whose n is least, in N's
+    carrier order, among its images under m0's stabiliser. Each
+    representative is encoded once; the composite's label index holds its
+    pair, and project looks representatives up.
     """
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
-    G = M.left_groupoid
-    H = M.right_groupoid
-    K = N.right_groupoid
-    n_by_obj = _fibers(N, N.lmap)
+    orbits = _orbit_pass(M, "right")
+    reach, stabilisers = orbits.reach, orbits.stabilisers
+    mrmap, nlmap, nleft = M.rmap, N.lmap, N.left_fn
+    position = N.carrier.index
 
-    column = _rp_column(M)
+    def least(fixing: tuple[str, ...], n: str) -> str:
+        """The least image of n under the unit and the arrows in fixing."""
+        return min([n, *(nleft(s, n) for s in fixing)], key=position)
+
     index = LabelIndex()
     carrier: list[str] = []
     lmap: dict[str, str] = {}
     rmap: dict[str, str] = {}
-    Hinv = H.inv
-    nleft = N.left_fn
-
-    def not_composable(m: str, n: str) -> StructuralError:
-        return StructuralError(f"pair ({m!r}, {n!r}) is not composable in this composite")
-
-    if column is not None:
-        # the representatives are the pairs whose first leg is fiber-least,
-        # so the index's label_of is the map from representative pairs
-        rep_of = index.label_of
-
-        def project(m: str, n: str) -> str:
-            try:
-                m0, h = column[m]
-                rep = rep_of.get((m0, n) if m0 == m else (m0, nleft(Hinv[h], n)))
-            except KeyError:
-                raise not_composable(m, n) from None
-            if rep is None:
-                raise not_composable(m, n)
-            return rep
-
-        for m in M.carrier:
-            if column[m][0] != m:
-                continue
-            for n in n_by_obj.get(M.rmap[m], []):
+    n_by_obj = _fibers(N, nlmap)
+    for m in M.carrier:
+        if reach[m][0] != m:
+            continue
+        fixing = stabilisers.get(m)
+        for n in n_by_obj.get(mrmap[m], []):
+            if not fixing or least(fixing, n) == n:
                 rep = index.add((m, n))
                 carrier.append(rep)
                 lmap[rep] = M.lmap[m]
                 rmap[rep] = N.rmap[n]
-    else:
-        rep_of: dict[tuple[str, str], str] = {}
-        mright = M.right_fn
-        for m in M.carrier:
-            for n in n_by_obj.get(M.rmap[m], []):
-                if (m, n) in rep_of:
-                    continue
-                rep = index.add((m, n))
-                # the orbit of (m, n) is its image under the arrows at its moment
-                for h in H.l_fiber(M.rmap[m]):
-                    rep_of[(mright(m, h), nleft(Hinv[h], n))] = rep
-                carrier.append(rep)
-                lmap[rep] = M.lmap[m]
-                rmap[rep] = N.rmap[n]
+    rep_of = index.label_of
 
-        def project(m: str, n: str) -> str:
-            try:
-                return rep_of[(m, n)]
-            except KeyError:
-                raise not_composable(m, n) from None
+    def project(m: str, n: str) -> str:
+        try:
+            if mrmap[m] == nlmap[n]:
+                m0, a = reach[m]
+                n0 = n if m0 == m else nleft(a, n)
+                fixing = stabilisers.get(m0)
+                return rep_of[(m0, least(fixing, n0) if fixing else n0)]
+        except KeyError:
+            pass
+        raise StructuralError(f"pair ({m!r}, {n!r}) is not composable in this composite")
 
     mleft = M.left_fn
     nright = N.right_fn
@@ -360,7 +322,7 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
         return project(m, nright(n, k))
 
     return ComposedBibundle(
-        G, K, finset(carrier), lmap, rmap, left_fn, right_fn, index,
+        M.left_groupoid, N.right_groupoid, finset(carrier), lmap, rmap, left_fn, right_fn, index,
         factors=(M, N), project_fn=project,
     )
 

@@ -412,8 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--json", action="store_true", help="print the run manifest as JSON")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--max-size", type=int, default=None, dest="max_size")
         p.add_argument("--out", default=None, help="directory for outputs and witnesses")
         return p
 
@@ -465,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "random-groupoid", "random-right-principal-bibundle"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="seed of the random families")
+    p.add_argument("--max-size", type=int, default=None, dest="max_size",
+                   help="cap on objects and isotropy in the random families")
     return top
 
 

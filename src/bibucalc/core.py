@@ -102,7 +102,7 @@ class _ProductComp(Mapping):
         try:
             g, g2 = key
             parts, parts2 = parts_of[g], parts_of[g2]
-        except (TypeError, ValueError):
+        except (KeyError, TypeError, ValueError):
             raise KeyError(key) from None
         comps = self._comps
         if len(parts) != len(comps) or len(parts2) != len(comps):
@@ -144,7 +144,7 @@ class FinGroupoid:
 
     comp is keyed by the composable pairs (r(g) == l(g2)) and is total there.
     A groupoid whose labels are built from parts (a product) keeps them in
-    its label index; any other has an empty one, which is the plain codec.
+    its label index; any other has an empty one.
     """
 
     objects: FinSet

@@ -10,9 +10,8 @@ labels nest without ambiguity.
 Constructions encode each label once. A structure that builds its elements
 from parts keeps a LabelIndex, filled while it enumerates itself, and its
 actions, projections and composites look labels up in both directions
-instead of re-encoding them. The index is a cache of the codec and nothing
-more: a lookup outside it encodes or decodes on the spot, with the codec's
-result and the codec's errors.
+instead of re-encoding them. The index holds exactly the labels its
+structure added: a lookup outside it is a KeyError, never a fresh encoding.
 """
 from __future__ import annotations
 
@@ -76,30 +75,16 @@ def untup(label: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
-class _Labels(dict):
-    """parts -> label; parts outside the index are encoded on the spot."""
-
-    def __missing__(self, parts: tuple[str, ...]) -> str:
-        return tup(*parts)
-
-
-class _Parts(dict):
-    """label -> parts; labels outside the index are decoded on the spot."""
-
-    def __missing__(self, label: str) -> tuple[str, ...]:
-        return untup(label)
-
-
 class LabelIndex:
     """Both directions between the parts of a structure's elements and their
-    labels, each label encoded once by add(). Lookups outside the index fall
-    back to tup/untup, so an empty index is the plain codec."""
+    labels, each label encoded once by add(). Both are plain dicts: a lookup
+    outside the index raises KeyError."""
 
     __slots__ = ("label_of", "parts_of")
 
     def __init__(self) -> None:
-        self.label_of: dict[tuple[str, ...], str] = _Labels()
-        self.parts_of: dict[str, tuple[str, ...]] = _Parts()
+        self.label_of: dict[tuple[str, ...], str] = {}
+        self.parts_of: dict[str, tuple[str, ...]] = {}
 
     def add(self, parts: tuple[str, ...]) -> str:
         """Encode parts, record both directions and return the label."""

@@ -1,19 +1,21 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the code paths they are checking: the pairing oracle
-derives the table by constraint propagation from the axioms, and the pairing
-search tries every arrow for every pair of fiber points, where
-compute_pairing reads the table off one orbit pass; the principality scan
-looks for a fixing arrow at every point and for an arrow from every fiber
-point to the fiber's first one, where check_principal moves one
-representative per orbit; the orbit oracle quotients pairs with a
-union-find rather than the composer's one-step image, the product oracle
-stores every composite up front instead of reading it from the factors, the
-column oracle scans every arrow for every point instead of reading the
-orbit pass, the isomorphism oracle iso_search_dfs assigns every carrier point
-in turn behind a stabiliser-signature filter where find_iso branches only on
-orbit representatives, and the codec oracle escapes labels character by
-character.
+These deliberately avoid the code paths they are checking:
+- the pairing oracle derives the table by constraint propagation from the
+  axioms, and the pairing search tries every arrow for every pair of fiber
+  points, where compute_pairing reads the table off one orbit pass;
+- the principality scan looks for a fixing arrow at every point and for an
+  arrow from every fiber point to the fiber's first one, and the stabiliser
+  scan tries every arrow at every point's moment, where the orbit pass moves
+  one representative per orbit;
+- the orbit oracle quotients pairs with a union-find, where compose projects
+  each pair through the orbit pass and the stabiliser of its first leg;
+- the product oracle stores every composite up front instead of reading it
+  from the factors;
+- the isomorphism oracle iso_search_dfs assigns every carrier point in turn
+  behind a stabiliser-signature filter, where find_iso branches only on
+  orbit representatives;
+- the codec oracle escapes labels character by character.
 """
 from __future__ import annotations
 
@@ -285,23 +287,34 @@ def eager_product_comp(factors) -> dict:
                 for combo in itertools.product(*(f.comp.items() for f in factors)))
 
 
-def rp_column_scan(M: Bibundle) -> dict[str, tuple[str, str]] | None:
-    """For each m, the unique h with m.h == the first point of its lmap fiber,
-    found by trying every arrow at rmap(m); None when some m has none or
-    several."""
-    H = M.right_groupoid
-    fibers: dict[str, list[str]] = {}
+def stabiliser_scan(M: Bibundle, side: str = "right") -> dict[str, tuple[str, ...]]:
+    """For each point that comes first in carrier order in its orbit, the
+    non-unit arrows fixing it, found by trying every arrow at each point's
+    moment through the checked accessors; points whose stabiliser is trivial
+    are left out."""
+    if side == "right":
+        acting, moment = M.right_groupoid, M.rmap
+        arrows_at = acting.l_fiber
+
+        def move(m: str, k: str) -> str:
+            return M.act_right(m, k)
+    else:
+        acting, moment = M.left_groupoid, M.lmap
+        arrows_at = acting.r_fiber
+
+        def move(m: str, k: str) -> str:
+            return M.act_left(k, m)
+
+    position = {m: i for i, m in enumerate(M.carrier)}
+    out: dict[str, tuple[str, ...]] = {}
     for m in M.carrier:
-        fibers.setdefault(M.lmap[m], []).append(m)
-    column: dict[str, tuple[str, str]] = {}
-    for fiber in fibers.values():
-        m0 = fiber[0]
-        for m in fiber:
-            found = [h for h in H.l_fiber(M.rmap[m]) if M.right_fn(m, h) == m0]
-            if len(found) != 1:
-                return None
-            column[m] = (m0, found[0])
-    return column
+        arrows = arrows_at(moment[m])
+        if any(position[move(m, k)] < position[m] for k in arrows):
+            continue  # an earlier point shares m's orbit
+        fixing = tuple(k for k in arrows if k != acting.unit[moment[m]] and move(m, k) == m)
+        if fixing:
+            out[m] = fixing
+    return out
 
 
 _SPECIAL = {"\\", ",", "(", ")"}

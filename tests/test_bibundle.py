@@ -12,6 +12,7 @@ from bibucalc import (
 from bibucalc.bibundle import (
     NoPairing,
     Pairing,
+    _orbit_pass,
     bibundle_from_tables,
     check_pairing_axioms,
     check_principal,
@@ -30,7 +31,7 @@ from bibucalc.calculus import (
 from bibucalc.generators import random_bibundle, random_right_principal_bibundle
 from bibucalc.labels import tup, untup
 
-from oracles import pairing_search, pairing_solutions, principality_scan
+from oracles import pairing_search, pairing_solutions, principality_scan, stabiliser_scan
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +233,16 @@ def test_compute_pairing_matches_search(seed, principal, side):
     assert got == want
     if isinstance(got, Pairing):
         assert list(got.table.items()) == list(want.table.items())
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(["right", "left"]))
+def test_orbit_pass_stabilisers_match_scan(seed, principal, side):
+    M = _sampled_bundle(seed, principal)
+    orbits = _orbit_pass(M, side)
+    assert list(orbits.stabilisers.items()) == list(stabiliser_scan(M, side).items())
+    assert orbits.stabiliser == next(((m, ks[0]) for m, ks in orbits.stabilisers.items()), None)
+    assert _orbit_pass(M, side) is orbits
 
 
 def test_stabiliser_found_past_the_first_orbit_of_a_fiber():

@@ -1,7 +1,9 @@
 """Every module of the package uses each name it imports (the package's
-__init__ re-exports, so it is left out). Found with the stdlib ast module: a
-name counts as used when it is read anywhere in the module; annotations stay
-expressions in the tree even under `from __future__ import annotations`."""
+__init__ re-exports, so it is left out), and every public function of
+tests/oracles.py is imported by some test module, so an oracle cannot outlive
+the code it checks. Found with the stdlib ast module: a name counts as used
+when it is read anywhere in the module; annotations stay expressions in the
+tree even under `from __future__ import annotations`."""
 import ast
 import pathlib
 
@@ -11,6 +13,7 @@ import bibucalc
 
 PACKAGE = pathlib.Path(bibucalc.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = pathlib.Path(__file__).parent
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -37,3 +40,21 @@ def test_module_uses_every_import(path):
 
 def test_scan_sees_an_unused_import():
     assert _unused_imports("import os\nfrom typing import Mapping, Sequence\nx: Mapping\n") == ["Sequence", "os"]
+
+
+def _oracle_imports(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+            for alias in node.names}
+
+
+def test_every_oracle_is_imported_by_a_test():
+    tree = ast.parse((TESTS / "oracles.py").read_text())
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    imported = set().union(*(_oracle_imports(p.read_text()) for p in TESTS.glob("test_*.py")))
+    assert sorted(public - imported) == []
+
+
+def test_oracle_scan_reads_from_imports():
+    assert _oracle_imports("from oracles import a, b as c\nimport oracles\n") == {"a", "b"}

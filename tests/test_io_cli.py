@@ -254,6 +254,18 @@ def test_cli_usage_errors(tmp_path):
     assert main(["compose", "--left", gpath, "--right", gpath]) == 2
 
 
+def test_only_gen_fixture_takes_a_seed(tmp_path, capsys):
+    gpath = str(tmp_path / "g.json")
+    io.save_json(gpath, io.groupoid_to_json(cyclic_groupoid(2)))
+    for option in ("--seed", "--max-size"):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", option, "1", gpath])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bibucalc") and f"unrecognized arguments: {option}" in err
+    assert main(["validate", gpath]) == 0
+
+
 @pytest.mark.parametrize("field, value", [("l", 5), ("objects", "01")])
 def test_cli_validate_rejects_mistyped_fields(tmp_path, capsys, field, value):
     d = io.groupoid_to_json(cyclic_groupoid(3) if field == "l" else pair_groupoid(2))
