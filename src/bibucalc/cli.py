@@ -6,11 +6,13 @@ digests of the inputs, the seed if any, the verdicts, and the paths of any
 files written. Exit code 0 means the property holds or the construction
 succeeded, 1 means the property fails (a witness file is written), 2 means a
 structural or usage error. Pass --json for the manifest on stdout; output is
-byte-identical across runs with the same inputs and seed.
+byte-identical across runs with the same inputs and seed. `main` may be called
+repeatedly in one process; the parser is built on the first call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import random
 import sys
@@ -400,7 +402,11 @@ def _cmd_gen_fixture(args, man: RunManifest) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every later
+    one in the process, so callers must not change it. Parsing keeps its state
+    in the namespace it returns, not on the parser."""
     top = argparse.ArgumentParser(
         prog="bibucalc",
         description="finite groupoid/bibundle calculus: validation, composition, "

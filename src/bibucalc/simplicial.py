@@ -2,8 +2,11 @@
 
 A simplicial set is stored up to a finite level k: the sets X_0..X_k together
 with all face and degeneracy tables between them. The nerve of a finite
-category stores composable arrow chains; horn spaces are enumerated directly
-from the compatibility equations, and the Kan conditions compare the
+category stores composable arrow chains, each labelled once. Horn spaces are
+enumerated directly from the compatibility equations as a join: X_{n-1} is
+bucketed once per horn position by the faces the equations read, so each
+step looks up the one bucket of candidates that fit the faces already chosen
+and keeps X_{n-1}'s order within it. The Kan conditions compare the
 restriction map X_n -> horn_set(n, i) for surjectivity (weak) or bijectivity
 (strict). Over finite sets a surjection always has a section, so the weak
 condition is implemented as plain surjectivity.
@@ -132,55 +135,59 @@ def validate_sset(X: TruncatedSSet) -> ValidationReport:
 # nerves
 
 
-def _chain_label(chain: Sequence[str]) -> str:
-    if len(chain) == 1:
-        return chain[0]
-    return tup(*chain)
-
-
 def nerve(C: FinCategory | FinGroupoid, k: int = 3) -> TruncatedSSet:
     """The chains-of-composable-arrows simplicial set of a finite category,
     stored up to level k. An n-chain (g_1, ..., g_n) runs through vertices
     x_0 -> x_1 -> ... -> x_n with g_i an arrow from x_{i-1} to x_i; inner
     faces compose adjacent arrows, outer faces drop an end, degeneracies
-    insert identity arrows."""
+    insert identity arrows. Chains extend through the arrows out of their
+    last vertex, in arrow order, and each chain's label is taken once."""
     if k < 2:
         raise StructuralError("nerve needs truncation level k >= 2")
-    chains: list[list[tuple[str, ...]]] = [[()]]
-    chains.append([(g,) for g in C.arrows])
+    out_of: dict[str, list[str]] = {}
+    for g in C.arrows:
+        out_of.setdefault(C.r[g], []).append(g)
+    chains: list[list[tuple[str, ...]]] = [[()], [(g,) for g in C.arrows]]
+    label: dict[tuple[str, ...], str] = {(g,): g for g in C.arrows}
     for n in range(2, k + 1):
-        nxt = [ch + (g,) for ch in chains[n - 1] for g in C.arrows
-               if C.l[ch[-1]] == C.r[g]]
+        nxt = [ch + (g,) for ch in chains[n - 1] for g in out_of.get(C.l[ch[-1]], ())]
+        label.update((ch, tup(*ch)) for ch in nxt)
         chains.append(nxt)
 
     levels = [finset(list(C.objects))]
     for n in range(1, k + 1):
-        levels.append(finset([_chain_label(ch) for ch in chains[n]]))
+        levels.append(finset([label[ch] for ch in chains[n]]))
 
     face: dict[tuple[int, int], dict[str, str]] = {}
     degen: dict[tuple[int, int], dict[str, str]] = {}
 
-    for g in C.arrows:
-        face.setdefault((1, 0), {})[g] = C.l[g]
-        face.setdefault((1, 1), {})[g] = C.r[g]
-    for n in range(2, k + 1):
-        for ch in chains[n]:
-            x = _chain_label(ch)
-            face.setdefault((n, 0), {})[x] = _chain_label(ch[1:])
-            face.setdefault((n, n), {})[x] = _chain_label(ch[:-1])
-            for i in range(1, n):
-                glued = ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:]
-                face.setdefault((n, i), {})[x] = _chain_label(glued)
+    # a composite or unit that leaves the chains (only in a table that is not
+    # a category) has no label
+    try:
+        for g in C.arrows:
+            face.setdefault((1, 0), {})[g] = C.l[g]
+            face.setdefault((1, 1), {})[g] = C.r[g]
+        for n in range(2, k + 1):
+            tables = [face.setdefault((n, i), {}) for i in (0, n, *range(1, n))]
+            first, last, inner = tables[0], tables[1], tables[2:]
+            for ch in chains[n]:
+                x = label[ch]
+                first[x] = label[ch[1:]]
+                last[x] = label[ch[:-1]]
+                for i, t in enumerate(inner, 1):
+                    t[x] = label[ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:]]
 
-    for obj in C.objects:
-        degen.setdefault((0, 0), {})[obj] = C.unit[obj]
-    for n in range(1, k):
-        for ch in chains[n]:
-            x = _chain_label(ch)
-            for j in range(n + 1):
-                vertex = C.r[ch[0]] if j == 0 else C.l[ch[j - 1]]
-                stretched = ch[:j] + (C.unit[vertex],) + ch[j:]
-                degen.setdefault((n, j), {})[x] = _chain_label(stretched)
+        for obj in C.objects:
+            degen.setdefault((0, 0), {})[obj] = C.unit[obj]
+        for n in range(1, k):
+            tables = [degen.setdefault((n, j), {}) for j in range(n + 1)]
+            for ch in chains[n]:
+                x = label[ch]
+                for j, t in enumerate(tables):
+                    vertex = C.r[ch[0]] if j == 0 else C.l[ch[j - 1]]
+                    t[x] = label[ch[:j] + (C.unit[vertex],) + ch[j:]]
+    except KeyError as exc:
+        raise StructuralError(f"nerve: no chain or composite at {exc.args[0]!r}") from None
 
     X = TruncatedSSet(tuple(levels), face, degen)
     rep = validate_sset(X)
@@ -209,30 +216,50 @@ class HornFiller:
         raise StructuralError(f"horn has no face {j}")
 
 
+def _face_table(X: TruncatedSSet, n: int, a: int, xs: Sequence[str]) -> Mapping[str, str]:
+    """The table of d_a on level n, once it is known to be defined on every
+    one of xs; an undefined face is a StructuralError naming it."""
+    t = X.face.get((n, a), {})
+    if not all(x in t for x in xs):
+        for x in xs:
+            X.d(n, a, x)
+    return t
+
+
 def horn_set(X: TruncatedSSet, n: int, i: int) -> tuple[HornFiller, ...]:
     """All compatible (n, i)-horns, enumerated by backtracking over the face
-    indices j != i in increasing order. Deterministic output order."""
+    indices j != i in increasing order.
+
+    The face at position pos must satisfy d_a(x_b) = d_{b-1}(x_a) against
+    every earlier face x_a, so X_{n-1} is bucketed once per position by the
+    key (d_a(x) for each earlier index a), and a step reads the one bucket
+    keyed (d_{b-1}(x_a) for each face chosen so far). A bucket keeps
+    X_{n-1}'s order, so the horns come out in the order of trying every
+    candidate in turn: lexicographic in X_{n-1}'s order, face by face."""
     if not (2 <= n <= X.k) or not (0 <= i <= n):
         raise StructuralError(f"horn index ({n}, {i}) out of range for k = {X.k}")
     indices = [j for j in range(n + 1) if j != i]
-    lower = X.levels[n - 1]
+    lower = X.levels[n - 1].elements
+    d = {a: _face_table(X, n - 1, a, lower)
+         for a in sorted({*indices[:-1], *(b - 1 for b in indices[1:])})}
+    steps: list[tuple[dict[tuple[str, ...], list[str]], Mapping[str, str] | None]] = []
+    for pos, b in enumerate(indices):
+        earlier = [d[a] for a in indices[:pos]]
+        bucket: dict[tuple[str, ...], list[str]] = {}
+        for x in lower:
+            bucket.setdefault(tuple(t[x] for t in earlier), []).append(x)
+        steps.append((bucket, d.get(b - 1)))
     out: list[HornFiller] = []
 
-    def extend(pos: int, chosen: list[tuple[int, str]]) -> None:
+    def extend(pos: int, chosen: list[str]) -> None:
         if pos == len(indices):
-            out.append(HornFiller(n, i, tuple(chosen)))
+            out.append(HornFiller(n, i, tuple(zip(indices, chosen))))
             return
-        b = indices[pos]
-        for cand in lower:
-            ok = True
-            for a, xa in chosen:
-                if X.d(n - 1, a, cand) != X.d(n - 1, b - 1, xa):
-                    ok = False
-                    break
-            if ok:
-                chosen.append((b, cand))
-                extend(pos + 1, chosen)
-                chosen.pop()
+        bucket, back = steps[pos]
+        for x in bucket.get(tuple(back[xa] for xa in chosen), ()):
+            chosen.append(x)
+            extend(pos + 1, chosen)
+            chosen.pop()
 
     extend(0, [])
     return tuple(out)

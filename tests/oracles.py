@@ -15,7 +15,12 @@ These deliberately avoid the code paths they are checking:
 - the isomorphism oracle iso_search_dfs assigns every carrier point in turn
   behind a stabiliser-signature filter, where find_iso branches only on
   orbit representatives;
-- the codec oracle escapes labels character by character.
+- the codec oracle escapes labels character by character;
+- the horn oracle tries every (n-1)-simplex for every face of a partial horn,
+  where horn_set looks up one bucket keyed by the faces already chosen;
+- the nerve oracle scans every arrow for every chain and labels each chain at
+  every face and degeneracy that reads it, where nerve indexes the arrows by
+  source and labels each chain once.
 """
 from __future__ import annotations
 
@@ -29,7 +34,9 @@ from bibucalc.bibundle import (
     PrincipalityReport,
     check_pairing_axioms,
 )
+from bibucalc.core import StructuralError, finset
 from bibucalc.labels import tup
+from bibucalc.simplicial import HornFiller, TruncatedSSet
 
 
 def pairing_solutions(M: Bibundle) -> list[dict]:
@@ -334,3 +341,65 @@ def esc_loop(part: str) -> str:
 def tup_loop(*parts: str) -> str:
     return "(" + ",".join(esc_loop(p) for p in parts) + ")"
 
+
+
+def horn_set_scan(X: TruncatedSSet, n: int, i: int) -> tuple[HornFiller, ...]:
+    """All compatible (n, i)-horns by backtracking over the face indices
+    j != i in increasing order, testing every (n-1)-simplex against every
+    face chosen so far through the checked accessor X.d."""
+    if not (2 <= n <= X.k) or not (0 <= i <= n):
+        raise StructuralError(f"horn index ({n}, {i}) out of range for k = {X.k}")
+    indices = [j for j in range(n + 1) if j != i]
+    lower = X.levels[n - 1]
+    out: list[HornFiller] = []
+
+    def extend(pos: int, chosen: list[tuple[int, str]]) -> None:
+        if pos == len(indices):
+            out.append(HornFiller(n, i, tuple(chosen)))
+            return
+        b = indices[pos]
+        for cand in lower:
+            if all(X.d(n - 1, a, cand) == X.d(n - 1, b - 1, xa) for a, xa in chosen):
+                chosen.append((b, cand))
+                extend(pos + 1, chosen)
+                chosen.pop()
+
+    extend(0, [])
+    return tuple(out)
+
+
+def _chain_label(chain) -> str:
+    return chain[0] if len(chain) == 1 else tup(*chain)
+
+
+def nerve_scan(C, k: int = 3) -> TruncatedSSet:
+    """The nerve of C up to level k, extending each chain by scanning every
+    arrow and labelling each chain afresh wherever a table reads it."""
+    chains: list[list[tuple[str, ...]]] = [[()], [(g,) for g in C.arrows]]
+    for n in range(2, k + 1):
+        chains.append([ch + (g,) for ch in chains[n - 1] for g in C.arrows
+                       if C.l[ch[-1]] == C.r[g]])
+    levels = [finset(list(C.objects))]
+    levels += [finset([_chain_label(ch) for ch in chains[n]]) for n in range(1, k + 1)]
+    face: dict[tuple[int, int], dict[str, str]] = {}
+    degen: dict[tuple[int, int], dict[str, str]] = {}
+    for g in C.arrows:
+        face.setdefault((1, 0), {})[g] = C.l[g]
+        face.setdefault((1, 1), {})[g] = C.r[g]
+    for n in range(2, k + 1):
+        for ch in chains[n]:
+            x = _chain_label(ch)
+            face.setdefault((n, 0), {})[x] = _chain_label(ch[1:])
+            face.setdefault((n, n), {})[x] = _chain_label(ch[:-1])
+            for i in range(1, n):
+                glued = ch[:i - 1] + (C.comp[(ch[i], ch[i - 1])],) + ch[i + 1:]
+                face.setdefault((n, i), {})[x] = _chain_label(glued)
+    for obj in C.objects:
+        degen.setdefault((0, 0), {})[obj] = C.unit[obj]
+    for n in range(1, k):
+        for ch in chains[n]:
+            x = _chain_label(ch)
+            for j in range(n + 1):
+                vertex = C.r[ch[0]] if j == 0 else C.l[ch[j - 1]]
+                degen.setdefault((n, j), {})[x] = _chain_label(ch[:j] + (C.unit[vertex],) + ch[j:])
+    return TruncatedSSet(tuple(levels), face, degen)

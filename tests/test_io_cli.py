@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import os
@@ -395,3 +396,46 @@ def test_cli_refuses_repeated_json_keys(tmp_path, capsys):
     manifest = json.loads(capsys.readouterr().out)
     assert manifest["verdicts"]["error"] == "JSON object repeats the key '0'"
     assert main(["principal", "--bibundle", bad]) == 2
+
+
+def _run(argv, capsys) -> tuple:
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_built_once_and_reused_safely(idg, tmp_path, capsys, monkeypatch):
+    gpath, mpath = idg
+    dpath = str(tmp_path / "delta.json")
+    io.save_json(dpath, io.bibundle_to_json(diagonal_bibundle(cyclic_groupoid(2))))
+    out = ["--json", "--out", str(tmp_path / "out")]
+    calls = [
+        ["principal", "--bibundle", mpath, "--frobnicate"],
+        ["check", "--groupoid", gpath, "--bind", f"M={mpath}", "--lhs", "M ; M", "--rhs", "M", *out],
+        ["check", "--groupoid", gpath, "--bind", f"N={dpath}", "--lhs", "N", "--rhs", "N", *out],
+        ["linking", "--bibundle", mpath, "--groupoid", *out],
+        ["linking", "--bibundle", mpath, "--category", *out],
+        ["principal", "--bibundle", dpath, "--side", "left", *out],
+        ["principal", "--bibundle", dpath, *out],
+    ]
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _run(["principal", "--bibundle", mpath], capsys)
+    built.clear()
+    shared = [_run(argv, capsys) for argv in calls]
+    assert built == []
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_run(argv, capsys) for argv in calls]
+    assert len(built) >= len(calls)
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 1, 0]
+    assert sorted(json.loads(shared[2][1])["inputs"]) == sorted([gpath, dpath])

@@ -1,6 +1,10 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bibucalc import io, simplicial
 from bibucalc.core import (
     StructuralError,
     as_category,
@@ -22,6 +26,7 @@ from bibucalc.simplicial import (
     truncated_free_monoid,
     validate_sset,
 )
+from oracles import horn_set_scan, nerve_scan
 
 
 def test_nerve_of_discrete_groupoid_is_constant():
@@ -63,8 +68,6 @@ def test_nerve_requires_level_two():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_nerve_of_random_groupoid_satisfies_simplicial_identities(seed):
-    import random
-
     G = random_groupoid(random.Random(seed), max_objects=2, max_isotropy=2, n_comps=1)
     X = nerve(G, 3)
     assert validate_sset(X).ok
@@ -208,3 +211,92 @@ def test_nerve_accepts_plain_categories():
     C = as_category(cyclic_groupoid(2))
     X = nerve(C, 3)
     assert [len(L) for L in X.levels] == [1, 2, 4, 8]
+
+
+# ---------------------------------------------------------------------------
+# differentials against the scanning oracles
+
+
+def _tables(tables) -> list:
+    return [(key, list(t.items())) for key, t in tables.items()]
+
+
+def _assert_same_nerve(X, Y) -> None:
+    assert X.levels == Y.levels
+    assert _tables(X.face) == _tables(Y.face)
+    assert _tables(X.degen) == _tables(Y.degen)
+
+
+def _assert_horns_match_scan(X, k: int, monkeypatch) -> None:
+    reports = {}
+    for n in range(2, k + 1):
+        for i in range(n + 1):
+            assert horn_set(X, n, i) == horn_set_scan(X, n, i)
+            reports[(n, i)] = [kan_check(X, n, i, strict) for strict in (False, True)]
+    monkeypatch.setattr(simplicial, "horn_set", horn_set_scan)
+    for (n, i), got in reports.items():
+        assert got == [kan_check(X, n, i, strict) for strict in (False, True)]
+
+
+def _poset_nerve_from_file():
+    return io.sset_from_json(io.sset_to_json(nerve(poset_category(3), 3)))
+
+
+FIXED_SSETS = {
+    "poset3": (lambda: nerve(poset_category(3), 4), 4),
+    "monoid4": (lambda: nerve(truncated_free_monoid(4), 4), 4),
+    "poset3-stored": (_poset_nerve_from_file, 3),
+}
+
+
+@pytest.mark.parametrize("name", FIXED_SSETS)
+def test_horn_set_matches_scan_on_fixed_nerves(name, monkeypatch):
+    build, k = FIXED_SSETS[name]
+    _assert_horns_match_scan(build(), k, monkeypatch)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([3, 4]))
+def test_horn_set_matches_scan_on_random_groupoid_nerves(seed, k):
+    G = random_groupoid(random.Random(seed), max_objects=2, max_isotropy=2)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_horns_match_scan(nerve(G, k), k, monkeypatch)
+
+
+@pytest.mark.parametrize("a, i", [(0, 1), (0, 2), (1, 0), (1, 1)])
+def test_undefined_face_is_a_structural_error(a, i):
+    X = nerve(poset_category(2), 3)
+    face = {key: dict(t) for key, t in X.face.items()}
+    x = X.levels[1].elements[-1]
+    del face[(1, a)][x]
+    broken = TruncatedSSet(X.levels, face, X.degen)
+    message = f"face d_{a} undefined on level 1 at {x!r}"
+    for check in (horn_set, horn_set_scan, kan_check):
+        with pytest.raises(StructuralError, match=re.escape(message)):
+            check(broken, 2, i)
+
+
+@pytest.mark.parametrize("name, C", [
+    ("poset3", poset_category(3)),
+    ("monoid4", truncated_free_monoid(4)),
+    ("cyclic3", cyclic_groupoid(3)),
+    ("pair2", pair_groupoid(2)),
+])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_nerve_matches_scan(name, C, k):
+    _assert_same_nerve(nerve(C, k), nerve_scan(C, k))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([3, 4]))
+def test_nerve_matches_scan_on_random_groupoids(seed, k):
+    G = random_groupoid(random.Random(seed), max_objects=3, max_isotropy=2)
+    _assert_same_nerve(nerve(G, k), nerve_scan(G, k))
+
+
+def test_nerve_refuses_a_composite_off_the_chains():
+    C = poset_category(2)
+    comp = dict(C.comp)
+    comp[("(1,1)", "(1,0)")] = "zz"
+    with pytest.raises(StructuralError, match="no chain or composite"):
+        nerve(type(C)(C.objects, C.arrows, C.l, C.r, comp, C.unit), 3)
