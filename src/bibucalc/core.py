@@ -12,6 +12,7 @@ Two groupoids are equal when all their tables are equal.
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import getitem
@@ -143,8 +144,8 @@ class FinGroupoid:
     """A finite groupoid: objects, arrows and all structure maps as tables.
 
     comp is keyed by the composable pairs (r(g) == l(g2)) and is total there.
-    A groupoid whose labels are built from parts (a product) keeps them in
-    its label index; any other has an empty one.
+    A groupoid whose labels are built from parts (a product, or a generator
+    groupoid) keeps them in its label index; any other has an empty one.
     """
 
     objects: FinSet
@@ -456,15 +457,30 @@ def action_groupoid(
     return FinGroupoid(zs if isinstance(zs, FinSet) else finset(zs), finset(arrows), l, r, comp, inv, unit)
 
 
+# the live product of each factor tuple, keyed by the factors' ids
+_PRODUCTS: weakref.WeakValueDictionary[tuple[int, ...], FinGroupoid] = weakref.WeakValueDictionary()
+
+
 def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     """Product of groupoids with flat tuple labels (n factors, n components).
 
     Each object and arrow label is encoded once, into the groupoid's label
     index; l, r, inv, unit and the composition table are read from it.
+
+    While a product of the same factor objects is alive, that product is
+    returned instead of a new one. The store holds its products weakly: an
+    entry goes with its product, so the store keeps no product, and through
+    it no factor, alive longer than its callers do. Keying by the factors'
+    ids is sound because a product holds its factors (its composition table
+    reads them), so no factor's id can be reused while its entry exists.
     """
     fs = tuple(factors)
     if not fs:
         return trivial_groupoid(["()"])
+    key = tuple(map(id, fs))
+    live = _PRODUCTS.get(key)
+    if live is not None:
+        return live
     index = LabelIndex()
     label_of = index.label_of
     objects = index.add_product([f.objects.elements for f in fs])
@@ -480,7 +496,9 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
         inv[a] = label_of[iparts]
     units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
     unit = {x: label_of[uparts] for x, uparts in zip(objects, units)}
-    return FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs, index), inv, unit, index)
+    P = FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs, index), inv, unit, index)
+    _PRODUCTS[key] = P
+    return P
 
 
 def power_groupoid(G: FinGroupoid, n: int) -> FinGroupoid:

@@ -27,7 +27,7 @@ from .core import (
     pair_groupoid,
     trivial_groupoid,
 )
-from .labels import tup, untup
+from .labels import LabelIndex, tup
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,12 @@ class GrpdSpec:
 
 
 def build_groupoid(spec: GrpdSpec) -> FinGroupoid:
+    """The disjoint union of the components Pair(objs) x Cyc(m) of spec.
+
+    Each component's arrow labels (i, j, k) are encoded once, into the
+    groupoid's label index, in the order i, j, k; l, r, inv, unit and the
+    composition table read them by position."""
+    index = LabelIndex()
     objects: list[str] = []
     arrows: list[str] = []
     l: dict[str, str] = {}
@@ -46,24 +52,32 @@ def build_groupoid(spec: GrpdSpec) -> FinGroupoid:
     inv: dict[str, str] = {}
     unit: dict[str, str] = {}
     for objs, m in spec.comps:
+        s = len(objs)
+        # the arrows (i, j, 0..m-1) start at row[i][j]
+        a = index.add_product([objs, objs, [str(k) for k in range(m)]])
+        row = [[(i * s + j) * m for j in range(s)] for i in range(s)]
         objects.extend(objs)
-        for i in objs:
-            for j in objs:
+        arrows.extend(a)
+        for i, x in enumerate(objs):
+            for j, y in enumerate(objs):
+                ij, ji = row[i][j], row[j][i]
                 for k in range(m):
-                    a = tup(i, j, str(k))
-                    arrows.append(a)
-                    l[a] = i
-                    r[a] = j
-                    inv[a] = tup(j, i, str((-k) % m))
-        for i in objs:
-            unit[i] = tup(i, i, "0")
-        for i in objs:
-            for j in objs:
-                for j2 in objs:
+                    g = a[ij + k]
+                    l[g] = x
+                    r[g] = y
+                    inv[g] = a[ji + (-k) % m]
+        for i, x in enumerate(objs):
+            unit[x] = a[row[i][i]]
+        for i in range(s):
+            for j in range(s):
+                ij = row[i][j]
+                for j2 in range(s):
+                    jj2, ij2 = row[j][j2], row[i][j2]
                     for k in range(m):
+                        g = a[ij + k]
                         for k2 in range(m):
-                            comp[(tup(i, j, str(k)), tup(j, j2, str(k2)))] = tup(i, j2, str((k + k2) % m))
-    G = FinGroupoid(finset(objects), finset(arrows), l, r, comp, inv, unit)
+                            comp[(g, a[jj2 + k2])] = a[ij2 + (k + k2) % m]
+    G = FinGroupoid(finset(objects), finset(arrows), l, r, comp, inv, unit, index)
     object.__setattr__(G, "_gen_spec", spec)
     return G
 
@@ -183,6 +197,7 @@ def random_hom(rng: random.Random, G: FinGroupoid, H: FinGroupoid) -> GroupoidHo
     except StructuralError:
         homs = enumerate_homs(G, H, limit=32, rng=rng)
         return homs[rng.randrange(len(homs))]
+    source, target = G.index.label_of, H.index.label_of
     f0: dict[str, str] = {}
     f1: dict[str, str] = {}
     for objs, m in sG.comps:
@@ -194,7 +209,7 @@ def random_hom(rng: random.Random, G: FinGroupoid, H: FinGroupoid) -> GroupoidHo
         for i in objs:
             for j in objs:
                 for k in range(m):
-                    f1[tup(i, j, str(k))] = tup(omap[i], omap[j], str((c * k) % m2))
+                    f1[source[(i, j, str(k))]] = target[(omap[i], omap[j], str((c * k) % m2))]
     return GroupoidHom(G, H, f0, f1)
 
 
@@ -243,18 +258,19 @@ def pullback_bundle(phi: GroupoidHom, chi: GroupoidHom) -> Bibundle:
     if len(chi0_inv) != len(K.objects):
         raise StructuralError("chi is not onto the objects")
     carrier = []
+    points = []  # (p, x, k) for each carrier label p = tup(x, k)
     lmap = {}
     rmap = {}
     for x in G.objects:
         for k in K.l_fiber(phi.f0[x]):
             p = tup(x, k)
             carrier.append(p)
+            points.append((p, x, k))
             lmap[p] = x
             rmap[p] = chi0_inv[K.r[k]]
     left = {}
     right = {}
-    for p in carrier:
-        x, k = untup(p)
+    for p, x, k in points:
         for g in G.r_fiber(x):
             left[(g, p)] = tup(G.l[g], K.comp[(phi.f1[g], k)])
         for h in H.l_fiber(rmap[p]):
@@ -273,6 +289,7 @@ def _component_hom(G: FinGroupoid, K: FinGroupoid, c_per_comp: Sequence[int]) ->
     """The componentwise hom matching components in order: identity on the
     pair part, k |-> c k on the isotropy part."""
     sG, sK = spec_of(G), spec_of(K)
+    source, target = G.index.label_of, K.index.label_of
     f0 = {}
     f1 = {}
     for (objs, m), (tobjs, m2), c in zip(sG.comps, sK.comps, c_per_comp):
@@ -281,7 +298,7 @@ def _component_hom(G: FinGroupoid, K: FinGroupoid, c_per_comp: Sequence[int]) ->
         for i in objs:
             for j in objs:
                 for k in range(m):
-                    f1[tup(i, j, str(k))] = tup(omap[i], omap[j], str((c * k) % m2))
+                    f1[source[(i, j, str(k))]] = target[(omap[i], omap[j], str((c * k) % m2))]
     return GroupoidHom(G, K, f0, f1)
 
 

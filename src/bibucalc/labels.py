@@ -10,7 +10,9 @@ labels nest without ambiguity.
 Constructions encode each label once. A structure that builds its elements
 from parts keeps a LabelIndex, filled while it enumerates itself, and its
 actions, projections and composites look labels up in both directions
-instead of re-encoding them. The index holds exactly the labels its
+instead of re-encoding them. Products fill their groupoid's index, and so do
+the seeded generators: a generator groupoid's arrows (i, j, k) are in its
+index, and homs between generator groupoids look their labels up there. The index holds exactly the labels its
 structure added: a lookup outside it is a KeyError, never a fresh encoding.
 """
 from __future__ import annotations

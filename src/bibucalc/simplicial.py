@@ -97,36 +97,49 @@ def validate_sset(X: TruncatedSSet) -> ValidationReport:
     def ax(code: str, msg: str, witness) -> None:
         out.append(Violation("axiom", code, msg, witness))
 
+    # every table is total into the next level, so the identities read the
+    # tables directly, each hoisted out of the loop over simplices
+    face, degen = X.face, X.degen
     # d_i d_j = d_{j-1} d_i  (i < j)
     for n in range(2, k + 1):
-        for j in range(n + 1):
+        xs = X.levels[n].elements
+        for j in range(1, n + 1):
+            dj, dj_low = face[(n, j)], face[(n - 1, j - 1)]
             for i in range(j):
-                for x in X.levels[n]:
-                    if X.d(n - 1, i, X.d(n, j, x)) != X.d(n - 1, j - 1, X.d(n, i, x)):
+                di, di_low = face[(n, i)], face[(n - 1, i)]
+                for x in xs:
+                    if di_low[dj[x]] != dj_low[di[x]]:
                         ax("dd", "face maps do not commute", (n, i, j, x))
     # s_i s_j = s_{j+1} s_i  (i <= j)
     for n in range(k - 1):
+        xs = X.levels[n].elements
         for j in range(n + 1):
+            sj, sj_high = degen[(n, j)], degen[(n + 1, j + 1)]
             for i in range(j + 1):
-                for x in X.levels[n]:
-                    if X.s(n + 1, i, X.s(n, j, x)) != X.s(n + 1, j + 1, X.s(n, i, x)):
+                si, si_high = degen[(n, i)], degen[(n + 1, i)]
+                for x in xs:
+                    if si_high[sj[x]] != sj_high[si[x]]:
                         ax("ss", "degeneracies do not commute", (n, i, j, x))
     for n in range(k):
+        xs = X.levels[n].elements
         for j in range(n + 1):
-            for x in X.levels[n]:
-                sx = X.s(n, j, x)
+            sj, dj_high, dj1_high = degen[(n, j)], face[(n + 1, j)], face[(n + 1, j + 1)]
+            # (d_i on level n + 1, s on level n - 1, d on level n) for
+            # d_i s_j = s_{j-1} d_i  (i < j) and d_i s_j = s_j d_{i-1}  (i > j + 1)
+            lt = [(face[(n + 1, i)], degen[(n - 1, j - 1)], face[(n, i)]) for i in range(j)]
+            gt = [(face[(n + 1, i)], degen[(n - 1, j)], face[(n, i - 1)]) for i in range(j + 2, n + 2)]
+            for x in xs:
+                sx = sj[x]
                 # d_j s_j = id = d_{j+1} s_j
-                if X.d(n + 1, j, sx) != x:
+                if dj_high[sx] != x:
                     ax("ds-id", "d_j s_j is not the identity", (n, j, x))
-                if X.d(n + 1, j + 1, sx) != x:
+                if dj1_high[sx] != x:
                     ax("ds-id", "d_{j+1} s_j is not the identity", (n, j, x))
-                # d_i s_j = s_{j-1} d_i  (i < j), needs n >= 1
-                for i in range(j):
-                    if n >= 1 and X.d(n + 1, i, sx) != X.s(n - 1, j - 1, X.d(n, i, x)):
+                for i, (di_high, s_low, di) in enumerate(lt):
+                    if di_high[sx] != s_low[di[x]]:
                         ax("ds-lt", "d_i s_j != s_{j-1} d_i", (n, i, j, x))
-                # d_i s_j = s_j d_{i-1}  (i > j + 1)
-                for i in range(j + 2, n + 2):
-                    if n >= 1 and X.d(n + 1, i, sx) != X.s(n - 1, j, X.d(n, i - 1, x)):
+                for i, (di_high, s_low, di) in enumerate(gt, j + 2):
+                    if di_high[sx] != s_low[di[x]]:
                         ax("ds-gt", "d_i s_j != s_j d_{i-1}", (n, i, j, x))
     return ValidationReport(tuple(out))
 
@@ -334,9 +347,10 @@ def classify(X: TruncatedSSet, k: int | None = None) -> ClassifyReport:
     strict: dict[tuple[int, int], bool] = {}
     for n in range(2, k + 1):
         for i in range(n + 1):
+            # the strict report's first unfilled horn decides the weak condition
             rep = kan_check(X, n, i, strict=True)
             strict[(n, i)] = rep.ok
-            weak[(n, i)] = rep.ok or kan_check(X, n, i, strict=False).ok
+            weak[(n, i)] = rep.unfilled is None
 
     cat = all(strict[(n, i)] for n in range(2, k + 1) for i in range(1, n))
     grpd = all(strict[(n, i)] for n in range(2, k + 1) for i in range(n + 1))

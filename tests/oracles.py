@@ -20,7 +20,14 @@ These deliberately avoid the code paths they are checking:
   where horn_set looks up one bucket keyed by the faces already chosen;
 - the nerve oracle scans every arrow for every chain and labels each chain at
   every face and degeneracy that reads it, where nerve indexes the arrows by
-  source and labels each chain once.
+  source and labels each chain once;
+- the simplicial-identity oracle reads every face and degeneracy through the
+  checked accessors, where validate_sset reads the tables it has found total;
+- the classify oracle asks for the weak Kan condition with a second,
+  non-strict kan_check, where classify reads it off the strict report;
+- the generator-groupoid oracle encodes every label afresh at each table
+  entry that names it, where build_groupoid encodes each label once and
+  reads the tables by position.
 """
 from __future__ import annotations
 
@@ -34,9 +41,21 @@ from bibucalc.bibundle import (
     PrincipalityReport,
     check_pairing_axioms,
 )
-from bibucalc.core import StructuralError, finset
+from bibucalc.core import (
+    FinGroupoid,
+    StructuralError,
+    ValidationReport,
+    Violation,
+    finset,
+)
+from bibucalc.generators import GrpdSpec
 from bibucalc.labels import tup
-from bibucalc.simplicial import HornFiller, TruncatedSSet
+from bibucalc.simplicial import (
+    ClassifyReport,
+    HornFiller,
+    TruncatedSSet,
+    kan_check,
+)
 
 
 def pairing_solutions(M: Bibundle) -> list[dict]:
@@ -403,3 +422,125 @@ def nerve_scan(C, k: int = 3) -> TruncatedSSet:
                 vertex = C.r[ch[0]] if j == 0 else C.l[ch[j - 1]]
                 degen.setdefault((n, j), {})[x] = _chain_label(ch[:j] + (C.unit[vertex],) + ch[j:])
     return TruncatedSSet(tuple(levels), face, degen)
+
+
+def validate_sset_scan(X: TruncatedSSet) -> ValidationReport:
+    """Totality of the tables and the five simplicial identity families on
+    every stored level, each lookup through the checked accessors X.d, X.s."""
+    out: list[Violation] = []
+    k = X.k
+
+    def bad(code: str, msg: str, witness) -> None:
+        out.append(Violation("structural", code, msg, witness))
+
+    for n in range(1, k + 1):
+        for i in range(n + 1):
+            t = X.face.get((n, i))
+            if t is None:
+                bad("face-missing", f"no face table d_{i} at level {n}", (n, i))
+                continue
+            for x in X.levels[n]:
+                y = t.get(x)
+                if y is None or y not in X.levels[n - 1]:
+                    bad("face-range", f"d_{i} leaves level {n - 1}", (n, i, x))
+    for n in range(k):
+        for j in range(n + 1):
+            t = X.degen.get((n, j))
+            if t is None:
+                bad("degen-missing", f"no degeneracy table s_{j} at level {n}", (n, j))
+                continue
+            for x in X.levels[n]:
+                y = t.get(x)
+                if y is None or y not in X.levels[n + 1]:
+                    bad("degen-range", f"s_{j} leaves level {n + 1}", (n, j, x))
+    if out:
+        return ValidationReport(tuple(out))
+
+    def ax(code: str, msg: str, witness) -> None:
+        out.append(Violation("axiom", code, msg, witness))
+
+    for n in range(2, k + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                for x in X.levels[n]:
+                    if X.d(n - 1, i, X.d(n, j, x)) != X.d(n - 1, j - 1, X.d(n, i, x)):
+                        ax("dd", "face maps do not commute", (n, i, j, x))
+    for n in range(k - 1):
+        for j in range(n + 1):
+            for i in range(j + 1):
+                for x in X.levels[n]:
+                    if X.s(n + 1, i, X.s(n, j, x)) != X.s(n + 1, j + 1, X.s(n, i, x)):
+                        ax("ss", "degeneracies do not commute", (n, i, j, x))
+    for n in range(k):
+        for j in range(n + 1):
+            for x in X.levels[n]:
+                sx = X.s(n, j, x)
+                if X.d(n + 1, j, sx) != x:
+                    ax("ds-id", "d_j s_j is not the identity", (n, j, x))
+                if X.d(n + 1, j + 1, sx) != x:
+                    ax("ds-id", "d_{j+1} s_j is not the identity", (n, j, x))
+                for i in range(j):
+                    if n >= 1 and X.d(n + 1, i, sx) != X.s(n - 1, j - 1, X.d(n, i, x)):
+                        ax("ds-lt", "d_i s_j != s_{j-1} d_i", (n, i, j, x))
+                for i in range(j + 2, n + 2):
+                    if n >= 1 and X.d(n + 1, i, sx) != X.s(n - 1, j, X.d(n, i - 1, x)):
+                        ax("ds-gt", "d_i s_j != s_j d_{i-1}", (n, i, j, x))
+    return ValidationReport(tuple(out))
+
+
+def classify_two_calls(X: TruncatedSSet, k: int) -> ClassifyReport:
+    """classify(X, k) with the weak condition at each (n, i) decided by its
+    own non-strict kan_check whenever the strict one fails; k must lie in
+    3..X.k."""
+    weak: dict[tuple[int, int], bool] = {}
+    strict: dict[tuple[int, int], bool] = {}
+    for n in range(2, k + 1):
+        for i in range(n + 1):
+            strict[(n, i)] = kan_check(X, n, i, strict=True).ok
+            weak[(n, i)] = strict[(n, i)] or kan_check(X, n, i, strict=False).ok
+    single = len(X.levels[0]) == 1
+    candidates = []
+    if single:
+        for n in range(1, k + 1):
+            low = all(weak[(c, i)] for c in range(2, min(n, k) + 1) for i in range(c + 1))
+            high = all(strict[(c, i)] for c in range(n + 1, k + 1) for i in range(c + 1))
+            if low and high:
+                candidates.append(n)
+    return ClassifyReport(
+        k,
+        all(strict[(n, i)] for n in range(2, k + 1) for i in range(1, n)),
+        all(strict[(n, i)] for n in range(2, k + 1) for i in range(n + 1)),
+        single,
+        tuple(candidates),
+    )
+
+
+def build_groupoid_scan(spec: GrpdSpec) -> FinGroupoid:
+    """The groupoid of spec with every label encoded afresh by tup at each
+    table entry that names it, in the same table order as build_groupoid."""
+    objects: list[str] = []
+    arrows: list[str] = []
+    l: dict[str, str] = {}
+    r: dict[str, str] = {}
+    comp: dict[tuple[str, str], str] = {}
+    inv: dict[str, str] = {}
+    unit: dict[str, str] = {}
+    for objs, m in spec.comps:
+        objects.extend(objs)
+        for i in objs:
+            for j in objs:
+                for k in range(m):
+                    a = tup(i, j, str(k))
+                    arrows.append(a)
+                    l[a] = i
+                    r[a] = j
+                    inv[a] = tup(j, i, str((-k) % m))
+        for i in objs:
+            unit[i] = tup(i, i, "0")
+        for i in objs:
+            for j in objs:
+                for j2 in objs:
+                    for k in range(m):
+                        for k2 in range(m):
+                            comp[(tup(i, j, str(k)), tup(j, j2, str(k2)))] = tup(i, j2, str((k + k2) % m))
+    return FinGroupoid(finset(objects), finset(arrows), l, r, comp, inv, unit)

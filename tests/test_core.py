@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from bibucalc import (
     action_groupoid,
     check_hom,
     connected_components,
+    core,
     cyclic_groupoid,
     diagonal_hom,
     finset,
@@ -22,8 +24,9 @@ from bibucalc import (
     trivial_groupoid,
     validate_groupoid,
 )
-from bibucalc.generators import random_groupoid
-from bibucalc.groups import kronecker_finite
+from bibucalc.calculus import diagonal_bibundle, tensor_bibundle
+from bibucalc.generators import random_groupoid, random_right_principal_bibundle
+from bibucalc.groups import check_group, kronecker_finite
 from bibucalc.labels import LabelIndex, esc, tup, untup
 
 from oracles import eager_product_comp, esc_loop, product_comp_entry, tup_loop
@@ -226,3 +229,52 @@ def test_product_comp_of_a_large_power_matches_oracle_rule():
         key, h = product_comp_entry([rng.choice(items) for _ in range(4)])
         assert P.comp[key] == h
     _assert_non_composable_pairs_missing(P)
+
+
+# ---------------------------------------------------------------------------
+# one live product per factor tuple
+
+
+def _entries_over(factor_id: int) -> list:
+    return [key for key in list(core._PRODUCTS.keys()) if factor_id in key]
+
+
+def test_product_of_live_factors_is_shared():
+    G = cyclic_groupoid(3)
+    P = product_groupoid([G, G])
+    assert product_groupoid([G, G]) is P
+    assert power_groupoid(G, 2) is P
+    assert product_groupoid([G, G, G]) is not P
+
+
+def test_store_does_not_keep_products_alive():
+    G = cyclic_groupoid(3)
+    P = product_groupoid([G, G])
+    assert _entries_over(id(G)) == [(id(G), id(G))]
+    del P
+    gc.collect()
+    assert _entries_over(id(G)) == []
+
+
+def test_equal_distinct_factors_get_distinct_equal_products():
+    G, G2 = cyclic_groupoid(3), cyclic_groupoid(3)
+    P, P2 = product_groupoid([G, G]), product_groupoid([G2, G2])
+    assert P is not P2
+    assert P == P2
+    assert product_groupoid([G, G2]) is not P
+
+
+def test_diagonal_and_tensor_share_the_square():
+    M = random_right_principal_bibundle(random.Random(3), max_objects=2, max_isotropy=2)
+    D = diagonal_bibundle(M.left_groupoid)
+    assert D.right_groupoid is tensor_bibundle(M, M).left_groupoid
+
+
+def test_check_group_leaves_no_product_of_its_base():
+    data = kronecker_finite(8, 8)
+    base_id = id(data.base)
+    report = check_group(data)
+    assert report.ok
+    del data, report
+    gc.collect()
+    assert _entries_over(base_id) == []

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports (the package's
-__init__ re-exports, so it is left out), and every public function of
-tests/oracles.py is imported by some test module, so an oracle cannot outlive
-the code it checks. Found with the stdlib ast module: a name counts as used
+__init__ re-exports, so it is left out), no module but labels reads the
+label decoder untup (the library keeps each label's parts beside it instead
+of decoding it), and every public function of tests/oracles.py is imported by
+some test module, so an oracle cannot outlive the code it checks. Found with the stdlib ast module: a name counts as used
 when it is read anywhere in the module; annotations stay expressions in the
 tree even under `from __future__ import annotations`."""
 import ast
@@ -40,6 +41,33 @@ def test_module_uses_every_import(path):
 
 def test_scan_sees_an_unused_import():
     assert _unused_imports("import os\nfrom typing import Mapping, Sequence\nx: Mapping\n") == ["Sequence", "os"]
+
+
+def _reads_untup(source: str) -> list[int]:
+    """Lines that name untup: a read of the name, an attribute of that name,
+    or an import of it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "untup":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "untup":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(alias.name.split(".")[-1] == "untup" for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "labels.py"],
+                         ids=[p.name for p in MODULES if p.name != "labels.py"])
+def test_module_does_not_decode_labels(path):
+    assert _reads_untup(path.read_text()) == []
+
+
+def test_untup_scan_sees_every_use():
+    snippet = ("from .labels import tup, untup\nfrom . import labels\n"
+               "x = untup('(a)')\ny = labels.untup\nz = tup('a')\n")
+    assert _reads_untup(snippet) == [1, 3, 4]
 
 
 def _oracle_imports(source: str) -> set[str]:

@@ -26,7 +26,7 @@ from bibucalc.simplicial import (
     truncated_free_monoid,
     validate_sset,
 )
-from oracles import horn_set_scan, nerve_scan
+from oracles import classify_two_calls, horn_set_scan, nerve_scan, validate_sset_scan
 
 
 def test_nerve_of_discrete_groupoid_is_constant():
@@ -300,3 +300,101 @@ def test_nerve_refuses_a_composite_off_the_chains():
     comp[("(1,1)", "(1,0)")] = "zz"
     with pytest.raises(StructuralError, match="no chain or composite"):
         nerve(type(C)(C.objects, C.arrows, C.l, C.r, comp, C.unit), 3)
+
+
+def test_classify_asks_for_each_horn_set_once(monkeypatch):
+    X = nerve(poset_category(3), 3)
+    calls = []
+
+    def counted(X, n, i):
+        calls.append((n, i))
+        return horn_set(X, n, i)
+
+    monkeypatch.setattr(simplicial, "horn_set", counted)
+    classify(X, 3)
+    assert len(calls) == 7
+    assert len(set(calls)) == 7
+
+
+CLASSIFIED = {
+    **FIXED_SSETS,
+    "cyclic3": (lambda: nerve(cyclic_groupoid(3), 3), 3),
+    "poset2": (lambda: nerve(poset_category(2), 3), 3),
+    "pair2": (lambda: nerve(pair_groupoid(2), 3), 3),
+}
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_classify_matches_two_call_oracle(name):
+    build, k = CLASSIFIED[name]
+    X = build()
+    for level in range(3, k + 1):
+        assert classify(X, level) == classify_two_calls(X, level)
+
+
+# corrupted copies: one face value moved to another simplex of its level, one
+# degeneracy value changed, one face entry deleted
+
+
+def _copy_tables(X):
+    return {key: dict(t) for key, t in X.face.items()}, {key: dict(t) for key, t in X.degen.items()}
+
+
+def _moved_face(X, rng):
+    face, degen = _copy_tables(X)
+    n, i = rng.choice(sorted(face))
+    x = rng.choice(X.levels[n].elements)
+    others = [y for y in X.levels[n - 1].elements if y != face[(n, i)][x]]
+    if others:
+        face[(n, i)][x] = rng.choice(others)
+    return TruncatedSSet(X.levels, face, degen)
+
+
+def _changed_degeneracy(X, rng):
+    face, degen = _copy_tables(X)
+    n, j = rng.choice(sorted(degen))
+    x = rng.choice(X.levels[n].elements)
+    others = [y for y in X.levels[n + 1].elements if y != degen[(n, j)][x]]
+    if others:
+        degen[(n, j)][x] = rng.choice(others)
+    return TruncatedSSet(X.levels, face, degen)
+
+
+def _deleted_face(X, rng):
+    face, degen = _copy_tables(X)
+    n, i = rng.choice(sorted(face))
+    del face[(n, i)][rng.choice(X.levels[n].elements)]
+    return TruncatedSSet(X.levels, face, degen)
+
+
+CORRUPTIONS = [_moved_face, _changed_degeneracy, _deleted_face]
+
+
+def _assert_validation_matches_scan(X, rng) -> None:
+    assert validate_sset(X) == validate_sset_scan(X)
+    for corrupt in CORRUPTIONS:
+        broken = corrupt(X, rng)
+        assert validate_sset(broken) == validate_sset_scan(broken)
+
+
+@pytest.mark.parametrize("name", CLASSIFIED)
+def test_validate_sset_matches_scan_on_fixed_nerves(name):
+    build, _ = CLASSIFIED[name]
+    X = build()
+    for seed in range(10):
+        _assert_validation_matches_scan(X, random.Random(seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+def test_validate_sset_matches_scan_on_random_groupoid_nerves(seed, k):
+    rng = random.Random(seed)
+    G = random_groupoid(rng, max_objects=2, max_isotropy=2)
+    _assert_validation_matches_scan(nerve(G, k), rng)
+
+
+def test_corruptions_are_seen():
+    X = nerve(poset_category(3), 3)
+    rng = random.Random(0)
+    for corrupt in CORRUPTIONS:
+        assert not validate_sset(corrupt(X, rng)).ok
