@@ -57,7 +57,7 @@ def _same_groupoid(A: FinGroupoid, B: FinGroupoid) -> bool:
 def identity_bibundle(G: FinGroupoid) -> Bibundle:
     """G acting on its own arrows by composition on both sides."""
     return Bibundle(
-        G, G, G.arrows, dict(G.l), dict(G.r),
+        G, G, G.arrows, dict(G.l.items()), dict(G.r.items()),
         lambda g, m: G.comp[(g, m)],
         lambda m, h: G.comp[(m, h)],
     )

@@ -1,4 +1,4 @@
-"""Finite groupoids and categories stored as explicit tables.
+"""Finite groupoids and categories given by explicit tables.
 
 Conventions used throughout the package:
 
@@ -8,6 +8,10 @@ Conventions used throughout the package:
 
 Labels are opaque strings; the order of a finite set is its list order.
 Two groupoids are equal when all their tables are equal.
+
+A product groupoid stores its objects, arrows, label index and unit table
+only: l, r, inv and comp are mappings that read each entry from the factors'
+tables, and its fibers are products of the factors' fibers.
 """
 from __future__ import annotations
 
@@ -81,19 +85,40 @@ def finset(elements: Sequence[str]) -> FinSet:
     return FinSet(tuple(elements))
 
 
-class _ProductComp(Mapping):
-    """Composition table of a product groupoid, read from its factors.
+class _ProductTable(Mapping):
+    """A table of a product groupoid, read from its factors through the label
+    index the product carries; nothing is stored. Equality with any mapping is
+    equality of entries, compared in one pass over items(); two tables of the
+    same kind over the same factor objects are equal outright."""
 
-    A lookup splits both labels and composes component by component through
-    the label index the product groupoid carries; nothing is stored. Keys
-    iterate in the order of itertools.product over the factors' tables, and
-    equality with any mapping is equality of entries.
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, kind: str):
+        self._factors = factors
+        self._index = index
+        self._kind = kind
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ProductTable) and (self._kind, self._factors) == (other._kind, other._factors):
+            return True
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != len(self):
+            return False
+        missing = object()
+        return all(other.get(k, missing) == v for k, v in self.items())
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class _ProductComp(_ProductTable):
+    """Composition table of a product groupoid.
+
+    A lookup splits both labels and composes component by component. Keys
+    iterate in the order of itertools.product over the factors' tables.
     """
 
     def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex):
-        self._factors = factors
+        super().__init__(factors, index, "comp")
         self._comps = tuple(f.comp for f in factors)
-        self._index = index
         self._len = 1
         for f in factors:
             self._len *= len(f.comp)
@@ -127,16 +152,62 @@ class _ProductComp(Mapping):
     def __len__(self) -> int:
         return self._len
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ProductComp) and self._factors == other._factors:
-            return True
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        if len(other) != len(self):
-            return False
-        return all(other.get(k, object()) == v for k, v in self.items())
 
-    __hash__ = None  # type: ignore[assignment]
+class _ProductMap(_ProductTable):
+    """l, r or inv of a product groupoid.
+
+    A lookup maps each part of an arrow through the matching factor's table.
+    The keys are the product's arrows, in arrow order; any other label, an
+    object's included, is a KeyError, and get() gives the default for it.
+    """
+
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex,
+                 arrows: "FinSet", kind: str):
+        super().__init__(factors, index, kind)
+        self._maps = tuple(getattr(f, kind) for f in factors)
+        self._arrows = arrows
+
+    def __getitem__(self, g: str) -> str:
+        index = self._index
+        try:
+            return index.label_of[tuple(map(getitem, self._maps, index.parts_of[g]))]
+        except KeyError:
+            raise KeyError(g) from None
+
+    def items(self) -> Iterator[tuple[str, str]]:  # type: ignore[override]
+        """(arrow, value) pairs in arrow order, read from the factors' tables
+        in itertools.product order."""
+        columns = ([m[g] for g in f.arrows] for m, f in zip(self._maps, self._factors))
+        return zip(self._arrows, map(self._index.label_of.__getitem__, itertools.product(*columns)))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._arrows)
+
+    def __len__(self) -> int:
+        return len(self._arrows)
+
+
+class _ProductFibers:
+    """The l- or r-fibers of a product groupoid, by object: the fiber at x is
+    the product of the factors' fibers at x's parts, which is arrow order. A
+    fiber is built the first time it is asked for and then kept; a label that
+    is not an object is a KeyError."""
+
+    def __init__(self, table: _ProductMap, objects: "FinSet"):
+        self._fibers: dict[str, tuple[str, ...]] = {}
+        self._of = tuple(getattr(f, f"{table._kind}_fiber") for f in table._factors)
+        self._index = table._index
+        self._objects = objects
+
+    def __getitem__(self, x: str) -> tuple[str, ...]:
+        fiber = self._fibers.get(x)
+        if fiber is None:
+            if x not in self._objects:
+                raise KeyError(x)
+            parts = self._index.parts_of[x]
+            combos = itertools.product(*(of(p) for of, p in zip(self._of, parts)))
+            fiber = self._fibers[x] = tuple(map(self._index.label_of.__getitem__, combos))
+        return fiber
 
 
 @dataclass(frozen=True, eq=True)
@@ -146,6 +217,8 @@ class FinGroupoid:
     comp is keyed by the composable pairs (r(g) == l(g2)) and is total there.
     A groupoid whose labels are built from parts (a product, or a generator
     groupoid) keeps them in its label index; any other has an empty one.
+    The l- and r-fibers are indexed once by scanning the arrows, except for a
+    product, whose fibers come from its factors'.
     """
 
     objects: FinSet
@@ -158,6 +231,10 @@ class FinGroupoid:
     index: LabelIndex = field(default_factory=LabelIndex, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.l, _ProductMap) and isinstance(self.r, _ProductMap):
+            object.__setattr__(self, "_l_fibers", _ProductFibers(self.l, self.objects))
+            object.__setattr__(self, "_r_fibers", _ProductFibers(self.r, self.objects))
+            return
         lf: dict[str, list[str]] = {x: [] for x in self.objects}
         rf: dict[str, list[str]] = {x: [] for x in self.objects}
         for g in self.arrows:
@@ -221,7 +298,18 @@ def as_category(G: FinGroupoid) -> FinCategory:
 # validation
 
 
-def _l_index(C: FinGroupoid | FinCategory) -> dict:
+def _plain(table: Mapping) -> dict:
+    """table as a plain dict in its own key order, read in one pass."""
+    return table if type(table) is dict else dict(table.items())
+
+
+def _plain_tables(C: FinGroupoid | FinCategory) -> FinCategory:
+    """C's objects and arrows with l, r, comp and unit as plain dicts, so that
+    the checks below pay a dict lookup per entry whatever tables C keeps."""
+    return FinCategory(C.objects, C.arrows, _plain(C.l), _plain(C.r), _plain(C.comp), _plain(C.unit))
+
+
+def _l_index(C: FinCategory) -> dict:
     """Arrows grouped by their l value (None where l is missing), in arrow order."""
     out: dict = {}
     for g in C.arrows:
@@ -229,10 +317,9 @@ def _l_index(C: FinGroupoid | FinCategory) -> dict:
     return out
 
 
-def _check_tables(
-    C: FinGroupoid | FinCategory, out: list[Violation], with_inv: bool
-) -> None:
-    """Structural checks shared by categories and groupoids."""
+def _check_tables(C: FinCategory, out: list[Violation], inv: dict | None) -> None:
+    """Structural checks shared by categories and groupoids (inv is None for
+    a category)."""
     arrows = set(C.arrows.elements)
     objects = set(C.objects.elements)
     for name, m in (("l", C.l), ("r", C.r)):
@@ -252,8 +339,7 @@ def _check_tables(
     for x in C.unit:
         if x not in objects:
             out.append(Violation("structural", "unit-domain", "unit defined on non-object", (x,)))
-    if with_inv:
-        inv = C.inv  # type: ignore[union-attr]
+    if inv is not None:
         for g in C.arrows:
             if g not in inv:
                 out.append(Violation("structural", "inv-missing", "inv undefined on arrow", (g,)))
@@ -281,7 +367,7 @@ def _check_tables(
                 out.append(Violation("structural", "comp-missing", "comp undefined on composable pair", (g, g2)))
 
 
-def _check_category_axioms(C: FinGroupoid | FinCategory, out: list[Violation]) -> None:
+def _check_category_axioms(C: FinCategory, out: list[Violation]) -> None:
     for x in C.objects:
         u = C.unit.get(x)
         if u is None or u not in C.arrows:
@@ -312,29 +398,31 @@ def _check_category_axioms(C: FinGroupoid | FinCategory, out: list[Violation]) -
 
 
 def validate_category(C: FinCategory) -> ValidationReport:
+    C = _plain_tables(C)
     out: list[Violation] = []
-    _check_tables(C, out, with_inv=False)
+    _check_tables(C, out, None)
     if not any(v.kind == "structural" for v in out):
         _check_category_axioms(C, out)
     return ValidationReport(tuple(out))
 
 
 def validate_groupoid(G: FinGroupoid) -> ValidationReport:
+    C, inv = _plain_tables(G), _plain(G.inv)
     out: list[Violation] = []
-    _check_tables(G, out, with_inv=True)
+    _check_tables(C, out, inv)
     if any(v.kind == "structural" for v in out):
         return ValidationReport(tuple(out))
-    _check_category_axioms(G, out)
-    for g in G.arrows:
-        gi = G.inv.get(g)
-        if gi is None or gi not in G.arrows:
+    _check_category_axioms(C, out)
+    for g in C.arrows:
+        gi = inv.get(g)
+        if gi is None or gi not in C.arrows:
             continue
-        if G.l.get(gi) != G.r.get(g) or G.r.get(gi) != G.l.get(g):
+        if C.l.get(gi) != C.r.get(g) or C.r.get(gi) != C.l.get(g):
             out.append(Violation("axiom", "inv-moment", "inverse has wrong endpoints", (g, gi)))
             continue
-        if G.comp.get((g, gi)) != G.unit.get(G.l[g]):
+        if C.comp.get((g, gi)) != C.unit.get(C.l[g]):
             out.append(Violation("axiom", "inv-law", "g . inv(g) is not a unit", (g,)))
-        if G.comp.get((gi, g)) != G.unit.get(G.r[g]):
+        if C.comp.get((gi, g)) != C.unit.get(C.r[g]):
             out.append(Violation("axiom", "inv-law", "inv(g) . g is not a unit", (g,)))
     return ValidationReport(tuple(out))
 
@@ -465,14 +553,18 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     """Product of groupoids with flat tuple labels (n factors, n components).
 
     Each object and arrow label is encoded once, into the groupoid's label
-    index; l, r, inv, unit and the composition table are read from it.
+    index. Besides its objects and arrows the product stores that index and
+    its unit table, nothing else: l, r, inv and comp look each entry up in the
+    factors' tables and map the result through the index, and the l- or
+    r-fiber at an object is the product of the factors' fibers at its parts,
+    built the first time it is asked for.
 
     While a product of the same factor objects is alive, that product is
     returned instead of a new one. The store holds its products weakly: an
     entry goes with its product, so the store keeps no product, and through
     it no factor, alive longer than its callers do. Keying by the factors'
-    ids is sound because a product holds its factors (its composition table
-    reads them), so no factor's id can be reused while its entry exists.
+    ids is sound because a product holds its factors (its tables read them),
+    so no factor's id can be reused while its entry exists.
     """
     fs = tuple(factors)
     if not fs:
@@ -482,21 +574,12 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     if live is not None:
         return live
     index = LabelIndex()
-    label_of = index.label_of
-    objects = index.add_product([f.objects.elements for f in fs])
-    arrows = index.add_product([f.arrows.elements for f in fs])
-    l = {}
-    r = {}
-    inv = {}
-    moves = itertools.product(*([(f.l[g], f.r[g], f.inv[g]) for g in f.arrows] for f in fs))
-    for a, combo in zip(arrows, moves):
-        lparts, rparts, iparts = zip(*combo)
-        l[a] = label_of[lparts]
-        r[a] = label_of[rparts]
-        inv[a] = label_of[iparts]
+    objects = finset(index.add_product([f.objects.elements for f in fs]))
+    arrows = finset(index.add_product([f.arrows.elements for f in fs]))
+    l, r, inv = (_ProductMap(fs, index, arrows, kind) for kind in ("l", "r", "inv"))
     units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
-    unit = {x: label_of[uparts] for x, uparts in zip(objects, units)}
-    P = FinGroupoid(finset(objects), finset(arrows), l, r, _ProductComp(fs, index), inv, unit, index)
+    unit = dict(zip(objects, map(index.label_of.__getitem__, units)))
+    P = FinGroupoid(objects, arrows, l, r, _ProductComp(fs, index), inv, unit, index)
     _PRODUCTS[key] = P
     return P
 
@@ -514,7 +597,8 @@ def power_groupoid(G: FinGroupoid, n: int) -> FinGroupoid:
 
 def opposite_groupoid(G: FinGroupoid) -> FinGroupoid:
     comp = {(g2, g): h for (g, g2), h in G.comp.items()}
-    return FinGroupoid(G.objects, G.arrows, dict(G.r), dict(G.l), comp, dict(G.inv), dict(G.unit))
+    return FinGroupoid(G.objects, G.arrows, dict(G.r.items()), dict(G.l.items()), comp,
+                       dict(G.inv.items()), dict(G.unit))
 
 
 def connected_components(G: FinGroupoid) -> list[tuple[str, ...]]:

@@ -27,7 +27,7 @@ from .core import (
     pair_groupoid,
     trivial_groupoid,
 )
-from .labels import LabelIndex, tup
+from .labels import LabelIndex
 
 
 @dataclass(frozen=True)
@@ -257,25 +257,27 @@ def pullback_bundle(phi: GroupoidHom, chi: GroupoidHom) -> Bibundle:
         chi0_inv[z] = y
     if len(chi0_inv) != len(K.objects):
         raise StructuralError("chi is not onto the objects")
-    carrier = []
-    points = []  # (p, x, k) for each carrier label p = tup(x, k)
+    # each carrier label (x, k) is encoded once, into index; the action
+    # values are carrier points, looked up there by their parts
+    index = LabelIndex()
+    points = []  # (p, x, k) for each carrier label p of (x, k)
     lmap = {}
     rmap = {}
     for x in G.objects:
-        for k in K.l_fiber(phi.f0[x]):
-            p = tup(x, k)
-            carrier.append(p)
+        fiber = K.l_fiber(phi.f0[x])
+        for p, k in zip(index.add_product([(x,), fiber]), fiber):
             points.append((p, x, k))
             lmap[p] = x
             rmap[p] = chi0_inv[K.r[k]]
+    point = index.label_of
     left = {}
     right = {}
     for p, x, k in points:
         for g in G.r_fiber(x):
-            left[(g, p)] = tup(G.l[g], K.comp[(phi.f1[g], k)])
+            left[(g, p)] = point[(G.l[g], K.comp[(phi.f1[g], k)])]
         for h in H.l_fiber(rmap[p]):
-            right[(p, h)] = tup(x, K.comp[(k, chi.f1[h])])
-    return bibundle_from_tables(G, H, carrier, lmap, rmap, left, right)
+            right[(p, h)] = point[(x, K.comp[(k, chi.f1[h])])]
+    return bibundle_from_tables(G, H, list(lmap), lmap, rmap, left, right)
 
 
 def _scaled_spec(spec: GrpdSpec, scale, prefix: str) -> GrpdSpec:

@@ -123,10 +123,10 @@ def groupoid_to_json(G: FinGroupoid) -> dict:
     return {
         "objects": list(G.objects),
         "arrows": list(G.arrows),
-        "l": dict(G.l),
-        "r": dict(G.r),
+        "l": dict(G.l.items()),
+        "r": dict(G.r.items()),
         "comp": _triples(G.comp),
-        "inv": dict(G.inv),
+        "inv": dict(G.inv.items()),
         "unit": dict(G.unit),
     }
 
@@ -151,8 +151,8 @@ def category_to_json(C: FinCategory) -> dict:
     return {
         "objects": list(C.objects),
         "arrows": list(C.arrows),
-        "l": dict(C.l),
-        "r": dict(C.r),
+        "l": dict(C.l.items()),
+        "r": dict(C.r.items()),
         "comp": _triples(C.comp),
         "unit": dict(C.unit),
     }

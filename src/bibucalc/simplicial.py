@@ -326,10 +326,6 @@ class ClassifyReport:
     group_candidates: tuple[int, ...]
     note: str = "evidence up to the stored truncation level only"
 
-    @property
-    def is_group_candidate(self) -> bool:
-        return bool(self.group_candidates)
-
 
 def classify(X: TruncatedSSet, k: int | None = None) -> ClassifyReport:
     """Test the category / 1-groupoid / n-group Kan patterns on levels 2..k.

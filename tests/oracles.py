@@ -10,8 +10,9 @@ These deliberately avoid the code paths they are checking:
   one representative per orbit;
 - the orbit oracle quotients pairs with a union-find, where compose projects
   each pair through the orbit pass and the stabiliser of its first leg;
-- the product oracle stores every composite up front instead of reading it
-  from the factors;
+- the product oracles store every composite, and the l, r, inv and unit
+  tables, up front and index the fibers by scanning the arrows, instead of
+  reading them from the factors;
 - the isomorphism oracle iso_search_dfs assigns every carrier point in turn
   behind a stabiliser-signature filter, where find_iso branches only on
   orbit representatives;
@@ -311,6 +312,26 @@ def eager_product_comp(factors) -> dict:
     in itertools.product order over the factors' tables."""
     return dict(product_comp_entry(combo)
                 for combo in itertools.product(*(f.comp.items() for f in factors)))
+
+
+def product_groupoid_eager(factors) -> FinGroupoid:
+    """The product of factors with every table stored: l, r, inv and unit
+    filled entry by entry in itertools.product order, the composition table
+    of eager_product_comp, and the fibers scanned from l and r by FinGroupoid
+    itself."""
+    fs = tuple(factors)
+    objects = [tup(*xs) for xs in itertools.product(*(f.objects for f in fs))]
+    arrows = [tup(*gs) for gs in itertools.product(*(f.arrows for f in fs))]
+    l, r, inv = {}, {}, {}
+    moves = itertools.product(*([(f.l[g], f.r[g], f.inv[g]) for g in f.arrows] for f in fs))
+    for a, combo in zip(arrows, moves):
+        lparts, rparts, iparts = zip(*combo)
+        l[a] = tup(*lparts)
+        r[a] = tup(*rparts)
+        inv[a] = tup(*iparts)
+    units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
+    unit = {x: tup(*uparts) for x, uparts in zip(objects, units)}
+    return FinGroupoid(finset(objects), finset(arrows), l, r, eager_product_comp(fs), inv, unit)
 
 
 def stabiliser_scan(M: Bibundle, side: str = "right") -> dict[str, tuple[str, ...]]:

@@ -1,6 +1,7 @@
 """CLI fuzz gate: damaged copies of a gen-fixture bibundle file run through
-the verbs that read one. Every run must exit 0, 1 or 2 and print no
-traceback. Structural damage (dropped or retyped keys, non-string or
+the verbs that read one, and so do damaged group-spec, simplicial-set,
+category and hom files. Every run must exit 0, 1 or 2, print no traceback
+and write its manifest. Structural damage (dropped or retyped keys, non-string or
 duplicate labels, repeated table rows, dangling or self references to
 groupoid files) must exit 2 with an `error` in the manifest. Labels that
 name nothing make `validate` exit 1, and the verbs that validate on ingest
@@ -10,12 +11,16 @@ an `error` naming that part."""
 import contextlib
 import io as _io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibucalc import io
+from bibucalc import as_category, io, pair_groupoid
 from bibucalc.cli import main
+from bibucalc.generators import random_groupoid, random_hom
+from bibucalc.groups import kronecker_finite
+from bibucalc.simplicial import nerve
 
 NAME = "damaged.json"
 VERBS = [
@@ -160,3 +165,81 @@ def test_wrongly_wired_group_spec_exits_2(fixture, part, other):
             assert code == 2, (argv, out)
             assert "Traceback" not in err
             assert f"group spec {part} " in json.loads(out)["verdicts"]["error"]
+
+
+# the other file kinds, each with the verbs that read it
+KINDS = {
+    "group-spec": (lambda: io.group_spec_to_json(kronecker_finite(2, 1)),
+                   [["validate", NAME], ["check-group", "--spec", NAME],
+                    ["preinverse", "--spec", NAME], ["coherence", "--spec", NAME]]),
+    "sset": (lambda: io.sset_to_json(nerve(pair_groupoid(2), 2)),
+             [["validate", NAME], ["kan", "--sset", NAME, "--n", "2", "--i", "1"]]),
+    "category": (lambda: io.category_to_json(as_category(pair_groupoid(2))),
+                 [["validate", NAME], ["kan", "--sset", NAME, "--n", "2", "--i", "0"]]),
+    "hom": (lambda: io.hom_to_json(random_hom(random.Random(1),
+                                              random_groupoid(random.Random(2), 2, 2, prefix="g"),
+                                              random_groupoid(random.Random(3), 2, 2, prefix="h"))),
+            [["validate", NAME], ["bundlize", "--hom", NAME]]),
+}
+
+
+def _nodes(tree) -> list[tuple]:
+    """(container, key) for every value below the top of a JSON tree."""
+    out = []
+    for key, value in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+        out.append((tree, key))
+        if isinstance(value, (dict, list)):
+            out += _nodes(value)
+    return out
+
+
+@st.composite
+def damaged_tree(draw, original: dict) -> dict:
+    """A copy of a JSON file with one value anywhere in it dropped, retyped,
+    replaced by a label that names nothing, duplicated or renamed."""
+    d = json.loads(json.dumps(original))
+    container, key = draw(st.sampled_from(_nodes(d)))
+    value = container[key]
+    what = draw(st.sampled_from(["drop", "retype", "dangling", "duplicate", "rename"]))
+    if what == "drop":
+        del container[key]
+    elif what == "retype":
+        container[key] = draw(st.sampled_from([v for v in WRONG_TYPES if type(v) is not type(value)]))
+    elif what == "dangling":
+        container[key] = "nowhere"
+    elif isinstance(container, list):
+        container.insert(key, json.loads(json.dumps(value)))
+    elif what == "duplicate":
+        container["nowhere"] = value
+    else:
+        container["nowhere"] = container.pop(key)
+    return d
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz_kinds")
+    trees = {kind: build() for kind, (build, _) in KINDS.items()}
+    with contextlib.chdir(root):
+        for kind, (_, verbs) in KINDS.items():
+            io.save_json(NAME, trees[kind])
+            for argv in verbs:
+                code, out, err = _run(argv)
+                assert code == 0, (kind, argv, out, err)
+    return root, trees
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_damaged_files_of_every_kind_keep_the_exit_code_contract(originals, kind, data):
+    root, trees = originals
+    d = data.draw(damaged_tree(trees[kind]))
+    with contextlib.chdir(root):
+        io.save_json(NAME, d)
+        for argv in KINDS[kind][1]:
+            code, out, err = _run(argv)
+            assert code in (0, 1, 2), (argv, out)
+            assert "Traceback" not in err
+            manifest = json.loads(out)
+            assert (code == 2) == ("error" in manifest["verdicts"]), (argv, manifest)

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bibucalc import (
     StructuralError,
     action_groupoid,
+    as_category,
     check_hom,
     connected_components,
     core,
@@ -22,14 +25,16 @@ from bibucalc import (
     product_groupoid,
     swap_hom,
     trivial_groupoid,
+    validate_category,
     validate_groupoid,
 )
 from bibucalc.calculus import diagonal_bibundle, tensor_bibundle
 from bibucalc.generators import random_groupoid, random_right_principal_bibundle
 from bibucalc.groups import check_group, kronecker_finite
+from bibucalc.io import groupoid_from_json, groupoid_to_json
 from bibucalc.labels import LabelIndex, esc, tup, untup
 
-from oracles import eager_product_comp, esc_loop, product_comp_entry, tup_loop
+from oracles import eager_product_comp, esc_loop, product_comp_entry, product_groupoid_eager, tup_loop
 
 
 @given(st.lists(st.text(max_size=6), max_size=5))
@@ -278,3 +283,116 @@ def test_check_group_leaves_no_product_of_its_base():
     del data, report
     gc.collect()
     assert _entries_over(base_id) == []
+
+
+# ---------------------------------------------------------------------------
+# product tables read from the factors
+
+
+def _random_factors(seeds):
+    return [random_groupoid(random.Random(s), max_objects=2, max_isotropy=2, prefix=f"f{i}")
+            for i, s in enumerate(seeds)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
+def test_product_groupoid_matches_eager_oracle(seeds):
+    factors = _random_factors(seeds)
+    P, want = product_groupoid(factors), product_groupoid_eager(factors)
+    assert P.objects == want.objects
+    assert P.arrows == want.arrows
+    for name in ("l", "r", "inv", "unit", "comp"):
+        got, table = getattr(P, name), getattr(want, name)
+        assert len(got) == len(table)
+        assert list(got) == list(table)
+        assert list(got.items()) == list(table.items())
+        assert all(got[key] == value for key, value in table.items())
+    for x in want.objects:
+        assert P.l_fiber(x) == want.l_fiber(x)
+        assert P.r_fiber(x) == want.r_fiber(x)
+    assert P == want
+    assert want == P
+    assert json.dumps(groupoid_to_json(P)) == json.dumps(groupoid_to_json(want))
+
+
+def test_product_tables_refuse_labels_off_the_arrows():
+    G, H = pair_groupoid(2), cyclic_groupoid(3)
+    P = product_groupoid([G, H])
+    Q = product_groupoid([H, G])
+    foreign = ["nowhere", tup("*", "0"), tup("x", "y"), tup(tup("0", "1")), Q.arrows.elements[1]]
+    for name in ("l", "r", "inv"):
+        table = getattr(P, name)
+        for label in list(P.objects) + foreign:
+            assert table.get(label) is None
+            assert table.get(label, "default") == "default"
+            assert label not in table
+            with pytest.raises(KeyError):
+                table[label]
+        g = P.arrows.elements[-1]
+        assert g in table and table.get(g) == table[g]
+    assert P.l == P.l and P.l != P.r and P.r != P.inv
+    for label in list(P.arrows) + foreign:
+        with pytest.raises(StructuralError, match=re.escape(repr(label))):
+            P.l_fiber(label)
+        with pytest.raises(StructuralError, match=re.escape(repr(label))):
+            P.r_fiber(label)
+
+
+class _CountingDict(dict):
+    """A dict that counts the reads of its entries."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+    def __iter__(self):
+        self.reads += 1
+        return super().__iter__()
+
+    def items(self):
+        self.reads += 1
+        return super().items()
+
+    def values(self):
+        self.reads += 1
+        return super().values()
+
+
+def test_building_a_power_reads_no_entry_of_the_factor_tables():
+    G = kronecker_finite(3, 1).base
+    counted = {name: _CountingDict(getattr(G, name)) for name in ("l", "r", "inv")}
+    F = type(G)(G.objects, G.arrows, counted["l"], counted["r"], G.comp, counted["inv"], G.unit)
+    for table in counted.values():
+        table.reads = 0
+    P = power_groupoid(F, 4)
+    assert len(P.arrows) == len(G.arrows) ** 4
+    assert {name: table.reads for name, table in counted.items()} == {"l": 0, "r": 0, "inv": 0}
+    g = P.arrows.elements[-1]
+    assert P.l[g] == tup(*[G.l[part] for part in untup(g)])
+    assert counted["l"].reads == 4
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=3), st.booleans())
+def test_validate_product_matches_validate_of_its_json(seeds, damage):
+    P = product_groupoid(_random_factors(seeds))
+    if damage:
+        # a unit that is not an endo-arrow at its object breaks several axioms
+        unit = dict(P.unit)
+        unit[P.objects.elements[0]] = P.arrows.elements[-1]
+        P = type(P)(P.objects, P.arrows, P.l, P.r, P.comp, P.inv, unit, P.index)
+    loaded = groupoid_from_json(groupoid_to_json(P), validate=False)
+    assert validate_groupoid(P) == validate_groupoid(loaded)
+    assert validate_category(as_category(P)) == validate_category(as_category(loaded))

@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports (the package's
 __init__ re-exports, so it is left out), no module but labels reads the
 label decoder untup (the library keeps each label's parts beside it instead
-of decoding it), and every public function of tests/oracles.py is imported by
+of decoding it), the generators name no encoder tup (they encode each label
+once, through a LabelIndex), and every public function of tests/oracles.py is imported by
 some test module, so an oracle cannot outlive the code it checks. Found with the stdlib ast module: a name counts as used
 when it is read anywhere in the module; annotations stay expressions in the
 tree even under `from __future__ import annotations`."""
@@ -43,17 +44,17 @@ def test_scan_sees_an_unused_import():
     assert _unused_imports("import os\nfrom typing import Mapping, Sequence\nx: Mapping\n") == ["Sequence", "os"]
 
 
-def _reads_untup(source: str) -> list[int]:
-    """Lines that name untup: a read of the name, an attribute of that name,
-    or an import of it."""
+def _lines_naming(source: str, name: str) -> list[int]:
+    """Lines that name name: a read of it, an attribute of that name, or an
+    import of it."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id == "untup":
+        if isinstance(node, ast.Name) and node.id == name:
             lines.append(node.lineno)
-        elif isinstance(node, ast.Attribute) and node.attr == "untup":
+        elif isinstance(node, ast.Attribute) and node.attr == name:
             lines.append(node.lineno)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            if any(alias.name.split(".")[-1] == "untup" for alias in node.names):
+            if any(alias.name.split(".")[-1] == name for alias in node.names):
                 lines.append(node.lineno)
     return sorted(lines)
 
@@ -61,13 +62,18 @@ def _reads_untup(source: str) -> list[int]:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "labels.py"],
                          ids=[p.name for p in MODULES if p.name != "labels.py"])
 def test_module_does_not_decode_labels(path):
-    assert _reads_untup(path.read_text()) == []
+    assert _lines_naming(path.read_text(), "untup") == []
 
 
 def test_untup_scan_sees_every_use():
     snippet = ("from .labels import tup, untup\nfrom . import labels\n"
                "x = untup('(a)')\ny = labels.untup\nz = tup('a')\n")
-    assert _reads_untup(snippet) == [1, 3, 4]
+    assert _lines_naming(snippet, "untup") == [1, 3, 4]
+    assert _lines_naming(snippet, "tup") == [1, 5]
+
+
+def test_generators_do_not_encode_labels():
+    assert _lines_naming((PACKAGE / "generators.py").read_text(), "tup") == []
 
 
 def _oracle_imports(source: str) -> set[str]:
