@@ -216,9 +216,10 @@ class _OrbitPass:
     and side and cached on the bundle.
 
     The carrier is walked in order; each point not reached yet becomes the
-    representative of its orbit and is moved once by every arrow at its
-    moment. reach[m] is (rep, a) with rep . a == m on the right, a . rep == m
-    on the left. stabilisers maps each representative with a nontrivial
+    representative of its orbit and is moved once by every non-unit arrow at
+    its moment (the bundle must be valid, so the unit moves nothing).
+    reach[m] is (rep, a) with rep . a == m on the right, a . rep == m on the
+    left. stabilisers maps each representative with a nontrivial
     stabiliser, in carrier order, to the non-unit arrows fixing it, in arrow
     order. Stabilisers are conjugate along an orbit, so the representatives
     decide freeness; stabiliser, the first of those arrows, witnesses that the
@@ -269,10 +270,15 @@ def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
         reach[rep] = (rep, unit)
         fixing = []
         for k in arrows_at(moment[rep]):
+            # the unit fixes every point of a valid bundle, so moving by it
+            # would add nothing: rep is reached already and the unit is no
+            # stabiliser; over a discrete base it is the only arrow there
+            if k == unit:
+                continue
             m = move(rep, k)
             if m != rep:
                 reach.setdefault(m, (rep, k))
-            elif k != unit:
+            else:
                 fixing.append(k)
         if fixing:
             stabilisers[rep] = tuple(fixing)

@@ -43,7 +43,7 @@ from .core import (
     product_groupoid,
     swap_hom,
 )
-from .labels import LabelIndex
+from .labels import LabelIndex, esc
 
 
 def _same_groupoid(A: FinGroupoid, B: FinGroupoid) -> bool:
@@ -267,8 +267,10 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     equivalent exactly when the second legs differ by an arrow fixing m0. So
     the representatives are the pairs (m0, n) whose n is least, in N's
     carrier order, among its images under m0's stabiliser. Each
-    representative is encoded once; the composite's label index holds its
-    pair, and project looks representatives up.
+    representative is encoded once, tup(m0, n) byte for byte, from parts
+    escaped once: each representative m0 before its pairs, each n the first
+    time a pair uses it. The composite's label index holds each
+    representative's pair, and project looks representatives up.
     """
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
@@ -281,21 +283,27 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
         """The least image of n under the unit and the arrows in fixing."""
         return min([n, *(nleft(s, n) for s in fixing)], key=position)
 
-    index = LabelIndex()
-    carrier: list[str] = []
-    lmap: dict[str, str] = {}
-    rmap: dict[str, str] = {}
+    pairs: list[tuple[str, str]] = []
+    escaped: list[tuple[str, str]] = []
+    escaped_n: dict[str, str] = {}
     n_by_obj = _fibers(N, nlmap)
     for m in M.carrier:
         if reach[m][0] != m:
             continue
         fixing = stabilisers.get(m)
+        m_esc = esc(m)
         for n in n_by_obj.get(mrmap[m], []):
             if not fixing or least(fixing, n) == n:
-                rep = index.add((m, n))
-                carrier.append(rep)
-                lmap[rep] = M.lmap[m]
-                rmap[rep] = N.rmap[n]
+                n_esc = escaped_n.get(n)
+                if n_esc is None:
+                    n_esc = escaped_n[n] = esc(n)
+                pairs.append((m, n))
+                escaped.append((m_esc, n_esc))
+    index = LabelIndex()
+    carrier = index.add_escaped(pairs, escaped)
+    mlmap, nrmap = M.lmap, N.rmap
+    lmap = {rep: mlmap[m] for rep, (m, _) in zip(carrier, pairs)}
+    rmap = {rep: nrmap[n] for rep, (_, n) in zip(carrier, pairs)}
     rep_of = index.label_of
 
     def project(m: str, n: str) -> str:

@@ -496,14 +496,11 @@ def main(argv=None) -> int:
                       seed=getattr(args, "seed", None))
     try:
         code = args.handler(args, man)
-    except (StructuralError, DiagramError, ValueError) as exc:
+    except (StructuralError, DiagramError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if getattr(args, "json", False):
             man.verdicts["error"] = str(exc)
             sys.stdout.write(io.dumps(man.to_json()))
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, man, code)
     return code

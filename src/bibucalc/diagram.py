@@ -16,7 +16,9 @@ their groupoids). `*` is juxtaposition (side by side), `;` is composition
 from __future__ import annotations
 
 import itertools
+import operator
 import re
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, Union
 
@@ -172,7 +174,9 @@ class Wired:
 
 
 class DiagramEnv:
-    """Evaluation context: the base groupoid, bound names, cached powers."""
+    """Evaluation context: the base groupoid, bound names, and cached powers
+    and tensors. Powers are kept for the env's lifetime; tensor_wired keeps
+    each live tensor weakly, so a tensor goes when its last user does."""
 
     def __init__(self, base: FinGroupoid,
                  bindings: Mapping[str, Bibundle] | None = None,
@@ -182,6 +186,8 @@ class DiagramEnv:
         self.max_arity = max_arity
         self._powers: dict[int, FinGroupoid] = {1: base}
         self._cache: dict[str, Wired] = {}
+        # the live tensor of each part tuple, keyed by (id(bib), m, n) per part
+        self._tensors: weakref.WeakValueDictionary[tuple, Bibundle] = weakref.WeakValueDictionary()
 
     def power(self, k: int) -> FinGroupoid:
         if k not in self._powers:
@@ -291,6 +297,14 @@ def _cutter(env: DiagramEnv, sizes: Sequence[int]) -> Callable[[tuple[str, ...]]
     return lambda comps: [join(comps[a:b]) for a, b, join in spans]
 
 
+@dataclass(frozen=True, eq=False)
+class TensorBibundle(Bibundle):
+    """A juxtaposition built by tensor_wired. It holds its parts, so no part's
+    id can be reused while the tensor is alive."""
+
+    parts: tuple[Bibundle, ...] = field(repr=False, default=())
+
+
 def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
     """Side-by-side juxtaposition, flattened onto a single power groupoid.
 
@@ -298,12 +312,26 @@ def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
     here arrow labels are split and regrouped so the result always lives over
     env.power(total). Labels are looked up in the powers' label indexes and
     in the carrier's own, which is filled as the carrier is enumerated.
+
+    While a tensor of the same parts (the same bundles at the same arities)
+    is alive, that tensor is returned instead of a new one, with its orbit
+    passes. The env holds its tensors weakly, keyed by the parts' ids, which
+    stay theirs because a tensor holds its parts.
     """
     ws = list(parts)
     if not ws:
         raise DiagramError("empty juxtaposition")
     if len(ws) == 1:
         return ws[0]
+    key = tuple([(id(w.bib), w.m, w.n) for w in ws])
+    bib = env._tensors.get(key)
+    if bib is None:
+        bib = env._tensors[key] = _juxtapose(env, ws)
+    return Wired(bib, sum(w.m for w in ws), sum(w.n for w in ws))
+
+
+def _juxtapose(env: DiagramEnv, ws: list[Wired]) -> TensorBibundle:
+    """The body of tensor_wired: build the flattened tensor of two or more parts."""
     msizes = [w.m for w in ws]
     nsizes = [w.n for w in ws]
     m_total, n_total = sum(msizes), sum(nsizes)
@@ -336,8 +364,8 @@ def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
         hs = rcut(rsplit(hh))
         return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], hs)])]
 
-    bib = Bibundle(GL, GR, finset(carrier), lmap, rmap, left_fn, right_fn, index)
-    return Wired(bib, m_total, n_total)
+    return TensorBibundle(GL, GR, finset(carrier), lmap, rmap, left_fn, right_fn, index,
+                          parts=tuple(w.bib for w in ws))
 
 
 def wired_tensor_witness(env: DiagramEnv,
@@ -364,11 +392,20 @@ def wired_tensor_witness(env: DiagramEnv,
     return IsoWitness(source, target, forward, backward)
 
 
-def _tensor_label(index: LabelIndex, atoms: tuple[str, ...]) -> str:
-    """The carrier label of a juxtaposition of these atoms, from its index."""
-    if len(atoms) == 1:
-        return atoms[0]
-    return index.label_of[atoms]
+def _atoms_of(index: LabelIndex, k: int) -> Callable[[str], tuple[str, ...]]:
+    """Carrier label of a juxtaposition of k atoms -> the atoms, from its index."""
+    if k == 1:
+        return lambda label: (label,)
+    return index.parts_of.__getitem__
+
+
+def _run_label(index: LabelIndex, start: int, k: int) -> Callable[[tuple[str, ...]], str]:
+    """Atoms -> the carrier label of the juxtaposition of the k atoms from
+    start on, looked up in that juxtaposition's index."""
+    if k == 1:
+        return operator.itemgetter(start)
+    lookup, run = index.label_of.__getitem__, slice(start, start + k)
+    return lambda atoms: lookup(atoms[run])
 
 
 def interchange_blocks(env: DiagramEnv,
@@ -411,18 +448,20 @@ def interchange_blocks(env: DiagramEnv,
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
     target = tensor_wired(env, comps)
     top_index, bottom_index = (f.index for f in source.factors)
+    top_atoms, bottom_atoms = _atoms_of(top_index, len(top)), _atoms_of(bottom_index, len(bottom))
+    per_block = []
+    for (t0, kt, b0, kb), blk in zip(spans, comps):
+        blk_top, blk_bottom = (f.index for f in blk.bib.factors)
+        per_block.append((_run_label(blk_top, t0, kt), _run_label(blk_bottom, b0, kb),
+                          blk.bib.project))
+    target_label = _run_label(target.bib.index, 0, len(comps))
+    pair_of = source.index.parts_of
     forward = {}
     for rep in source.carrier:
-        t_elt, b_elt = source.index.parts_of[rep]
-        t_parts = top_index.parts_of[t_elt] if len(top) > 1 else (t_elt,)
-        b_parts = bottom_index.parts_of[b_elt] if len(bottom) > 1 else (b_elt,)
-        vals = []
-        for (t0, kt, b0, kb), blk in zip(spans, comps):
-            blk_top, blk_bottom = (f.index for f in blk.bib.factors)
-            t_sub = _tensor_label(blk_top, t_parts[t0:t0 + kt])
-            b_sub = _tensor_label(blk_bottom, b_parts[b0:b0 + kb])
-            vals.append(blk.bib.project(t_sub, b_sub))
-        forward[rep] = _tensor_label(target.bib.index, tuple(vals))
+        t_elt, b_elt = pair_of[rep]
+        t_parts, b_parts = top_atoms(t_elt), bottom_atoms(b_elt)
+        forward[rep] = target_label(tuple([project(t_sub(t_parts), b_sub(b_parts))
+                                           for t_sub, b_sub, project in per_block]))
     backward = {v: k for k, v in forward.items()}
     if len(backward) != len(forward) or len(forward) != len(target.bib.carrier):
         raise StructuralError("block regrouping failed to be a bijection")

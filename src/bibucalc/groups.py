@@ -329,8 +329,8 @@ def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> Coherenc
     p_r2 = compose(S23, mu_b)
     IdE_Mu = compose(tensor_wired(env, [id_w, e_w]).bib, mu_b)
     E_Id_Mu = compose(tensor_wired(env, [e_w, id_w]).bib, mu_b)
-    TII = tensor_wired(env, [id_w, id_w])
-    p_mid = compose(TII.bib, mu_b)
+    # the middle node of the unit loop, (Id * Id) ; mu, is IdMu
+    p_mid = IdMu
     squeeze_idid = lunit_witness(id_w.bib, composed=IdId)
 
     ich_p_l, _ = interchange_blocks(env, [id_w, e_w, id_w], [mu_w, id_w],
@@ -342,7 +342,7 @@ def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> Coherenc
     as_p_l = assoc_witness(s1_2.bib, d1_3.bib, mu_b, MN=S13, NL=X1, left=p_l1, right=p0)
     as_p_r = assoc_witness(s1_2.bib, d2_3.bib, mu_b, MN=S23, NL=X2, left=p_r2, right=p_r1)
     id_s = identity_witness(s1_2.bib)
-    collapse = lunit_witness(mu_b, composed=p_mid)
+    collapse = to_mu_l
     IdE_Muw = Wired(IdE_Mu, 1, 1)
     E_Id_Muw = Wired(E_Id_Mu, 1, 1)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 _SPECIAL = {"\\", ",", "(", ")"}
 
@@ -90,20 +90,24 @@ class LabelIndex:
 
     def add(self, parts: tuple[str, ...]) -> str:
         """Encode parts, record both directions and return the label."""
-        label = tup(*parts)
-        self.label_of[parts] = label
-        self.parts_of[label] = parts
-        return label
+        return self.add_escaped([parts], [map(esc, parts)])[0]
+
+    def add_escaped(self, parts: Iterable[tuple[str, ...]], escaped: Iterable) -> list[str]:
+        """Record each parts tuple under the label wrapped from its escaped
+        forms, the escaped tuple at the same position (esc of each part, in
+        order); returns the labels in order. Callers that meet a part in many
+        tuples escape it once and pass it here."""
+        label_of, parts_of = self.label_of, self.parts_of
+        labels = []
+        for ps, escs in zip(parts, escaped):
+            label = _wrap(escs)
+            label_of[ps] = label
+            parts_of[label] = ps
+            labels.append(label)
+        return labels
 
     def add_product(self, factors: Sequence[Sequence[str]]) -> list[str]:
         """add() every combination of one part per factor, in itertools.product
         order, escaping each part once; returns the labels in that order."""
         escaped = [[esc(p) for p in f] for f in factors]
-        label_of, parts_of = self.label_of, self.parts_of
-        labels = []
-        for parts, escs in zip(itertools.product(*factors), itertools.product(*escaped)):
-            label = _wrap(escs)
-            label_of[parts] = label
-            parts_of[label] = parts
-            labels.append(label)
-        return labels
+        return self.add_escaped(itertools.product(*factors), itertools.product(*escaped))

@@ -7,7 +7,8 @@ These deliberately avoid the code paths they are checking:
 - the principality scan looks for a fixing arrow at every point and for an
   arrow from every fiber point to the fiber's first one, and the stabiliser
   scan tries every arrow at every point's moment, where the orbit pass moves
-  one representative per orbit;
+  one representative per orbit; the orbit-pass scan moves each
+  representative by the unit too, where the pass skips it;
 - the orbit oracle quotients pairs with a union-find, where compose projects
   each pair through the orbit pass and the stabiliser of its first leg;
 - the product oracles store every composite, and the l, r, inv and unit
@@ -332,6 +333,39 @@ def product_groupoid_eager(factors) -> FinGroupoid:
     units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
     unit = {x: tup(*uparts) for x, uparts in zip(objects, units)}
     return FinGroupoid(finset(objects), finset(arrows), l, r, eager_product_comp(fs), inv, unit)
+
+
+def orbit_pass_scan(M: Bibundle, side: str = "right") -> tuple[dict, dict]:
+    """reach and stabilisers of the orbit pass, moving each representative by
+    every arrow at its moment, the unit included, where _orbit_pass skips the
+    unit."""
+    if side == "right":
+        acting, moment = M.right_groupoid, M.rmap
+        arrows_at, move = acting.l_fiber, M.right_fn
+    else:
+        acting, moment = M.left_groupoid, M.lmap
+        arrows_at = acting.r_fiber
+
+        def move(m: str, k: str) -> str:
+            return M.left_fn(k, m)
+
+    reach: dict[str, tuple[str, str]] = {}
+    stabilisers: dict[str, tuple[str, ...]] = {}
+    for rep in M.carrier:
+        if rep in reach:
+            continue
+        unit = acting.unit[moment[rep]]
+        reach[rep] = (rep, unit)
+        fixing = []
+        for k in arrows_at(moment[rep]):
+            m = move(rep, k)
+            if m != rep:
+                reach.setdefault(m, (rep, k))
+            elif k != unit:
+                fixing.append(k)
+        if fixing:
+            stabilisers[rep] = tuple(fixing)
+    return reach, stabilisers
 
 
 def stabiliser_scan(M: Bibundle, side: str = "right") -> dict[str, tuple[str, ...]]:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -29,9 +30,16 @@ from bibucalc.calculus import (
     terminal_bibundle,
 )
 from bibucalc.generators import random_bibundle, random_right_principal_bibundle
+from bibucalc.groups import kronecker_finite
 from bibucalc.labels import tup, untup
 
-from oracles import pairing_search, pairing_solutions, principality_scan, stabiliser_scan
+from oracles import (
+    orbit_pass_scan,
+    pairing_search,
+    pairing_solutions,
+    principality_scan,
+    stabiliser_scan,
+)
 
 
 @pytest.fixture(scope="module")
@@ -243,6 +251,37 @@ def test_orbit_pass_stabilisers_match_scan(seed, principal, side):
     assert list(orbits.stabilisers.items()) == list(stabiliser_scan(M, side).items())
     assert orbits.stabiliser == next(((m, ks[0]) for m, ks in orbits.stabilisers.items()), None)
     assert _orbit_pass(M, side) is orbits
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(["right", "left"]))
+def test_orbit_pass_matches_all_arrows_scan(seed, principal, side):
+    M = _sampled_bundle(seed, principal)
+    orbits = _orbit_pass(M, side)
+    reach, stabilisers = orbit_pass_scan(M, side)
+    assert list(orbits.reach.items()) == list(reach.items())
+    assert list(orbits.stabilisers.items()) == list(stabilisers.items())
+
+
+@pytest.mark.parametrize("make", [
+    lambda: identity_bibundle(trivial_groupoid(3)),
+    lambda: kronecker_finite(4, 4).mu,
+])
+def test_orbit_pass_makes_no_action_call_over_a_discrete_base(make):
+    M = make()
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    M = dataclasses.replace(M, left_fn=counted(M.left_fn), right_fn=counted(M.right_fn))
+    for side in ("right", "left"):
+        orbits = _orbit_pass(M, side)
+        assert len(orbits.reach) == len(M.carrier) and not orbits.stabilisers
+    assert calls == []
 
 
 def test_stabiliser_found_past_the_first_orbit_of_a_fiber():

@@ -15,7 +15,7 @@ from bibucalc import (
     power_groupoid,
     trivial_groupoid,
 )
-from bibucalc import calculus
+from bibucalc import calculus, diagram, groups
 from bibucalc.bibundle import Bibundle, bibundle_from_tables, check_principal, validate_bibundle
 from bibucalc.calculus import (
     all_isos,
@@ -135,6 +135,40 @@ def test_compose_representatives_match_orbit_oracle(seed):
     assert list(C.carrier) == [tup(*p) for p in pairs if reps[p] == p]
     for p in pairs:
         assert C.project(*p) == tup(*reps[p])
+
+
+def _assert_labels_are_tup_of_their_pairs(C):
+    assert len(C.index.parts_of) == len(C.carrier)
+    for rep in C.carrier:
+        assert rep == tup(*C.index.parts_of[rep])
+        assert C.index.label_of[C.index.parts_of[rep]] == rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_compose_labels_are_tup_of_their_pairs(seed, awkward):
+    rng = random.Random(seed)
+    M = random_bibundle(rng, max_objects=2, max_isotropy=3)
+    if awkward:
+        # carrier labels made of the codec's special characters, "" first
+        M = relabel_bibundle(M, {m: "(,\\)"[i % 4] * i for i, m in enumerate(M.carrier)})
+    N = opposite_bibundle(M) if rng.random() < 0.7 else identity_bibundle(M.right_groupoid)
+    _assert_labels_are_tup_of_their_pairs(compose(M, N))
+
+
+def test_coherence_composites_are_labelled_by_tup(monkeypatch):
+    built = []
+
+    def recording(M, N):
+        built.append(compose(M, N))
+        return built[-1]
+
+    for module in (calculus, diagram, groups):
+        monkeypatch.setattr(module, "compose", recording)
+    assert groups.check_coherence(kronecker_finite(2, 1)).ok
+    assert built
+    for C in built:
+        _assert_labels_are_tup_of_their_pairs(C)
 
 
 @pytest.mark.parametrize("free", [True, False], ids=["free", "non_free"])

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bibucalc import bundlize, compose, connected_components, find_iso, validate_bibundle, validate_iso
+from bibucalc import calculus, diagram, groups
+from bibucalc.calculus import identity_bibundle
 from bibucalc.diagram import (
     DiagramEnv,
     DiagramError,
@@ -165,6 +168,57 @@ def test_tensor_wired_flattens_to_one_power():
     assert w.bib.left_groupoid is env.power(3)
     assert w.bib.right_groupoid is env.power(3)
     assert len(w.bib.carrier) == len(G.arrows) ** 3
+
+
+def test_tensor_store_returns_the_live_tensor_of_the_same_parts():
+    env = DiagramEnv(standard_groupoid("cyclic", 2))
+    a, b = env.resolve("id"), env.resolve("delta")
+    t = tensor_wired(env, [a, b])
+    again = tensor_wired(env, [a, b])
+    assert again.bib is t.bib and (again.m, again.n) == (t.m, t.n) == (2, 3)
+    assert t.bib.parts == (a.bib, b.bib)
+    assert tensor_wired(env, [b, a]).bib is not t.bib
+    # a tensor in an expression is the live one too
+    assert evaluate_wired(env, "id * delta").bib is t.bib
+
+
+def test_tensor_store_lets_unused_tensors_go():
+    env = DiagramEnv(standard_groupoid("cyclic", 2))
+    t = tensor_wired(env, [env.resolve("id"), env.resolve("tau")])
+    assert list(env._tensors.values()) == [t.bib]
+    del t
+    gc.collect()
+    assert len(env._tensors) == 0
+
+
+def test_tensor_store_keys_by_identity_not_equality():
+    G = standard_groupoid("cyclic", 2)
+    env = DiagramEnv(G)
+    x, y = env.wire(identity_bibundle(G)), env.wire(identity_bibundle(G))
+    assert x.bib == y.bib and x.bib is not y.bib
+    tx, ty = tensor_wired(env, [x, x]), tensor_wired(env, [x, y])
+    assert tx.bib is not ty.bib
+    assert tx.bib == ty.bib
+
+
+def test_coherence_builds_each_tensor_and_composite_once(monkeypatch):
+    counts = {"tensor": 0, "compose": 0}
+    juxtapose = diagram._juxtapose
+
+    def counted_juxtapose(env, ws):
+        counts["tensor"] += 1
+        return juxtapose(env, ws)
+
+    def counted_compose(M, N):
+        counts["compose"] += 1
+        return compose(M, N)
+
+    monkeypatch.setattr(diagram, "_juxtapose", counted_juxtapose)
+    for module in (calculus, diagram, groups):
+        monkeypatch.setattr(module, "compose", counted_compose)
+    assert groups.check_coherence(groups.kronecker_finite(2, 1)).ok
+    # 29 tensor_wired calls on 18 part tuples, and 31 composites
+    assert counts == {"tensor": 18, "compose": 31}
 
 
 def test_interchange_blocks_takes_a_pinned_composite():

@@ -255,6 +255,21 @@ def test_cli_usage_errors(tmp_path):
     assert main(["compose", "--left", gpath, "--right", gpath]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate", "MISSING"],
+    ["check-group", "--spec", "MISSING"],
+    ["compose", "--left", "MISSING", "--right", "PRESENT"],
+])
+def test_cli_missing_input_under_json_writes_the_manifest(idg, tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing.json")
+    argv = [{"MISSING": missing, "PRESENT": idg[1]}.get(a, a) for a in argv]
+    assert main(argv + ["--json"]) == 2
+    out, err = capsys.readouterr()
+    verdicts = json.loads(out)["verdicts"]
+    assert "missing.json" in verdicts["error"]
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_only_gen_fixture_takes_a_seed(tmp_path, capsys):
     gpath = str(tmp_path / "g.json")
     io.save_json(gpath, io.groupoid_to_json(cyclic_groupoid(2)))
