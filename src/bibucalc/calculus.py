@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .bibundle import (
     Bibundle,
@@ -34,13 +34,14 @@ from .bibundle import (
 )
 from .core import (
     FinGroupoid,
+    FinSet,
     GroupoidHom,
     StructuralError,
     ValidationReport,
     Violation,
     finset,
     power_groupoid,
-    product_groupoid,
+    product_codec,
     swap_hom,
 )
 from .labels import LabelIndex, esc
@@ -65,8 +66,7 @@ def identity_bibundle(G: FinGroupoid) -> Bibundle:
 
 def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
     """The G-(GxG) bibundle of pairs of arrows with a common left object."""
-    P = power_groupoid(G, 2)
-    pairs = P.index
+    P, split, pair = product_codec([G, G])
     index = LabelIndex()
     carrier = []
     lmap = {}
@@ -78,7 +78,7 @@ def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
             m = index.add((g1, g2))
             carrier.append(m)
             lmap[m] = G.l[g1]
-            rmap[m] = pairs.label_of[(G.r[g1], G.r[g2])]
+            rmap[m] = pair((G.r[g1], G.r[g2]))
     label_of, parts_of = index.label_of, index.parts_of
     comp = G.comp
 
@@ -88,7 +88,7 @@ def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
 
     def right_fn(m: str, h: str) -> str:
         g1, g2 = parts_of[m]
-        h1, h2 = pairs.parts_of[h]
+        h1, h2 = split(h)
         return label_of[(comp[(g1, h1)], comp[(g2, h2)])]
 
     return Bibundle(G, P, finset(carrier), lmap, rmap, left_fn, right_fn, index)
@@ -107,17 +107,16 @@ def terminal_bibundle(G: FinGroupoid) -> Bibundle:
 
 def ev_bibundle(G: FinGroupoid) -> Bibundle:
     """Arrows of G as a bibundle from GxG to the empty power; (g1,g2).m = g1 m inv(g2)."""
-    P = power_groupoid(G, 2)
+    P, split, pair = product_codec([G, G])
     T = power_groupoid(G, 0)
-    pairs = P.index
 
     def left_fn(gg: str, m: str) -> str:
-        g1, g2 = pairs.parts_of[gg]
+        g1, g2 = split(gg)
         return G.comp[(G.comp[(g1, m)], G.inv[g2])]
 
     return Bibundle(
         P, T, G.arrows,
-        {m: pairs.label_of[(G.l[m], G.r[m])] for m in G.arrows},
+        {m: pair((G.l[m], G.r[m])) for m in G.arrows},
         {m: "()" for m in G.arrows},
         left_fn,
         lambda m, h: m,
@@ -126,18 +125,17 @@ def ev_bibundle(G: FinGroupoid) -> Bibundle:
 
 def cv_bibundle(G: FinGroupoid) -> Bibundle:
     """Arrows of G as a bibundle from the empty power to GxG; m.(h1,h2) = inv(h1) m h2."""
-    P = power_groupoid(G, 2)
+    P, split, pair = product_codec([G, G])
     T = power_groupoid(G, 0)
-    pairs = P.index
 
     def right_fn(m: str, hh: str) -> str:
-        h1, h2 = pairs.parts_of[hh]
+        h1, h2 = split(hh)
         return G.comp[(G.comp[(G.inv[h1], m)], h2)]
 
     return Bibundle(
         T, P, G.arrows,
         {m: "()" for m in G.arrows},
-        {m: pairs.label_of[(G.l[m], G.r[m])] for m in G.arrows},
+        {m: pair((G.l[m], G.r[m])) for m in G.arrows},
         lambda g, m: m,
         right_fn,
     )
@@ -192,37 +190,62 @@ def opposite_bibundle(M: Bibundle) -> Bibundle:
     )
 
 
-def tensor_bibundle(M: Bibundle, N: Bibundle) -> Bibundle:
-    """(GxG')-(HxH') bibundle of pairs with componentwise actions.
+@dataclass(frozen=True, eq=False)
+class TensorBibundle(Bibundle):
+    """A juxtaposition built by tensor_bibundle. It holds its parts, so no
+    part's id can be reused while the tensor is alive."""
 
-    M and N must be valid bibundles (see validate_bibundle): the actions are
-    read through their accessors without domain checks.
+    parts: tuple[Bibundle, ...] = field(repr=False, default=())
+
+
+def _product_moments(P: FinGroupoid, legs: Sequence[tuple[FinGroupoid, Mapping[str, str], FinSet]]) -> list[str]:
+    """The objects of P, the product of the legs' groupoids, at each
+    combination of one carrier point per leg, in itertools.product order; a
+    leg is (groupoid, moment map, carrier). P lists its objects in
+    itertools.product order over the legs' groupoids' objects, so each sits
+    at the mixed-radix position of the points' moments."""
+    positions = [0]
+    for K, moment, carrier in legs:
+        at = K.objects.index
+        column = [at(moment[c]) for c in carrier]
+        n = len(K.objects)
+        positions = [p * n + q for p in positions for q in column]
+    return list(map(P.objects.elements.__getitem__, positions))
+
+
+def tensor_bibundle(*parts: Bibundle) -> Bibundle:
+    """Side-by-side juxtaposition: the bibundle of tuples of points, one per
+    part, over the products of the parts' groupoids, acting part by part.
+
+    Products are flat (see product_groupoid), so a tensor of bundles over G^2
+    and G lives over G^3, and it carries the live product when there is one.
+    An arrow of a product is split into one arrow per part by product_codec.
+    Each carrier label is encoded once, into the tensor's index. One part is
+    returned as it is; no part is a StructuralError. The parts must be valid
+    bibundles (see validate_bibundle): the actions are read through their
+    accessors without domain checks.
     """
-    G = product_groupoid([M.left_groupoid, N.left_groupoid])
-    H = product_groupoid([M.right_groupoid, N.right_groupoid])
-    gidx, hidx = G.index, H.index
+    if not parts:
+        raise StructuralError("empty tensor")
+    if len(parts) == 1:
+        return parts[0]
+    G, lsplit, _ = product_codec([M.left_groupoid for M in parts])
+    H, rsplit, _ = product_codec([M.right_groupoid for M in parts])
     index = LabelIndex()
-    carrier = index.add_product([M.carrier.elements, N.carrier.elements])
-    lmap = {}
-    rmap = {}
-    for p, (m, n) in zip(carrier, itertools.product(M.carrier, N.carrier)):
-        lmap[p] = gidx.label_of[(M.lmap[m], N.lmap[n])]
-        rmap[p] = hidx.label_of[(M.rmap[m], N.rmap[n])]
+    carrier = index.add_product([M.carrier.elements for M in parts])
+    lmap = dict(zip(carrier, _product_moments(G, [(M.left_groupoid, M.lmap, M.carrier) for M in parts])))
+    rmap = dict(zip(carrier, _product_moments(H, [(M.right_groupoid, M.rmap, M.carrier) for M in parts])))
     label_of, parts_of = index.label_of, index.parts_of
-    mleft, nleft = M.left_fn, N.left_fn
-    mright, nright = M.right_fn, N.right_fn
+    lfns = [M.left_fn for M in parts]
+    rfns = [M.right_fn for M in parts]
 
     def left_fn(gg: str, p: str) -> str:
-        g1, g2 = gidx.parts_of[gg]
-        m, n = parts_of[p]
-        return label_of[(mleft(g1, m), nleft(g2, n))]
+        return label_of[tuple([f(g, c) for f, g, c in zip(lfns, lsplit(gg), parts_of[p])])]
 
     def right_fn(p: str, hh: str) -> str:
-        h1, h2 = hidx.parts_of[hh]
-        m, n = parts_of[p]
-        return label_of[(mright(m, h1), nright(n, h2))]
+        return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], rsplit(hh))])]
 
-    return Bibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index)
+    return TensorBibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index, parts=parts)
 
 
 def relabel_bibundle(M: Bibundle, rename: Mapping[str, str]) -> Bibundle:
@@ -466,44 +489,6 @@ def comp_witness(
     for rep in source.carrier:
         m, n = source.index.parts_of[rep]
         forward[rep] = target.project(f1[m], f2[n])
-    return _bijection_witness(source, target, forward)
-
-
-def tensor_witness(
-    w1: IsoWitness, w2: IsoWitness,
-    source: Bibundle | None = None,
-    target: Bibundle | None = None,
-) -> IsoWitness:
-    """Tensor two witnesses componentwise."""
-    source = source if source is not None else tensor_bibundle(w1.source, w2.source)
-    target = target if target is not None else tensor_bibundle(w1.target, w2.target)
-    f1, f2 = w1.forward, w2.forward
-    forward = {}
-    for rep in source.carrier:
-        m, n = source.index.parts_of[rep]
-        forward[rep] = target.index.label_of[(f1[m], f2[n])]
-    return _bijection_witness(source, target, forward)
-
-
-def interchange_witness(
-    A: Bibundle, B: Bibundle, C: Bibundle, D: Bibundle,
-    source: ComposedBibundle | None = None,
-    target: Bibundle | None = None,
-    AC: ComposedBibundle | None = None,
-    BD: ComposedBibundle | None = None,
-) -> IsoWitness:
-    """(A x B).(C x D) ~ (A.C) x (B.D), [(a,b),(c,d)] |-> ([a,c],[b,d])."""
-    source = source if source is not None else compose(tensor_bibundle(A, B), tensor_bibundle(C, D))
-    AC = AC if AC is not None else compose(A, C)
-    BD = BD if BD is not None else compose(B, D)
-    target = target if target is not None else tensor_bibundle(AC, BD)
-    top, bottom = (f.index for f in source.factors)
-    forward = {}
-    for rep in source.carrier:
-        ab, cd = source.index.parts_of[rep]
-        a, b = top.parts_of[ab]
-        c, d = bottom.parts_of[cd]
-        forward[rep] = target.index.label_of[(AC.project(a, c), BD.project(b, d))]
     return _bijection_witness(source, target, forward)
 
 

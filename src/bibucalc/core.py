@@ -9,9 +9,13 @@ Conventions used throughout the package:
 Labels are opaque strings; the order of a finite set is its list order.
 Two groupoids are equal when all their tables are equal.
 
-A product groupoid stores its objects, arrows, label index and unit table
-only: l, r, inv and comp are mappings that read each entry from the factors'
-tables, and its fibers are products of the factors' fibers.
+Products are associative and flat: the factors of a product that are
+themselves products are spliced in, so G^2 x G is G^3, and the one-point
+groupoid G^0 is dropped. A product label is the tuple label of one label per
+flat factor; factors_of and product_codec are the only readers of that
+layout. A product groupoid stores its objects, arrows, label index and unit
+table only: l, r, inv and comp are mappings that read each entry from the
+factors' tables, and its fibers are products of the factors' fibers.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import itertools
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .labels import LabelIndex, tup
@@ -545,30 +549,48 @@ def action_groupoid(
     return FinGroupoid(zs if isinstance(zs, FinSet) else finset(zs), finset(arrows), l, r, comp, inv, unit)
 
 
-# the live product of each factor tuple, keyed by the factors' ids
+# the empty product G^0, shared: its one object and one arrow are labelled ()
+_POINT = trivial_groupoid(["()"])
+
+# the live product of each flat factor tuple, keyed by the factors' ids
 _PRODUCTS: weakref.WeakValueDictionary[tuple[int, ...], FinGroupoid] = weakref.WeakValueDictionary()
 
 
+def factors_of(G: FinGroupoid) -> tuple[FinGroupoid, ...]:
+    """The flat factors of G: a product's factors, none for the point G^0,
+    and G itself for any other groupoid."""
+    comp = G.comp
+    if type(comp) is _ProductComp:
+        return comp._factors
+    return () if G is _POINT else (G,)
+
+
 def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
-    """Product of groupoids with flat tuple labels (n factors, n components).
+    """Product of groupoids with flat tuple labels, one component per flat
+    factor: a factor that is a product contributes its own factors, and the
+    point G^0 contributes none. No flat factor gives the point, and one gives
+    that factor itself (G^1 = G).
 
-    Each object and arrow label is encoded once, into the groupoid's label
-    index. Besides its objects and arrows the product stores that index and
-    its unit table, nothing else: l, r, inv and comp look each entry up in the
-    factors' tables and map the result through the index, and the l- or
-    r-fiber at an object is the product of the factors' fibers at its parts,
-    built the first time it is asked for.
+    Objects and arrows come in itertools.product order over the factors', so
+    over parts that are products they come in itertools.product order over
+    the parts' own. Each object and arrow label is encoded once, into the
+    groupoid's label index. Besides its objects and arrows the product stores
+    that index and its unit table, nothing else: l, r, inv and comp look each
+    entry up in the factors' tables and map the result through the index, and
+    the l- or r-fiber at an object is the product of the factors' fibers at
+    its parts, built the first time it is asked for.
 
-    While a product of the same factor objects is alive, that product is
-    returned instead of a new one. The store holds its products weakly: an
-    entry goes with its product, so the store keeps no product, and through
-    it no factor, alive longer than its callers do. Keying by the factors'
-    ids is sound because a product holds its factors (its tables read them),
-    so no factor's id can be reused while its entry exists.
+    While a product of the same flat factor objects is alive, that product is
+    returned instead of a new one, so G^2 x G is G^3. The store holds its
+    products weakly: an entry goes with its product, so the store keeps no
+    product, and through it no factor, alive longer than its callers do.
+    Keying by the factors' ids is sound because a product holds its factors
+    (its tables read them), so no factor's id can be reused while its entry
+    exists.
     """
-    fs = tuple(factors)
-    if not fs:
-        return trivial_groupoid(["()"])
+    fs = tuple(itertools.chain.from_iterable(map(factors_of, factors)))
+    if len(fs) < 2:
+        return fs[0] if fs else _POINT
     key = tuple(map(id, fs))
     live = _PRODUCTS.get(key)
     if live is not None:
@@ -588,11 +610,50 @@ def power_groupoid(G: FinGroupoid, n: int) -> FinGroupoid:
     """G^n with flat labels; G^0 is the one-point groupoid labelled (), G^1 is G."""
     if n < 0:
         raise StructuralError("negative power")
-    if n == 0:
-        return trivial_groupoid(["()"])
-    if n == 1:
-        return G
     return product_groupoid([G] * n)
+
+
+Split = Callable[[str], tuple[str, ...]]
+Join = Callable[[Sequence[str]], str]
+
+
+def _flat_codec(G: FinGroupoid) -> tuple[Split, Join]:
+    """A label of G -> the labels of its flat factors, and back."""
+    fs = factors_of(G)
+    if len(fs) == 1:
+        return (lambda label: (label,)), itemgetter(0)
+    if not fs:
+        return (lambda label: ()), (lambda labels: "()")
+    return G.index.parts_of.__getitem__, G.index.label_of.__getitem__
+
+
+def product_codec(parts: Sequence[FinGroupoid]) -> tuple[FinGroupoid, Split, Join]:
+    """product_groupoid(parts), with the split of its object and arrow labels
+    into one label per part and the join of such labels back into one.
+
+    The split and join are plain index lookups when every part is a single
+    flat factor; otherwise a label's flat components are cut into one run per
+    part, each run joined into that part's label.
+    """
+    P = product_groupoid(parts)
+    sizes = [len(factors_of(p)) for p in parts]
+    if len(parts) > 1 and sizes.count(1) == len(parts):
+        return P, P.index.parts_of.__getitem__, P.index.label_of.__getitem__
+    psplit, pjoin = _flat_codec(P)
+    codecs = [_flat_codec(p) for p in parts]
+    ends = itertools.accumulate(sizes)
+    runs = [(slice(end - k, end), join) for k, end, (_, join) in zip(sizes, ends, codecs)]
+    splits = [split for split, _ in codecs]
+
+    def split(label: str) -> tuple[str, ...]:
+        flat = psplit(label)
+        return tuple([join(flat[run]) for run, join in runs])
+
+    def join(labels: Sequence[str]) -> str:
+        return pjoin(tuple(itertools.chain.from_iterable(
+            [split(label) for split, label in zip(splits, labels)])))
+
+    return P, split, join
 
 
 def opposite_groupoid(G: FinGroupoid) -> FinGroupoid:
@@ -681,13 +742,13 @@ def compose_homs(phi: GroupoidHom, psi: GroupoidHom) -> GroupoidHom:
 
 
 def diagonal_hom(G: FinGroupoid) -> GroupoidHom:
-    P = product_groupoid([G, G])
-    return GroupoidHom(G, P, {x: tup(x, x) for x in G.objects}, {g: tup(g, g) for g in G.arrows})
+    P, _, pair = product_codec([G, G])
+    return GroupoidHom(G, P, {x: pair((x, x)) for x in G.objects}, {g: pair((g, g)) for g in G.arrows})
 
 
 def swap_hom(G: FinGroupoid, H: FinGroupoid) -> GroupoidHom:
-    P = product_groupoid([G, H])
-    Q = product_groupoid([H, G])
-    f0 = {tup(x, y): tup(y, x) for x in G.objects for y in H.objects}
-    f1 = {tup(g, h): tup(h, g) for g in G.arrows for h in H.arrows}
+    P, _, pair = product_codec([G, H])
+    Q, _, swapped = product_codec([H, G])
+    f0 = {pair((x, y)): swapped((y, x)) for x in G.objects for y in H.objects}
+    f1 = {pair((g, h)): swapped((h, g)) for g in G.arrows for h in H.arrows}
     return GroupoidHom(P, Q, f0, f1)

@@ -12,10 +12,13 @@ Expressions denote bibundles between powers of a fixed base G. Generators:
 plus any names bound in the environment (their arities are read off from
 their groupoids). `*` is juxtaposition (side by side), `;` is composition
 (top to bottom), and `*` binds tighter. Names may use primes, e.g. mu'.
+
+Juxtaposition is calculus.tensor_bibundle. Products of groupoids are flat,
+so the tensor of bundles over powers G^m1, ..., G^mk lives over G^(m1+...+mk),
+the env's own power; the env only keeps each live tensor for reuse.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 import weakref
@@ -33,9 +36,10 @@ from .calculus import (
     ev_bibundle,
     find_iso,
     identity_bibundle,
+    tensor_bibundle,
     terminal_bibundle,
 )
-from .core import FinGroupoid, StructuralError, finset, power_groupoid, swap_hom
+from .core import FinGroupoid, StructuralError, power_groupoid, swap_hom
 from .labels import LabelIndex
 
 Span = tuple[int, int]
@@ -173,17 +177,18 @@ class Wired:
     n: int
 
 
+# the largest arity a bound bundle's groupoid is recognised at
+MAX_ARITY = 6
+
+
 class DiagramEnv:
     """Evaluation context: the base groupoid, bound names, and cached powers
     and tensors. Powers are kept for the env's lifetime; tensor_wired keeps
     each live tensor weakly, so a tensor goes when its last user does."""
 
-    def __init__(self, base: FinGroupoid,
-                 bindings: Mapping[str, Bibundle] | None = None,
-                 max_arity: int = 6):
+    def __init__(self, base: FinGroupoid, bindings: Mapping[str, Bibundle] | None = None):
         self.base = base
         self.bindings = dict(bindings or {})
-        self.max_arity = max_arity
         self._powers: dict[int, FinGroupoid] = {1: base}
         self._cache: dict[str, Wired] = {}
         # the live tensor of each part tuple, keyed by (id(bib), m, n) per part
@@ -196,14 +201,14 @@ class DiagramEnv:
 
     def _arity_of(self, K: FinGroupoid, span: Span | None) -> int:
         nO, nA = len(self.base.objects), len(self.base.arrows)
-        for k in range(self.max_arity + 1):
+        for k in range(MAX_ARITY + 1):
             if len(K.objects) != nO ** k or len(K.arrows) != nA ** k:
                 continue
             P = self.power(k)
             if K is P or K == P:
                 return k
         raise DiagramError(
-            f"groupoid is not a power of the base up to arity {self.max_arity}", span)
+            f"groupoid is not a power of the base up to arity {MAX_ARITY}", span)
 
     def wire(self, bib: Bibundle, span: Span | None = None) -> Wired:
         """Pin a bibundle onto the cached power groupoids; the bundle keeps its
@@ -269,49 +274,10 @@ def typecheck(env: DiagramEnv, expr: str | Ast) -> tuple[int, int]:
     raise DiagramError(f"not a diagram node: {ast!r}")
 
 
-def _splitter(env: DiagramEnv, k: int) -> Callable[[str], tuple[str, ...]]:
-    """Label of an object or arrow of env.power(k) -> its k base components."""
-    if k == 0:
-        return lambda label: ()
-    if k == 1:
-        return lambda label: (label,)
-    return env.power(k).index.parts_of.__getitem__
-
-
-def _joiner(env: DiagramEnv, k: int) -> Callable[[tuple[str, ...]], str]:
-    """k base components -> the label of that object or arrow of env.power(k)."""
-    if k == 0:
-        return lambda parts: "()"
-    if k == 1:
-        return lambda parts: parts[0]
-    return env.power(k).index.label_of.__getitem__
-
-
-def _cutter(env: DiagramEnv, sizes: Sequence[int]) -> Callable[[tuple[str, ...]], list[str]]:
-    """Base components -> the labels of consecutive powers of these sizes."""
-    spans = []
-    at = 0
-    for k in sizes:
-        spans.append((at, at + k, _joiner(env, k)))
-        at += k
-    return lambda comps: [join(comps[a:b]) for a, b, join in spans]
-
-
-@dataclass(frozen=True, eq=False)
-class TensorBibundle(Bibundle):
-    """A juxtaposition built by tensor_wired. It holds its parts, so no part's
-    id can be reused while the tensor is alive."""
-
-    parts: tuple[Bibundle, ...] = field(repr=False, default=())
-
-
 def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
-    """Side-by-side juxtaposition, flattened onto a single power groupoid.
-
-    The binary product would nest wire bundles ((G^2) x G instead of G^3);
-    here arrow labels are split and regrouped so the result always lives over
-    env.power(total). Labels are looked up in the powers' label indexes and
-    in the carrier's own, which is filled as the carrier is enumerated.
+    """Side-by-side juxtaposition: tensor_bibundle of the parts' bundles.
+    Its groupoids are the products of the parts' powers of the base, which
+    are the env's powers of the totals, as live products are shared.
 
     While a tensor of the same parts (the same bundles at the same arities)
     is alive, that tensor is returned instead of a new one, with its orbit
@@ -323,54 +289,17 @@ def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
         raise DiagramError("empty juxtaposition")
     if len(ws) == 1:
         return ws[0]
+    m, n = sum(w.m for w in ws), sum(w.n for w in ws)
     key = tuple([(id(w.bib), w.m, w.n) for w in ws])
     bib = env._tensors.get(key)
     if bib is None:
-        bib = env._tensors[key] = _juxtapose(env, ws)
-    return Wired(bib, sum(w.m for w in ws), sum(w.n for w in ws))
-
-
-def _juxtapose(env: DiagramEnv, ws: list[Wired]) -> TensorBibundle:
-    """The body of tensor_wired: build the flattened tensor of two or more parts."""
-    msizes = [w.m for w in ws]
-    nsizes = [w.n for w in ws]
-    m_total, n_total = sum(msizes), sum(nsizes)
-    GL, GR = env.power(m_total), env.power(n_total)
-    index = LabelIndex()
-    carrier = index.add_product([w.bib.carrier.elements for w in ws])
-    moments = []
-    for w in ws:
-        lsplit, rsplit = _splitter(env, w.m), _splitter(env, w.n)
-        moments.append([(lsplit(w.bib.lmap[c]), rsplit(w.bib.rmap[c])) for c in w.bib.carrier])
-    ljoin, rjoin = _joiner(env, m_total), _joiner(env, n_total)
-    lmap: dict[str, str] = {}
-    rmap: dict[str, str] = {}
-    for p, combo in zip(carrier, itertools.product(*moments)):
-        ls, rs = zip(*combo)
-        lmap[p] = ljoin(tuple(itertools.chain.from_iterable(ls)))
-        rmap[p] = rjoin(tuple(itertools.chain.from_iterable(rs)))
-
-    label_of, parts_of = index.label_of, index.parts_of
-    lsplit, rsplit = _splitter(env, m_total), _splitter(env, n_total)
-    lcut, rcut = _cutter(env, msizes), _cutter(env, nsizes)
-    lfns = [w.bib.left_fn for w in ws]
-    rfns = [w.bib.right_fn for w in ws]
-
-    def left_fn(gg: str, p: str) -> str:
-        gs = lcut(lsplit(gg))
-        return label_of[tuple([f(g, c) for f, g, c in zip(lfns, gs, parts_of[p])])]
-
-    def right_fn(p: str, hh: str) -> str:
-        hs = rcut(rsplit(hh))
-        return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], hs)])]
-
-    return TensorBibundle(GL, GR, finset(carrier), lmap, rmap, left_fn, right_fn, index,
-                          parts=tuple(w.bib for w in ws))
+        bib = env._tensors[key] = tensor_bibundle(*[w.bib for w in ws])
+    return Wired(bib, m, n)
 
 
 def wired_tensor_witness(env: DiagramEnv,
                          entries: Sequence[tuple[IsoWitness, Wired, Wired]]) -> IsoWitness:
-    """Juxtapose witnesses componentwise between flattened tensors.
+    """Juxtapose witnesses componentwise between tensors.
 
     Each entry is (witness, source wiring, target wiring); the wirings must
     carry the same carriers as the witness endpoints.

@@ -40,6 +40,7 @@ from .core import (
     check_hom,
     one_object_groupoid,
     power_groupoid,
+    product_codec,
     trivial_groupoid,
 )
 from .diagram import (
@@ -438,16 +439,16 @@ def two_group_from_crossed_module(cm: CrossedModuleIncl) -> StackyGroupData:
     A_grpd = one_object_groupoid(
         cm.sub, {(a, a2): mulB[(a, a2)] for a in cm.sub for a2 in cm.sub})
     T = action_groupoid(A_grpd, list(B.arrows), lambda a, b: mulB[(a, b)])
-    P2 = power_groupoid(T, 2)
+    P2, _, pair = product_codec([T, T])
 
-    f0 = {tup(b1, b2): mulB[(b1, b2)] for b1 in B.arrows for b2 in B.arrows}
+    f0 = {pair((b1, b2)): mulB[(b1, b2)] for b1 in B.arrows for b2 in B.arrows}
     f1 = {}
     for a1 in cm.sub:
         for b1 in B.arrows:
             for a2 in cm.sub:
                 for b2 in B.arrows:
                     twisted = mulB[(a1, mulB[(mulB[(b1, a2)], invB[b1])])]
-                    f1[tup(tup(a1, b1), tup(a2, b2))] = tup(twisted, mulB[(b1, b2)])
+                    f1[pair((tup(a1, b1), tup(a2, b2)))] = tup(twisted, mulB[(b1, b2)])
     mult = GroupoidHom(P2, T, f0, f1)
     rep = check_hom(mult)
     if not rep.ok:
@@ -494,8 +495,8 @@ def plain_group_data(n: int) -> StackyGroupData:
 def and_monoid_data() -> StackyGroupData:
     """Two points with logical AND: a monoid object that is not a group."""
     base = trivial_groupoid(["0", "1"])
-    P2 = power_groupoid(base, 2)
-    f0 = {tup(x, y): "1" if x == "1" and y == "1" else "0"
+    P2, _, pair = product_codec([base, base])
+    f0 = {pair((x, y)): "1" if x == "1" and y == "1" else "0"
           for x in base.objects for y in base.objects}
     mult = GroupoidHom(P2, base, f0, dict(f0))
     e_hom = GroupoidHom(power_groupoid(base, 0), base, {"()": "1"}, {"()": "1"})

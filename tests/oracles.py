@@ -29,7 +29,16 @@ These deliberately avoid the code paths they are checking:
   non-strict kan_check, where classify reads it off the strict report;
 - the generator-groupoid oracle encodes every label afresh at each table
   entry that names it, where build_groupoid encodes each label once and
-  reads the tables by position.
+  reads the tables by position;
+- the tensor oracles are the two tensors the library had before its products
+  were flat: tensor_binary pairs two bundles over the binary product of
+  their groupoids, looking moments up by their pair of labels, and
+  juxtapose_scan flattens any number of wired bundles onto the env's power
+  by splitting and joining labels per arity, where tensor_bibundle reads the
+  moments by mixed-radix position and splits arrows through product_codec;
+  the witness oracles tensor_witness_binary and interchange_witness_binary
+  pair the binary tensors' labels by hand, where wired_tensor_witness and
+  interchange_blocks read the n-ary tensors' indexes.
 """
 from __future__ import annotations
 
@@ -43,15 +52,17 @@ from bibucalc.bibundle import (
     PrincipalityReport,
     check_pairing_axioms,
 )
+from bibucalc.calculus import ComposedBibundle, IsoWitness, _bijection_witness, compose
 from bibucalc.core import (
     FinGroupoid,
     StructuralError,
     ValidationReport,
     Violation,
     finset,
+    product_groupoid,
 )
 from bibucalc.generators import GrpdSpec
-from bibucalc.labels import tup
+from bibucalc.labels import LabelIndex, tup
 from bibucalc.simplicial import (
     ClassifyReport,
     HornFiller,
@@ -599,3 +610,140 @@ def build_groupoid_scan(spec: GrpdSpec) -> FinGroupoid:
                         for k2 in range(m):
                             comp[(tup(i, j, str(k)), tup(j, j2, str(k2)))] = tup(i, j2, str((k + k2) % m))
     return FinGroupoid(finset(objects), finset(arrows), l, r, comp, inv, unit)
+
+
+# ---------------------------------------------------------------------------
+# the tensors before flat products, and their witnesses
+
+
+def bundle_tables(M: Bibundle) -> tuple:
+    """What the tensor differentials compare: the groupoids (by identity),
+    the carrier, the moments and both action tables, in order."""
+    return (id(M.left_groupoid), id(M.right_groupoid), M.carrier.elements,
+            list(M.lmap.items()), list(M.rmap.items()),
+            list(M.left_table().items()), list(M.right_table().items()))
+
+
+def tensor_binary(M: Bibundle, N: Bibundle) -> Bibundle:
+    """(GxG')-(HxH') bibundle of pairs with componentwise actions, over the
+    binary products of the parts' groupoids; each moment is looked up by its
+    pair of labels, so the parts' groupoids must not be products."""
+    G = product_groupoid([M.left_groupoid, N.left_groupoid])
+    H = product_groupoid([M.right_groupoid, N.right_groupoid])
+    gidx, hidx = G.index, H.index
+    index = LabelIndex()
+    carrier = index.add_product([M.carrier.elements, N.carrier.elements])
+    lmap = {}
+    rmap = {}
+    for p, (m, n) in zip(carrier, itertools.product(M.carrier, N.carrier)):
+        lmap[p] = gidx.label_of[(M.lmap[m], N.lmap[n])]
+        rmap[p] = hidx.label_of[(M.rmap[m], N.rmap[n])]
+    label_of, parts_of = index.label_of, index.parts_of
+    mleft, nleft = M.left_fn, N.left_fn
+    mright, nright = M.right_fn, N.right_fn
+
+    def left_fn(gg: str, p: str) -> str:
+        g1, g2 = gidx.parts_of[gg]
+        m, n = parts_of[p]
+        return label_of[(mleft(g1, m), nleft(g2, n))]
+
+    def right_fn(p: str, hh: str) -> str:
+        h1, h2 = hidx.parts_of[hh]
+        m, n = parts_of[p]
+        return label_of[(mright(m, h1), nright(n, h2))]
+
+    return Bibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index)
+
+
+def tensor_witness_binary(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
+    """Two witnesses tensored componentwise between binary tensors."""
+    source = tensor_binary(w1.source, w2.source)
+    target = tensor_binary(w1.target, w2.target)
+    f1, f2 = w1.forward, w2.forward
+    forward = {}
+    for rep in source.carrier:
+        m, n = source.index.parts_of[rep]
+        forward[rep] = target.index.label_of[(f1[m], f2[n])]
+    return _bijection_witness(source, target, forward)
+
+
+def interchange_witness_binary(A: Bibundle, B: Bibundle, C: Bibundle, D: Bibundle) -> IsoWitness:
+    """(A x B).(C x D) ~ (A.C) x (B.D), [(a,b),(c,d)] |-> ([a,c],[b,d]),
+    over binary tensors."""
+    source: ComposedBibundle = compose(tensor_binary(A, B), tensor_binary(C, D))
+    AC, BD = compose(A, C), compose(B, D)
+    target = tensor_binary(AC, BD)
+    top, bottom = (f.index for f in source.factors)
+    forward = {}
+    for rep in source.carrier:
+        ab, cd = source.index.parts_of[rep]
+        a, b = top.parts_of[ab]
+        c, d = bottom.parts_of[cd]
+        forward[rep] = target.index.label_of[(AC.project(a, c), BD.project(b, d))]
+    return _bijection_witness(source, target, forward)
+
+
+def _splitter(env, k: int):
+    """Label of an object or arrow of env.power(k) -> its k base components."""
+    if k == 0:
+        return lambda label: ()
+    if k == 1:
+        return lambda label: (label,)
+    return env.power(k).index.parts_of.__getitem__
+
+
+def _joiner(env, k: int):
+    """k base components -> the label of that object or arrow of env.power(k)."""
+    if k == 0:
+        return lambda parts: "()"
+    if k == 1:
+        return lambda parts: parts[0]
+    return env.power(k).index.label_of.__getitem__
+
+
+def _cutter(env, sizes):
+    """Base components -> the labels of consecutive powers of these sizes."""
+    spans = []
+    at = 0
+    for k in sizes:
+        spans.append((at, at + k, _joiner(env, k)))
+        at += k
+    return lambda comps: [join(comps[a:b]) for a, b, join in spans]
+
+
+def juxtapose_scan(env, ws) -> Bibundle:
+    """The tensor of two or more wired bundles over env.power of the total
+    arities, splitting every label into base components by arity and joining
+    the components back per part; the base must not be a product."""
+    msizes = [w.m for w in ws]
+    nsizes = [w.n for w in ws]
+    m_total, n_total = sum(msizes), sum(nsizes)
+    index = LabelIndex()
+    carrier = index.add_product([w.bib.carrier.elements for w in ws])
+    moments = []
+    for w in ws:
+        lsplit, rsplit = _splitter(env, w.m), _splitter(env, w.n)
+        moments.append([(lsplit(w.bib.lmap[c]), rsplit(w.bib.rmap[c])) for c in w.bib.carrier])
+    ljoin, rjoin = _joiner(env, m_total), _joiner(env, n_total)
+    lmap: dict[str, str] = {}
+    rmap: dict[str, str] = {}
+    for p, combo in zip(carrier, itertools.product(*moments)):
+        ls, rs = zip(*combo)
+        lmap[p] = ljoin(tuple(itertools.chain.from_iterable(ls)))
+        rmap[p] = rjoin(tuple(itertools.chain.from_iterable(rs)))
+    label_of, parts_of = index.label_of, index.parts_of
+    lsplit, rsplit = _splitter(env, m_total), _splitter(env, n_total)
+    lcut, rcut = _cutter(env, msizes), _cutter(env, nsizes)
+    lfns = [w.bib.left_fn for w in ws]
+    rfns = [w.bib.right_fn for w in ws]
+
+    def left_fn(gg: str, p: str) -> str:
+        gs = lcut(lsplit(gg))
+        return label_of[tuple([f(g, c) for f, g, c in zip(lfns, gs, parts_of[p])])]
+
+    def right_fn(p: str, hh: str) -> str:
+        hs = rcut(rsplit(hh))
+        return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], hs)])]
+
+    return Bibundle(env.power(m_total), env.power(n_total), finset(carrier), lmap, rmap,
+                    left_fn, right_fn, index)

@@ -31,7 +31,6 @@ from bibucalc.calculus import (
     flip_bibundle,
     identity_bibundle,
     identity_witness,
-    interchange_witness,
     invert_witness,
     is_weak_isomorphism,
     lunit_witness,
@@ -39,7 +38,6 @@ from bibucalc.calculus import (
     relabel_bibundle,
     runit_witness,
     tensor_bibundle,
-    tensor_witness,
     terminal_bibundle,
     validate_iso,
 )
@@ -54,7 +52,7 @@ from bibucalc.generators import (
 from bibucalc.groups import kronecker_finite, preinverse
 from bibucalc.labels import tup, untup
 
-from oracles import iso_search_dfs, orbit_quotient
+from oracles import bundle_tables, iso_search_dfs, orbit_quotient, tensor_binary
 
 
 def _composable_pairs(M, N):
@@ -273,21 +271,51 @@ def test_comp_and_tensor_whiskering():
     w = identity_witness(M)
     ww = comp_witness(w, w)
     assert validate_iso(ww).ok
-    tw = tensor_witness(w, w)
+    env = diagram.DiagramEnv(G)
+    Mw = env.wire(M)
+    tw = diagram.wired_tensor_witness(env, [(w, Mw, Mw), (w, Mw, Mw)])
     assert validate_iso(tw).ok
 
 
-def test_interchange_witness_validates():
-    rng = random.Random(13)
-    G = random_groupoid(rng, prefix="g", max_objects=2, max_isotropy=2)
-    H = random_groupoid(rng, prefix="h", max_objects=2, max_isotropy=2)
-    K = random_groupoid(rng, prefix="k", max_objects=2, max_isotropy=2)
-    A = bundlize(random_hom(rng, G, H))
-    C = bundlize(random_hom(rng, H, K))
-    B = bundlize(random_hom(rng, G, H))
-    D = bundlize(random_hom(rng, H, K))
-    w = interchange_witness(A, B, C, D)
-    assert validate_iso(w).ok
+# ---------------------------------------------------------------------------
+# the n-ary tensor
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_tensor_matches_binary_oracle(seed, same):
+    rng = random.Random(seed)
+    M = random_bibundle(rng, max_objects=2, max_isotropy=2)
+    N = M if same else random_bibundle(rng, max_objects=2, max_isotropy=2)
+    T = tensor_bibundle(M, N)
+    assert bundle_tables(T) == bundle_tables(tensor_binary(M, N))
+    assert T.parts == (M, N)
+    assert validate_bibundle(T).ok
+
+
+def test_tensor_of_one_part_is_that_part_and_of_none_refused():
+    M = identity_bibundle(cyclic_groupoid(3))
+    assert tensor_bibundle(M) is M
+    with pytest.raises(StructuralError):
+        tensor_bibundle()
+
+
+def test_tensor_is_flat_over_powers_and_the_point():
+    G = cyclic_groupoid(2)
+    M, D, E = identity_bibundle(G), diagonal_bibundle(G), terminal_bibundle(G)
+    # (G x G^2) on the right is G^3, the live cube
+    T = tensor_bibundle(M, D)
+    cube = power_groupoid(G, 3)
+    assert T.left_groupoid is power_groupoid(G, 2) and T.right_groupoid is cube
+    assert validate_bibundle(T).ok
+    # the point drops out of a product: eps * id runs G^2 -> G
+    TE = tensor_bibundle(E, M)
+    assert TE.left_groupoid is power_groupoid(G, 2) and TE.right_groupoid is G
+    assert validate_bibundle(TE).ok
+    # a tensor of a tensor lives over the flat product of all the parts
+    TT = tensor_bibundle(T, M)
+    assert TT.left_groupoid is cube and TT.right_groupoid is power_groupoid(G, 4)
+    assert validate_bibundle(TT).ok
 
 
 def test_find_iso_lex_least_and_relabelling():

@@ -28,6 +28,7 @@ from bibucalc import (
     validate_category,
     validate_groupoid,
 )
+from bibucalc.core import factors_of, product_codec
 from bibucalc.calculus import diagonal_bibundle, tensor_bibundle
 from bibucalc.generators import random_groupoid, random_right_principal_bibundle
 from bibucalc.groups import check_group, kronecker_finite
@@ -213,6 +214,9 @@ def test_product_comp_matches_eager_oracle(seeds):
     factors = [random_groupoid(random.Random(s), max_objects=2, max_isotropy=2, prefix=f"f{i}")
                for i, s in enumerate(seeds)]
     P = product_groupoid(factors)
+    if len(factors) == 1:
+        assert P is factors[0]
+        return
     want = eager_product_comp(factors)
     assert P.comp == want
     assert want == P.comp
@@ -250,6 +254,50 @@ def test_product_of_live_factors_is_shared():
     assert product_groupoid([G, G]) is P
     assert power_groupoid(G, 2) is P
     assert product_groupoid([G, G, G]) is not P
+
+
+def test_products_are_flat():
+    G, H = cyclic_groupoid(3), pair_groupoid(2)
+    cube = power_groupoid(G, 3)
+    assert product_groupoid([power_groupoid(G, 2), G]) is cube
+    assert product_groupoid([G, power_groupoid(G, 2)]) is cube
+    GH = product_groupoid([G, H])
+    P = product_groupoid([GH, GH])
+    assert factors_of(P) == (G, H, G, H)
+    assert product_groupoid([G, H, G, H]) is P
+    # labels are flat: one component per flat factor, the last fastest
+    assert P.arrows.elements[3] == tup(*[f.arrows.elements[0] for f in (G, H, G)], H.arrows.elements[3])
+
+
+def test_the_point_and_one_factor():
+    G = cyclic_groupoid(3)
+    point = product_groupoid([])
+    assert point is power_groupoid(G, 0)
+    assert point == trivial_groupoid(["()"])
+    assert factors_of(point) == ()
+    assert product_groupoid([G]) is G
+    assert power_groupoid(G, 1) is G
+    # the point drops out of a product, and a lone remaining factor is itself
+    assert product_groupoid([point, G, point]) is G
+    assert product_groupoid([point, point]) is point
+    GG = product_groupoid([G, G])
+    assert product_groupoid([G, point, G]) is GG
+    with pytest.raises(StructuralError):
+        power_groupoid(G, -1)
+
+
+def test_product_codec_splits_and_joins_per_part():
+    G, H = cyclic_groupoid(3), pair_groupoid(2)
+    GH = product_groupoid([G, H])
+    point = power_groupoid(G, 0)
+    for parts in ([G, H], [GH, G], [G, point, GH], [GH], [point], [], [G, G, H]):
+        P, split, join = product_codec(parts)
+        assert P is product_groupoid(parts)
+        for table in ("objects", "arrows"):
+            labels = [getattr(p, table).elements for p in parts]
+            combos = list(itertools.product(*labels))
+            assert [join(c) for c in combos] == list(getattr(P, table).elements)
+            assert [split(x) for x in getattr(P, table).elements] == combos
 
 
 def test_store_does_not_keep_products_alive():
@@ -298,7 +346,11 @@ def _random_factors(seeds):
 @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=3))
 def test_product_groupoid_matches_eager_oracle(seeds):
     factors = _random_factors(seeds)
-    P, want = product_groupoid(factors), product_groupoid_eager(factors)
+    P = product_groupoid(factors)
+    if len(factors) == 1:
+        assert P is factors[0]
+        return
+    want = product_groupoid_eager(factors)
     assert P.objects == want.objects
     assert P.arrows == want.arrows
     for name in ("l", "r", "inv", "unit", "comp"):

@@ -5,7 +5,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bibucalc import bundlize, compose, connected_components, find_iso, validate_bibundle, validate_iso
+from bibucalc import (
+    bundlize,
+    check_hom,
+    compose,
+    connected_components,
+    cv_bibundle,
+    cyclic_groupoid,
+    diagonal_bibundle,
+    diagonal_hom,
+    ev_bibundle,
+    find_iso,
+    opposite_bibundle,
+    pair_groupoid,
+    product_groupoid,
+    swap_hom,
+    tensor_bibundle,
+    validate_bibundle,
+    validate_iso,
+)
 from bibucalc import calculus, diagram, groups
 from bibucalc.calculus import identity_bibundle
 from bibucalc.diagram import (
@@ -22,8 +40,11 @@ from bibucalc.diagram import (
     tensor_wired,
     to_text,
     typecheck,
+    wired_tensor_witness,
 )
-from bibucalc.generators import random_groupoid, random_hom, standard_groupoid
+from bibucalc.generators import random_groupoid, random_hom, relabel_randomly, standard_groupoid
+
+from oracles import bundle_tables, interchange_witness_binary, juxtapose_scan, tensor_witness_binary
 
 
 def test_parse_shapes_and_precedence():
@@ -154,7 +175,6 @@ def test_swap_is_natural_for_bound_bundles(seed):
 
 
 def test_bound_names_get_arities_from_their_groupoids():
-    from bibucalc import diagonal_bibundle
     G = standard_groupoid("cyclic", 2)
     env = DiagramEnv(G, bindings={"q": diagonal_bibundle(G)})
     assert typecheck(env, "q") == (1, 2)
@@ -203,22 +223,97 @@ def test_tensor_store_keys_by_identity_not_equality():
 
 def test_coherence_builds_each_tensor_and_composite_once(monkeypatch):
     counts = {"tensor": 0, "compose": 0}
-    juxtapose = diagram._juxtapose
 
-    def counted_juxtapose(env, ws):
+    def counted_tensor(*parts):
         counts["tensor"] += 1
-        return juxtapose(env, ws)
+        return tensor_bibundle(*parts)
 
     def counted_compose(M, N):
         counts["compose"] += 1
         return compose(M, N)
 
-    monkeypatch.setattr(diagram, "_juxtapose", counted_juxtapose)
+    monkeypatch.setattr(diagram, "tensor_bibundle", counted_tensor)
     for module in (calculus, diagram, groups):
         monkeypatch.setattr(module, "compose", counted_compose)
     assert groups.check_coherence(groups.kronecker_finite(2, 1)).ok
     # 29 tensor_wired calls on 18 part tuples, and 31 composites
     assert counts == {"tensor": 18, "compose": 31}
+
+
+def test_tensor_wired_matches_juxtapose_oracle_on_coherence(monkeypatch):
+    calls = []
+    tensor = diagram.tensor_wired
+
+    def recording(env, parts):
+        out = tensor(env, parts)
+        calls.append((env, list(parts), out))
+        return out
+
+    for module in (diagram, groups):
+        monkeypatch.setattr(module, "tensor_wired", recording)
+    assert groups.check_coherence(groups.kronecker_finite(2, 1)).ok
+    seen = set()
+    for env, ws, out in calls:
+        key = tuple((id(w.bib), w.m, w.n) for w in ws)
+        if len(ws) < 2 or key in seen:
+            continue
+        seen.add(key)
+        assert (out.m, out.n) == (sum(w.m for w in ws), sum(w.n for w in ws))
+        assert bundle_tables(out.bib) == bundle_tables(juxtapose_scan(env, ws))
+    assert len(seen) == 18
+
+
+def _hom_bundle(rng, G):
+    """A bundle over G on both sides, right principal or its opposite."""
+    M = bundlize(random_hom(rng, G, G))
+    return M if rng.random() < 0.5 else opposite_bibundle(M)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**9))
+def test_interchange_blocks_matches_binary_witness_oracle(seed):
+    rng = random.Random(seed)
+    G = random_groupoid(rng, max_objects=2, max_isotropy=2)
+    env = DiagramEnv(G)
+    A, B, C, D = (_hom_bundle(rng, G) for _ in range(4))
+    top, bottom = [env.wire(A), env.wire(B)], [env.wire(C), env.wire(D)]
+    w, comps = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)])
+    want = interchange_witness_binary(A, B, C, D)
+    assert list(w.source.carrier) == list(want.source.carrier)
+    assert list(w.target.carrier) == list(want.target.carrier)
+    assert list(w.forward.items()) == list(want.forward.items())
+    assert [c.bib.factors for c in comps] == [(A, C), (B, D)]
+    assert validate_iso(w).ok
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10**9))
+def test_wired_tensor_witness_matches_binary_witness_oracle(seed):
+    rng = random.Random(seed)
+    G = random_groupoid(rng, max_objects=2, max_isotropy=2)
+    env = DiagramEnv(G)
+    entries, witnesses = [], []
+    for _ in range(2):
+        M = _hom_bundle(rng, G)
+        w = find_iso(M, relabel_randomly(rng, M))
+        witnesses.append(w)
+        entries.append((w, env.wire(w.source), env.wire(w.target)))
+    got = wired_tensor_witness(env, entries)
+    want = tensor_witness_binary(*witnesses)
+    assert list(got.forward.items()) == list(want.forward.items())
+    assert validate_iso(got).ok
+
+
+def test_constructors_over_a_product_base():
+    P = product_groupoid([pair_groupoid(2), cyclic_groupoid(2)])
+    assert check_hom(swap_hom(P, P)).ok
+    assert check_hom(diagonal_hom(P)).ok
+    for M in (diagonal_bibundle(P), ev_bibundle(P), cv_bibundle(P)):
+        assert validate_bibundle(M).ok
+    env = DiagramEnv(P)
+    assert check_identity(env, "tau ; tau", "id * id").ok
+    assert check_identity(env, "delta ; tau", "delta").ok
+    assert typecheck(env, "delta * ev") == (3, 2)
 
 
 def test_interchange_blocks_takes_a_pinned_composite():

@@ -2,11 +2,14 @@
 __init__ re-exports, so it is left out), no module but labels reads the
 label decoder untup (the library keeps each label's parts beside it instead
 of decoding it), the generators name no encoder tup (they encode each label
-once, through a LabelIndex), and every public function of tests/oracles.py is imported by
-some test module, so an oracle cannot outlive the code it checks. Found with the stdlib ast module: a name counts as used
+once, through a LabelIndex), every public function of tests/oracles.py is imported by
+some test module, so an oracle cannot outlive the code it checks, and every
+function the benchmark tracer wraps still exists, so `run.py --trace` cannot
+break on a rename. Found with the stdlib ast module: a name counts as used
 when it is read anywhere in the module; annotations stay expressions in the
 tree even under `from __future__ import annotations`."""
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -92,3 +95,21 @@ def test_every_oracle_is_imported_by_a_test():
 
 def test_oracle_scan_reads_from_imports():
     assert _oracle_imports("from oracles import a, b as c\nimport oracles\n") == {"a", "b"}
+
+
+def _spanned(source: str) -> dict[str, tuple[str, ...]]:
+    """The SPANNED table of the tracer's source, read without importing it."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "SPANNED" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no SPANNED table")
+
+
+def test_every_traced_function_exists():
+    spanned = _spanned((TESTS.parent / "benchmark" / "tracing.py").read_text())
+    assert "diagram" in spanned and "tensor_bibundle" in spanned["calculus"]
+    missing = [f"{module}.{name}" for module, names in spanned.items()
+               for name in names
+               if not callable(getattr(importlib.import_module(f"bibucalc.{module}"), name, None))]
+    assert missing == []
