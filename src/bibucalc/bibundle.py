@@ -24,7 +24,7 @@ from .core import (
     Violation,
     finset,
 )
-from .labels import LabelIndex
+from .labels import Escapes, LabelIndex
 
 ActFn = Callable[[str, str], str]
 
@@ -42,8 +42,11 @@ class Bibundle:
     # the explicit action tables a bundle was built from, if any; validation
     # refuses rows off the actions' domains, which the accessors never read
     tables: tuple[Mapping, Mapping] | None = field(default=None, repr=False)
-    # the orbit passes of the two actions by side, filled by _orbit_pass
-    _passes: dict = field(default_factory=dict, init=False, repr=False)
+    # what is read off the bundle once and kept, filled on first use: the
+    # orbit passes by side ("right", "left", see _orbit_pass), the fibers of
+    # each moment map ("lmap", "rmap", see _fibers) and the escaped carrier
+    # labels ("esc", see _escapes)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def act_left(self, g: str, m: str) -> str:
         if m not in self.carrier:
@@ -203,11 +206,27 @@ class PrincipalityReport:
         return self.surjective and self.free and self.transitive
 
 
-def _fibers(M: Bibundle, moment: Mapping[str, str]) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    for m in M.carrier:
-        out.setdefault(moment[m], []).append(m)
+def _fibers(M: Bibundle, moment: str) -> dict[str, list[str]]:
+    """The carrier points over each object under the moment map named
+    ("lmap" or "rmap"), in carrier order; made once per bundle and kept, so
+    callers must not change it."""
+    out = M._cache.get(moment)
+    if out is None:
+        out = M._cache[moment] = {}
+        values = getattr(M, moment)
+        for m in M.carrier:
+            out.setdefault(values[m], []).append(m)
     return out
+
+
+def _escapes(M: Bibundle) -> Escapes:
+    """The escaped form of each carrier label of M, escaped on first use
+    and kept on M, so each label is escaped once however many labels are
+    built from it."""
+    memo = M._cache.get("esc")
+    if memo is None:
+        memo = M._cache["esc"] = Escapes()
+    return memo
 
 
 @dataclass(frozen=True)
@@ -248,7 +267,7 @@ class _OrbitPass:
 
 
 def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
-    cached = M._passes.get(side)
+    cached = M._cache.get(side)
     if cached is not None:
         return cached
     if side == "right":
@@ -282,7 +301,7 @@ def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
                 fixing.append(k)
         if fixing:
             stabilisers[rep] = tuple(fixing)
-    M._passes[side] = orbits = _OrbitPass(side, acting, reach, stabilisers)
+    M._cache[side] = orbits = _OrbitPass(side, acting, reach, stabilisers)
     return orbits
 
 
@@ -290,9 +309,9 @@ def _principality(M: Bibundle, orbits: _OrbitPass) -> PrincipalityReport:
     """check_principal read off a pass: a fiber is one orbit when each of its
     points has the fiber's first point as representative."""
     if orbits.side == "right":
-        base_objects, fiber_of = M.left_groupoid.objects, _fibers(M, M.lmap)
+        base_objects, fiber_of = M.left_groupoid.objects, _fibers(M, "lmap")
     else:
-        base_objects, fiber_of = M.right_groupoid.objects, _fibers(M, M.rmap)
+        base_objects, fiber_of = M.right_groupoid.objects, _fibers(M, "rmap")
     witnesses: dict = {}
     empty = next((x for x in base_objects if x not in fiber_of), None)
     if empty is not None:
@@ -362,7 +381,7 @@ def compute_pairing(M: Bibundle) -> Pairing | NoPairing:
         return NoPairing("free", orbits.stabiliser)
     reach = orbits.reach
     table: dict[tuple[str, str], str] = {}
-    for fiber in _fibers(M, M.lmap).values():
+    for fiber in _fibers(M, "lmap").values():
         for m in fiber:
             for m2 in fiber:
                 if reach[m][0] != reach[m2][0]:
@@ -382,7 +401,7 @@ def check_pairing_axioms(M: Bibundle, P: Pairing) -> ValidationReport:
     out: list[Violation] = []
     G, H = M.left_groupoid, M.right_groupoid
     t = P.table
-    fibers = _fibers(M, M.lmap)
+    fibers = _fibers(M, "lmap")
     for x, fiber in fibers.items():
         for m in fiber:
             for m2 in fiber:

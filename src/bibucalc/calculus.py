@@ -29,6 +29,7 @@ from .bibundle import (
     PrincipalityReport,
     _OrbitPass,
     _biprincipal_passes,
+    _escapes,
     _fibers,
     _orbit_pass,
 )
@@ -44,7 +45,7 @@ from .core import (
     product_codec,
     swap_hom,
 )
-from .labels import LabelIndex, esc
+from .labels import Escapes, LabelIndex, esc
 
 
 def _same_groupoid(A: FinGroupoid, B: FinGroupoid) -> bool:
@@ -67,18 +68,15 @@ def identity_bibundle(G: FinGroupoid) -> Bibundle:
 def diagonal_bibundle(G: FinGroupoid) -> Bibundle:
     """The G-(GxG) bibundle of pairs of arrows with a common left object."""
     P, split, pair = product_codec([G, G])
+    Gl, Gr = G.l, G.r
+    # the points (g1, g2) with l(g1) == l(g2), in arrow order; each arrow is
+    # escaped once
+    points = [(g1, g2) for g1 in G.arrows for g2 in G.l_fiber(Gl[g1])]
+    escaped = dict(zip(G.arrows, map(esc, G.arrows)))
     index = LabelIndex()
-    carrier = []
-    lmap = {}
-    rmap = {}
-    for g1 in G.arrows:
-        for g2 in G.arrows:
-            if G.l[g1] != G.l[g2]:
-                continue
-            m = index.add((g1, g2))
-            carrier.append(m)
-            lmap[m] = G.l[g1]
-            rmap[m] = pair((G.r[g1], G.r[g2]))
+    carrier = index.add_escaped(points, [(escaped[g1], escaped[g2]) for g1, g2 in points])
+    lmap = {m: Gl[g1] for m, (g1, _) in zip(carrier, points)}
+    rmap = {m: pair((Gr[g1], Gr[g2])) for m, (g1, g2) in zip(carrier, points)}
     label_of, parts_of = index.label_of, index.parts_of
     comp = G.comp
 
@@ -148,16 +146,15 @@ def bundlize(phi: GroupoidHom) -> Bibundle:
     left leg, H composes on the right leg.
     """
     G, H = phi.source, phi.target
+    # the points (x, h): x in object order, then h over the l-fiber of
+    # phi0(x); each part is escaped once
+    points = [(x, h) for x in G.objects for h in H.l_fiber(phi.f0[x])]
+    escaped = Escapes()
     index = LabelIndex()
-    carrier = []
-    lmap = {}
-    rmap = {}
-    for x in G.objects:
-        for h in H.l_fiber(phi.f0[x]):
-            m = index.add((x, h))
-            carrier.append(m)
-            lmap[m] = x
-            rmap[m] = H.r[h]
+    carrier = index.add_escaped(points, [(escaped[x], escaped[h]) for x, h in points])
+    Hr = H.r
+    lmap = {m: x for m, (x, _) in zip(carrier, points)}
+    rmap = {m: Hr[h] for m, (_, h) in zip(carrier, points)}
     label_of, parts_of = index.label_of, index.parts_of
     Gl, Hcomp, f1 = G.l, H.comp, phi.f1
 
@@ -220,8 +217,10 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     Products are flat (see product_groupoid), so a tensor of bundles over G^2
     and G lives over G^3, and it carries the live product when there is one.
     An arrow of a product is split into one arrow per part by product_codec.
-    Each carrier label is encoded once, into the tensor's index. One part is
-    returned as it is; no part is a StructuralError. The parts must be valid
+    Each carrier label is encoded once, into the tensor's index, from the
+    parts' points escaped through each part's escape memo, so a part's point
+    is escaped once however many tensors and composites read it. One part
+    is returned as it is; no part is a StructuralError. The parts must be valid
     bibundles (see validate_bibundle): the actions are read through their
     accessors without domain checks.
     """
@@ -232,7 +231,9 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     G, lsplit, _ = product_codec([M.left_groupoid for M in parts])
     H, rsplit, _ = product_codec([M.right_groupoid for M in parts])
     index = LabelIndex()
-    carrier = index.add_product([M.carrier.elements for M in parts])
+    columns = [M.carrier.elements for M in parts]
+    escaped = [list(map(_escapes(M).__getitem__, column)) for M, column in zip(parts, columns)]
+    carrier = index.add_escaped(itertools.product(*columns), itertools.product(*escaped))
     lmap = dict(zip(carrier, _product_moments(G, [(M.left_groupoid, M.lmap, M.carrier) for M in parts])))
     rmap = dict(zip(carrier, _product_moments(H, [(M.right_groupoid, M.rmap, M.carrier) for M in parts])))
     label_of, parts_of = index.label_of, index.parts_of
@@ -291,9 +292,10 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     the representatives are the pairs (m0, n) whose n is least, in N's
     carrier order, among its images under m0's stabiliser. Each
     representative is encoded once, tup(m0, n) byte for byte, from parts
-    escaped once: each representative m0 before its pairs, each n the first
-    time a pair uses it. The composite's label index holds each
-    representative's pair, and project looks representatives up.
+    escaped through M's and N's escape memos, so a point of M or N is
+    escaped once however many composites read it. N's points over each
+    object come from the lmap fibers kept on N. The composite's label index
+    holds each representative's pair, and project looks representatives up.
     """
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
@@ -308,20 +310,17 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
 
     pairs: list[tuple[str, str]] = []
     escaped: list[tuple[str, str]] = []
-    escaped_n: dict[str, str] = {}
-    n_by_obj = _fibers(N, nlmap)
+    m_esc, n_esc = _escapes(M).__getitem__, _escapes(N).__getitem__
+    n_by_obj = _fibers(N, "lmap")
     for m in M.carrier:
         if reach[m][0] != m:
             continue
         fixing = stabilisers.get(m)
-        m_esc = esc(m)
-        for n in n_by_obj.get(mrmap[m], []):
+        escaped_m = m_esc(m)
+        for n in n_by_obj.get(mrmap[m], ()):
             if not fixing or least(fixing, n) == n:
-                n_esc = escaped_n.get(n)
-                if n_esc is None:
-                    n_esc = escaped_n[n] = esc(n)
                 pairs.append((m, n))
-                escaped.append((m_esc, n_esc))
+                escaped.append((escaped_m, n_esc(n)))
     index = LabelIndex()
     carrier = index.add_escaped(pairs, escaped)
     mlmap, nrmap = M.lmap, N.rmap

@@ -13,9 +13,12 @@ Products are associative and flat: the factors of a product that are
 themselves products are spliced in, so G^2 x G is G^3, and the one-point
 groupoid G^0 is dropped. A product label is the tuple label of one label per
 flat factor; factors_of and product_codec are the only readers of that
-layout. A product groupoid stores its objects, arrows, label index and unit
-table only: l, r, inv and comp are mappings that read each entry from the
-factors' tables, and its fibers are products of the factors' fibers.
+layout. A product groupoid stores its objects, eagerly, and a label index
+filled lazily: its arrows are a view that encodes an arrow's label the first
+time something reads it, and iterating them encodes every arrow in one pass;
+unit fills an entry from the factors' units on its first lookup; l, r, inv
+and comp are mappings that read each entry from the factors' tables; and its
+fibers are products of the factors' fibers.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import itertools
 import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterator, Sequence
 
@@ -60,13 +64,19 @@ class FinSet:
     elements: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        index: dict[str, int] = {}
-        for i, x in enumerate(self.elements):
-            if not isinstance(x, str):
-                raise StructuralError(f"FinSet labels must be strings, got {x!r}")
-            if x in index:
-                raise StructuralError(f"duplicate label {x!r} in FinSet")
-            index[x] = i
+        """Index the labels by position: a long tuple in one C-level pass, a
+        short one (or one that pass refuses) by a scan that names the first
+        label that is not a string or repeats an earlier one."""
+        elements = self.elements
+        index = _index_labels(elements) if len(elements) > _SCAN_MAX else None
+        if index is None:
+            index = {}
+            for i, x in enumerate(elements):
+                if not isinstance(x, str):
+                    raise StructuralError(f"FinSet labels must be strings, got {x!r}")
+                if x in index:
+                    raise StructuralError(f"duplicate label {x!r} in FinSet")
+                index[x] = i
         object.__setattr__(self, "_index", index)
 
     def index(self, x: str) -> int:
@@ -85,8 +95,158 @@ class FinSet:
         return len(self.elements)
 
 
+# up to this many labels, FinSet's scan builds the index faster than
+# _index_labels, whose iterators cost more than they save on a short tuple
+_SCAN_MAX = 16
+
+
+def _index_labels(elements: Sequence) -> dict[str, int] | None:
+    """label -> position in one C-level pass; None when a label is not a
+    string (str.join refuses it) or repeats an earlier one."""
+    try:
+        "".join(elements)
+        index = dict(zip(elements, range(len(elements))))
+    except TypeError:
+        return None
+    return index if len(index) == len(elements) else None
+
+
 def finset(elements: Sequence[str]) -> FinSet:
     return FinSet(tuple(elements))
+
+
+class _ProductArrows(FinSet):
+    """The arrows of a product groupoid: the labels of every combination of
+    one arrow per factor, in itertools.product order, without a stored list.
+
+    len, in and index read the factors' arrow positions through the
+    product's lazy label index, so they encode only the labels they are
+    asked about; elements, iteration, equality and hashing encode every
+    arrow once, in one pass that escapes each factor's label once.
+    """
+
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex):
+        columns = tuple(f.arrows.elements for f in factors)
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_sizes", tuple(map(len, columns)))
+        object.__setattr__(self, "_at", tuple(f.arrows._index for f in factors))  # type: ignore[attr-defined]
+        object.__setattr__(self, "_labels", index)
+        object.__setattr__(self, "_elements", None)
+
+    @property
+    def elements(self) -> tuple[str, ...]:  # type: ignore[override]
+        elements = self._elements
+        if elements is None:
+            elements = tuple(self._labels.add_product(self._columns))
+            object.__setattr__(self, "_elements", elements)
+        return elements
+
+    def _position(self, x: str) -> int:
+        """x's position: the mixed-radix number of its parts' positions in
+        the factors' arrows, first factor most significant; a KeyError when
+        x is not an arrow of the product."""
+        parts = self._labels.parts_of[x]
+        if len(parts) != len(self._at):
+            raise KeyError(x)
+        position = 0
+        for at, n, part in zip(self._at, self._sizes, parts):
+            position = position * n + at[part]
+        return position
+
+    def index(self, x: str) -> int:
+        try:
+            return self._position(x)
+        except KeyError:
+            raise StructuralError(f"label {x!r} not in FinSet") from None
+
+    def __contains__(self, x: object) -> bool:
+        try:
+            self._position(x)  # type: ignore[arg-type]
+        except KeyError:
+            return False
+        return True
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.elements)
+
+    def __len__(self) -> int:
+        return prod(self._sizes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ProductArrows) and self._columns == other._columns:
+            return True
+        if not isinstance(other, FinSet):
+            return NotImplemented
+        return self.elements == other.elements
+
+    __hash__ = FinSet.__hash__
+
+
+class _ProductUnit(dict):
+    """unit of a product groupoid: an entry is read from the factors' units
+    on its first lookup and kept, so a lookup that hits is a plain dict
+    lookup. Whatever reads the whole table (iteration, keys, values, items,
+    equality, repr) first fills every entry, in object order, in one pass."""
+
+    __slots__ = ("_factors", "_index", "_objects", "_full")
+
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, objects: FinSet):
+        super().__init__()
+        self._factors, self._index, self._objects, self._full = factors, index, objects, False
+
+    def __missing__(self, x: str) -> str:
+        if x not in self._objects:
+            raise KeyError(x)
+        parts = self._index.parts_of[x]
+        unit = self[x] = self._index.label_of[tuple([f.unit[p] for f, p in zip(self._factors, parts)])]
+        return unit
+
+    def _fill(self) -> "_ProductUnit":
+        if not self._full:
+            columns = [[f.unit[x] for x in f.objects] for f in self._factors]
+            units = map(self._index.label_of.__getitem__, itertools.product(*columns))
+            self.clear()
+            self.update(zip(self._objects, units))
+            self._full = True
+        return self
+
+    def __iter__(self) -> Iterator[str]:
+        return dict.__iter__(self._fill())
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def __contains__(self, x: object) -> bool:
+        return x in self._objects
+
+    def get(self, x, default=None):
+        try:
+            return self[x]
+        except KeyError:
+            return default
+
+    def keys(self):
+        return dict.keys(self._fill())
+
+    def values(self):
+        return dict.values(self._fill())
+
+    def items(self):
+        return dict.items(self._fill())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ProductUnit):
+            other._fill()
+        return dict.__eq__(self._fill(), other)
+
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self) -> str:
+        return dict.__repr__(self._fill())
+
+    __hash__ = None  # type: ignore[assignment]
 
 
 class _ProductTable(Mapping):
@@ -120,8 +280,9 @@ class _ProductComp(_ProductTable):
     iterate in the order of itertools.product over the factors' tables.
     """
 
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex):
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, arrows: _ProductArrows):
         super().__init__(factors, index, "comp")
+        self._arrows = arrows
         self._comps = tuple(f.comp for f in factors)
         self._len = 1
         for f in factors:
@@ -144,6 +305,7 @@ class _ProductComp(_ProductTable):
 
     def items(self) -> Iterator[tuple[tuple[str, str], str]]:  # type: ignore[override]
         """(key, value) pairs in key order, each composed once from the factors."""
+        self._arrows.elements  # encode every arrow in one pass first
         label_of = self._index.label_of
         for combo in itertools.product(*(f.comp.items() for f in self._factors)):
             keys, values = zip(*combo)
@@ -166,7 +328,7 @@ class _ProductMap(_ProductTable):
     """
 
     def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex,
-                 arrows: "FinSet", kind: str):
+                 arrows: _ProductArrows, kind: str):
         super().__init__(factors, index, kind)
         self._maps = tuple(getattr(f, kind) for f in factors)
         self._arrows = arrows
@@ -573,12 +735,15 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
 
     Objects and arrows come in itertools.product order over the factors', so
     over parts that are products they come in itertools.product order over
-    the parts' own. Each object and arrow label is encoded once, into the
-    groupoid's label index. Besides its objects and arrows the product stores
-    that index and its unit table, nothing else: l, r, inv and comp look each
-    entry up in the factors' tables and map the result through the index, and
-    the l- or r-fiber at an object is the product of the factors' fibers at
-    its parts, built the first time it is asked for.
+    the parts' own. The product stores its objects, each label encoded once,
+    and a label index, nothing else. The index holds every object and is
+    filled with arrows lazily: an arrow's label is encoded (or decoded) the
+    first time something looks it up, and reading the arrows in full encodes
+    them all in one pass, escaping each factor label once. unit fills each
+    entry from the factors' units on its first lookup; l, r, inv and comp
+    look each entry up in the factors' tables and map the result through the
+    index; and the l- or r-fiber at an object is the product of the factors'
+    fibers at its parts, built the first time it is asked for.
 
     While a product of the same flat factor objects is alive, that product is
     returned instead of a new one, so G^2 x G is G^3. The store holds its
@@ -595,13 +760,12 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     live = _PRODUCTS.get(key)
     if live is not None:
         return live
-    index = LabelIndex()
+    index = LabelIndex([f.arrows._index for f in fs])  # type: ignore[attr-defined]
     objects = finset(index.add_product([f.objects.elements for f in fs]))
-    arrows = finset(index.add_product([f.arrows.elements for f in fs]))
+    arrows = _ProductArrows(fs, index)
     l, r, inv = (_ProductMap(fs, index, arrows, kind) for kind in ("l", "r", "inv"))
-    units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
-    unit = dict(zip(objects, map(index.label_of.__getitem__, units)))
-    P = FinGroupoid(objects, arrows, l, r, _ProductComp(fs, index), inv, unit, index)
+    unit = _ProductUnit(fs, index, objects)
+    P = FinGroupoid(objects, arrows, l, r, _ProductComp(fs, index, arrows), inv, unit, index)
     _PRODUCTS[key] = P
     return P
 
@@ -712,13 +876,14 @@ def check_hom(phi: GroupoidHom) -> ValidationReport:
             out.append(Violation("structural", "f1", "arrow map misses the target", (g,)))
     if out:
         return ValidationReport(tuple(out))
+    Sl, Sr, Sunit = _plain(S.l), _plain(S.r), _plain(S.unit)
     for g in S.arrows:
-        if T.l[phi.f1[g]] != phi.f0[S.l[g]]:
+        if T.l[phi.f1[g]] != phi.f0[Sl[g]]:
             out.append(Violation("axiom", "hom-l", "l is not preserved", (g,)))
-        if T.r[phi.f1[g]] != phi.f0[S.r[g]]:
+        if T.r[phi.f1[g]] != phi.f0[Sr[g]]:
             out.append(Violation("axiom", "hom-r", "r is not preserved", (g,)))
     for x in S.objects:
-        if phi.f1[S.unit[x]] != T.unit[phi.f0[x]]:
+        if phi.f1[Sunit[x]] != T.unit[phi.f0[x]]:
             out.append(Violation("axiom", "hom-unit", "units are not preserved", (x,)))
     for (g, g2), h in S.comp.items():
         if T.comp.get((phi.f1[g], phi.f1[g2])) != phi.f1[h]:

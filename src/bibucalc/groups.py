@@ -442,13 +442,12 @@ def two_group_from_crossed_module(cm: CrossedModuleIncl) -> StackyGroupData:
     P2, _, pair = product_codec([T, T])
 
     f0 = {pair((b1, b2)): mulB[(b1, b2)] for b1 in B.arrows for b2 in B.arrows}
-    f1 = {}
-    for a1 in cm.sub:
-        for b1 in B.arrows:
-            for a2 in cm.sub:
-                for b2 in B.arrows:
-                    twisted = mulB[(a1, mulB[(mulB[(b1, a2)], invB[b1])])]
-                    f1[pair((tup(a1, b1), tup(a2, b2)))] = tup(twisted, mulB[(b1, b2)])
+    # T's arrows are (a, b) for a in sub, then b in B's arrows (see
+    # action_groupoid), so P2's arrows are the pairs ((a1, b1), (a2, b2)) in
+    # the order of this comprehension, and are read in one pass
+    f1 = dict(zip(P2.arrows, [
+        tup(mulB[(a1, mulB[(mulB[(b1, a2)], invB[b1])])], mulB[(b1, b2)])
+        for a1 in cm.sub for b1 in B.arrows for a2 in cm.sub for b2 in B.arrows]))
     mult = GroupoidHom(P2, T, f0, f1)
     rep = check_hom(mult)
     if not rep.ok:

@@ -12,8 +12,14 @@ from parts keeps a LabelIndex, filled while it enumerates itself, and its
 actions, projections and composites look labels up in both directions
 instead of re-encoding them. Products fill their groupoid's index, and so do
 the seeded generators: a generator groupoid's arrows (i, j, k) are in its
-index, and homs between generator groupoids look their labels up there. The index holds exactly the labels its
-structure added: a lookup outside it is a KeyError, never a fresh encoding.
+index, and homs between generator groupoids look their labels up there. The
+index holds exactly the labels its structure added: a lookup outside it is a
+KeyError, never a fresh encoding. A lazy index, made with the parts allowed
+at each position, is the one exception: it encodes allowed parts on their
+first lookup, and decodes a label on its first lookup when the label encodes
+allowed parts, so a structure fills it only with the labels something reads.
+Escapes is the memo through which a structure escapes each of its labels
+once for add_escaped.
 """
 from __future__ import annotations
 
@@ -77,20 +83,98 @@ def untup(label: str) -> tuple[str, ...]:
     return tuple(parts)
 
 
+class Escapes(dict):
+    """label -> esc(label), each escaped on its first lookup and then kept."""
+
+    __slots__ = ()
+
+    def __missing__(self, label: str) -> str:
+        escaped = self[label] = esc(label)
+        return escaped
+
+
+class _Lazy(dict):
+    """A dict that may fill an entry on a lookup that misses: get and in
+    look up as [] does, so they see the entries not filled yet too."""
+
+    __slots__ = ()
+
+    def get(self, key, default=None):
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
+    def __contains__(self, key: object) -> bool:
+        try:
+            self[key]
+        except KeyError:
+            return False
+        return True
+
+
+class _LazyLabels(_Lazy):
+    """parts -> label of a lazy index: parts missing here whose i-th part is
+    a key of domains[i], for every i, are encoded, each part escaped once
+    per index, and recorded in both directions; any other key is a KeyError."""
+
+    __slots__ = ("parts_of", "domains", "escaped")
+
+    def encode(self, parts: tuple[str, ...]) -> str | None:
+        """The label of parts drawn from the domains, recording nothing;
+        None for any other parts."""
+        domains = self.domains
+        if type(parts) is tuple and len(parts) == len(domains) and all(map(dict.__contains__, domains, parts)):
+            return _wrap(map(self.escaped.__getitem__, parts))
+        return None
+
+    def __missing__(self, parts: tuple[str, ...]) -> str:
+        label = self.encode(parts)
+        if label is None:
+            raise KeyError(parts)
+        self[parts] = label
+        self.parts_of[label] = parts
+        return label
+
+
+class _LazyParts(_Lazy):
+    """label -> parts of a lazy index: a label missing here is decoded, and
+    recorded in both directions when its parts are allowed and encode back to
+    it; any other key is a KeyError."""
+
+    __slots__ = ("label_of",)
+
+    def __missing__(self, label: str) -> tuple[str, ...]:
+        try:
+            parts = untup(label)
+        except (TypeError, ValueError):
+            raise KeyError(label) from None
+        if self.label_of.encode(parts) != label:
+            raise KeyError(label)
+        self[label] = parts
+        self.label_of[parts] = label
+        return parts
+
+
 class LabelIndex:
     """Both directions between the parts of a structure's elements and their
-    labels, each label encoded once by add(). Both are plain dicts: a lookup
-    outside the index raises KeyError."""
+    labels, each label encoded once by add_escaped(). Both are dicts: a lookup
+    outside the index raises KeyError. A lazy index, made with domains (one
+    dict per part position, keyed by the parts allowed there), is the
+    exception: it fills in the label of any parts tuple drawn from the
+    domains on its first lookup in either direction."""
 
     __slots__ = ("label_of", "parts_of")
 
-    def __init__(self) -> None:
-        self.label_of: dict[tuple[str, ...], str] = {}
-        self.parts_of: dict[str, tuple[str, ...]] = {}
-
-    def add(self, parts: tuple[str, ...]) -> str:
-        """Encode parts, record both directions and return the label."""
-        return self.add_escaped([parts], [map(esc, parts)])[0]
+    def __init__(self, domains: Sequence[dict] | None = None) -> None:
+        if domains is None:
+            self.label_of: dict[tuple[str, ...], str] = {}
+            self.parts_of: dict[str, tuple[str, ...]] = {}
+            return
+        self.label_of = label_of = _LazyLabels()
+        self.parts_of = parts_of = _LazyParts()
+        label_of.parts_of, label_of.domains, label_of.escaped = parts_of, tuple(domains), Escapes()
+        parts_of.label_of = label_of
 
     def add_escaped(self, parts: Iterable[tuple[str, ...]], escaped: Iterable) -> list[str]:
         """Record each parts tuple under the label wrapped from its escaped
@@ -107,7 +191,8 @@ class LabelIndex:
         return labels
 
     def add_product(self, factors: Sequence[Sequence[str]]) -> list[str]:
-        """add() every combination of one part per factor, in itertools.product
-        order, escaping each part once; returns the labels in that order."""
+        """Record every combination of one part per factor, in
+        itertools.product order, escaping each part once; returns the labels
+        in that order."""
         escaped = [[esc(p) for p in f] for f in factors]
         return self.add_escaped(itertools.product(*factors), itertools.product(*escaped))

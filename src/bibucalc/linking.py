@@ -166,7 +166,7 @@ def linking_groupoid(M: Bibundle) -> LinkingGroupoid | NotBiprincipal:
     l, r, comp = dict(C.l), dict(C.r), dict(C.comp)
     inv = {f"G:{g}": f"G:{G.inv[g]}" for g in G.arrows}
     inv.update({f"H:{h}": f"H:{H.inv[h]}" for h in H.arrows})
-    fibers_l, fibers_r = _fibers(M, M.lmap), _fibers(M, M.rmap)
+    fibers_l, fibers_r = _fibers(M, "lmap"), _fibers(M, "rmap")
     for m in points:
         l[f"Mop:{m}"] = f"H:{M.rmap[m]}"
         r[f"Mop:{m}"] = f"G:{M.lmap[m]}"

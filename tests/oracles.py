@@ -13,7 +13,14 @@ These deliberately avoid the code paths they are checking:
   each pair through the orbit pass and the stabiliser of its first leg;
 - the product oracles store every composite, and the l, r, inv and unit
   tables, up front and index the fibers by scanning the arrows, instead of
-  reading them from the factors;
+  reading them from the factors; lookup_outcomes reads any table or set
+  entry by entry, refusals included, so a lazy product's answers can be
+  compared with the eager one's; encoded_arrow_labels finds the arrows a
+  product has encoded by decoding every label of its index afresh, where the
+  index keeps each label's parts;
+- carrier_holders counts, for each label, the bundles that hold it as a
+  point, the most times compose may escape it when each bundle escapes each
+  of its points once;
 - the isomorphism oracle iso_search_dfs assigns every carrier point in turn
   behind a stabiliser-signature filter, where find_iso branches only on
   orbit representatives;
@@ -43,7 +50,8 @@ These deliberately avoid the code paths they are checking:
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections import Counter
+from typing import Callable, Iterable, Iterator
 
 from bibucalc.bibundle import (
     Bibundle,
@@ -58,11 +66,12 @@ from bibucalc.core import (
     StructuralError,
     ValidationReport,
     Violation,
+    factors_of,
     finset,
     product_groupoid,
 )
 from bibucalc.generators import GrpdSpec
-from bibucalc.labels import LabelIndex, tup
+from bibucalc.labels import LabelIndex, tup, untup
 from bibucalc.simplicial import (
     ClassifyReport,
     HornFiller,
@@ -344,6 +353,37 @@ def product_groupoid_eager(factors) -> FinGroupoid:
     units = itertools.product(*([f.unit[x] for x in f.objects] for f in fs))
     unit = {x: tup(*uparts) for x, uparts in zip(objects, units)}
     return FinGroupoid(finset(objects), finset(arrows), l, r, eager_product_comp(fs), inv, unit)
+
+
+def lookup_outcomes(read: Callable, keys: Iterable) -> list:
+    """read(key) for each key in turn: the value it gives, or the type of the
+    exception it raises."""
+    out = []
+    for key in keys:
+        try:
+            out.append(read(key))
+        except Exception as exc:  # a refusal is an outcome to compare
+            out.append(type(exc))
+    return out
+
+
+def encoded_arrow_labels(P: FinGroupoid) -> list[str]:
+    """The labels in product P's label index that name an arrow: decoded
+    afresh, one arrow label of each flat factor."""
+    fs = factors_of(P)
+    out = []
+    for label in list(P.index.parts_of):
+        parts = untup(label)
+        if len(parts) == len(fs) and all(p in f.arrows for p, f in zip(parts, fs)):
+            out.append(label)
+    return out
+
+
+def carrier_holders(bundles: Iterable[Bibundle]) -> Counter:
+    """For each label, the number of distinct bundles (by identity) that hold
+    it as a carrier point."""
+    distinct = {id(M): M for M in bundles}
+    return Counter(m for M in distinct.values() for m in M.carrier)
 
 
 def orbit_pass_scan(M: Bibundle, side: str = "right") -> tuple[dict, dict]:

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,7 @@ from bibucalc import (
     power_groupoid,
     trivial_groupoid,
 )
-from bibucalc import calculus, diagram, groups
+from bibucalc import calculus, diagram, groups, labels
 from bibucalc.bibundle import Bibundle, bibundle_from_tables, check_principal, validate_bibundle
 from bibucalc.calculus import (
     all_isos,
@@ -52,7 +53,7 @@ from bibucalc.generators import (
 from bibucalc.groups import kronecker_finite, preinverse
 from bibucalc.labels import tup, untup
 
-from oracles import bundle_tables, iso_search_dfs, orbit_quotient, tensor_binary
+from oracles import bundle_tables, carrier_holders, iso_search_dfs, orbit_quotient, tensor_binary
 
 
 def _composable_pairs(M, N):
@@ -167,6 +168,40 @@ def test_coherence_composites_are_labelled_by_tup(monkeypatch):
     assert built
     for C in built:
         _assert_labels_are_tup_of_their_pairs(C)
+
+
+def test_compose_escapes_each_point_once_per_bundle(monkeypatch):
+    data = kronecker_finite(2, 1)
+    # the powers the loops run through, held with every label encoded, so
+    # that only the escapes of the composed bundles' points are counted
+    powers = [power_groupoid(data.base, k) for k in (2, 3, 4)]
+    for P in powers:
+        assert list(P.arrows) and list(P.unit)
+    escaped: Counter = Counter()
+    composed: list = []
+    depth = [0]
+    real_esc = labels.esc
+
+    def counting_esc(part):
+        if depth[0]:
+            escaped[part] += 1
+        return real_esc(part)
+
+    def tracking(M, N):
+        composed.extend((M, N))
+        depth[0] += 1
+        try:
+            return compose(M, N)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(labels, "esc", counting_esc)
+    for module in (calculus, diagram, groups):
+        monkeypatch.setattr(module, "compose", tracking)
+    assert groups.check_coherence(data).ok
+    holders = carrier_holders(composed)
+    assert escaped
+    assert {label: n for label, n in escaped.items() if n > holders[label]} == {}
 
 
 @pytest.mark.parametrize("free", [True, False], ids=["free", "non_free"])

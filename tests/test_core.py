@@ -35,7 +35,15 @@ from bibucalc.groups import check_group, kronecker_finite
 from bibucalc.io import groupoid_from_json, groupoid_to_json
 from bibucalc.labels import LabelIndex, esc, tup, untup
 
-from oracles import eager_product_comp, esc_loop, product_comp_entry, product_groupoid_eager, tup_loop
+from oracles import (
+    eager_product_comp,
+    encoded_arrow_labels,
+    esc_loop,
+    lookup_outcomes,
+    product_comp_entry,
+    product_groupoid_eager,
+    tup_loop,
+)
 
 
 @given(st.lists(st.text(max_size=6), max_size=5))
@@ -69,7 +77,7 @@ def test_codec_matches_character_loop(parts):
 
 def test_label_index_refuses_lookups_outside_it():
     index = LabelIndex()
-    label = index.add(("a", "(b,c)"))
+    [label] = index.add_product([["a"], ["(b,c)"]])
     assert index.label_of[("a", "(b,c)")] is label
     assert index.parts_of[label] == ("a", "(b,c)")
     with pytest.raises(KeyError):
@@ -365,6 +373,92 @@ def test_product_groupoid_matches_eager_oracle(seeds):
     assert P == want
     assert want == P
     assert json.dumps(groupoid_to_json(P)) == json.dumps(groupoid_to_json(want))
+
+
+def _foreign_labels(factors) -> list[str]:
+    """Labels that name no object or arrow of the product of factors: plain
+    strings, tuples of the wrong length or with a part off its factor, and
+    an arrow's parts under labels that decode to them, or nearly, but are
+    not their encoding."""
+    last = [f.arrows.elements[-1] for f in factors]
+    arrow = tup(*last)
+    return ["nowhere", "()", tup("nowhere"), tup(*last, last[0]), tup(*last[:-1]),
+            tup(*last[:-1], "nowhere"), arrow[:-1] + "\\0)", "(" + arrow, arrow + ")"]
+
+
+def _lazy_reads(G, labels) -> list:
+    """What a product answers about labels through its arrows, unit and
+    fibers, refusals included, without reading any table in full."""
+    return [
+        lookup_outcomes(G.arrows.index, labels),
+        [x in G.arrows for x in labels],
+        lookup_outcomes(G.unit.__getitem__, labels),
+        [G.unit.get(x) for x in labels],
+        [x in G.unit for x in labels],
+        lookup_outcomes(G.l_fiber, labels),
+        lookup_outcomes(G.r_fiber, labels),
+        lookup_outcomes(G.inv.__getitem__, labels),
+        len(G.arrows), len(G.unit),
+    ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=1, max_size=3), st.randoms(use_true_random=False))
+def test_lazy_product_reads_match_eager_oracle(seeds, rnd):
+    factors = _random_factors(seeds)
+    P = product_groupoid(factors)
+    if len(factors) == 1:
+        assert P is factors[0]
+        return
+    want = product_groupoid_eager(factors)
+    labels = list(want.objects) + list(want.arrows) + _foreign_labels(factors)
+    # read in a random order, so that labels are encoded out of arrow order
+    rnd.shuffle(labels)
+    assert _lazy_reads(P, labels) == _lazy_reads(want, labels)
+    assert len(encoded_arrow_labels(P)) <= len(want.arrows)
+    assert P.arrows == want.arrows and want.arrows == P.arrows
+    assert P.unit == want.unit and want.unit == P.unit and not P.unit != want.unit
+    # a full iteration keeps arrow and object order whatever was read before
+    assert list(P.arrows) == list(want.arrows)
+    assert list(P.unit.items()) == list(want.unit.items())
+    assert dict(P.unit) == want.unit and list(dict(P.unit)) == list(want.unit)
+    assert _lazy_reads(P, labels) == _lazy_reads(want, labels)
+    assert P == want and want == P
+
+
+def test_lazy_product_refuses_labels_off_its_domains():
+    G, H = pair_groupoid(2), cyclic_groupoid(3)
+    P = product_groupoid([G, H])
+    foreign = _foreign_labels([G, H])
+    arrows_only = [g for g in product_groupoid_eager([G, H]).arrows if g not in P.objects]
+    before = len(P.index.parts_of)
+    for name in ("l", "r", "inv"):
+        table = getattr(P, name)
+        for label in list(P.objects) + foreign:
+            assert table.get(label) is None
+            with pytest.raises(KeyError):
+                table[label]
+    for label in arrows_only[:3] + foreign:
+        assert P.unit.get(label) is None and label not in P.unit
+        with pytest.raises(KeyError):
+            P.unit[label]
+    for label in list(P.objects) + foreign:
+        assert label not in P.arrows
+        with pytest.raises(StructuralError, match=re.escape(repr(label))):
+            P.arrows.index(label)
+    index = P.index
+    for label in foreign:
+        assert index.parts_of.get(label) is None and label not in index.parts_of
+        with pytest.raises(KeyError):
+            index.parts_of[label]
+    # parts of the wrong length, or not one arrow per factor
+    for parts in [("nowhere",), ("0", "0", "0"), (P.objects.elements[0],), (H.arrows.elements[0],) * 2]:
+        assert index.label_of.get(parts) is None and parts not in index.label_of
+        with pytest.raises(KeyError):
+            index.label_of[parts]
+    # refusals record nothing
+    assert len(P.index.parts_of) == before
+    assert encoded_arrow_labels(P) == []
 
 
 def test_product_tables_refuse_labels_off_the_arrows():

@@ -1,6 +1,8 @@
 """Golden outputs: sha256 of the --json manifests and written files of the
 principality, pairing, Morita, linking, group, coherence and identity-check
-verbs on the Kronecker (4,2) fixture. The check runs pin the bijection the
+verbs on the Kronecker (4,2) fixture, and of check-group and preinverse on
+(3,1) and (8,8), whose fourth powers G^4 are the largest product groupoids
+the group checks build. The check runs pin the bijection the
 isomorphism search finds (or its failure), the coherence run the associator
 and unitor candidates it tries. Every command runs inside a temporary directory with relative paths,
 so manifests hold only relative paths and the inputs' sha256, and the bytes
@@ -141,6 +143,38 @@ GOLDEN = {
 }
 
 
+# check-group and preinverse on the fixtures with the largest G^4 (6,561
+# arrows at (3,1), 4,096 at (8,8)), by (n, q) and run name
+POWER_RUNS = [("check_group", "check-group"), ("preinverse", "preinverse")]
+
+GOLDEN_POWERS = {
+    (3, 1): {
+        "check_group": {
+            "stdout":
+                "0a3b360c31f063069d8a118dff4028cba08cc5b06fa2244cc3311f260c8689c7",
+        },
+        "preinverse": {
+            "preinverse.json":
+                "2896f5468d557e49788f706bb791fe172964e7439fae8581ddc839082e66c04f",
+            "stdout":
+                "a7c2ef6278c64bcc38344373302ced5bc93b4cb4a099e9bbb76a8fa8b0c3070a",
+        },
+    },
+    (8, 8): {
+        "check_group": {
+            "stdout":
+                "fe78c08d336afe0a8519b0dd0bff2cde88f2bedeaacf528bee8bd873bf9964a7",
+        },
+        "preinverse": {
+            "preinverse.json":
+                "c8d9f62a0043df18c7d56c77dc97da54245f0483e8fc8d266a4f16f020076301",
+            "stdout":
+                "8df915948c01dacd0f5bd81d781ee49856346374338bd15cd76bac0ba0baf101",
+        },
+    },
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -183,3 +217,14 @@ def test_verb_golden(fixture_dir, capsys, name, argv, code):
         got_code, stdout = _run(capsys, argv + ["--out", name])
     assert got_code == code
     assert {"stdout": stdout, **_digests(root / name)} == GOLDEN[name]
+
+
+@pytest.mark.parametrize("n, q", sorted(GOLDEN_POWERS), ids=lambda v: str(v))
+@pytest.mark.parametrize("name, verb", POWER_RUNS, ids=[r[0] for r in POWER_RUNS])
+def test_power_verb_golden(tmp_path, capsys, n, q, name, verb):
+    with contextlib.chdir(tmp_path):
+        assert _run(capsys, ["gen-fixture", "--family", "kronecker_finite",
+                             "--n", str(n), "--q", str(q)])[0] == 0
+        code, stdout = _run(capsys, [verb, "--spec", f"kronecker_{n}_{q}.json", "--out", name])
+    assert code == 0
+    assert {"stdout": stdout, **_digests(tmp_path / name)} == GOLDEN_POWERS[(n, q)][name]

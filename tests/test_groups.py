@@ -2,7 +2,7 @@ import pytest
 
 from bibucalc.bibundle import PrincipalityReport, validate_bibundle
 from bibucalc.calculus import find_iso, validate_iso
-from bibucalc.core import StructuralError, one_object_groupoid, validate_groupoid
+from bibucalc.core import StructuralError, one_object_groupoid, power_groupoid, validate_groupoid
 from bibucalc.diagram import check_identity
 from bibucalc.groups import (
     PREINVERSE_EXPR,
@@ -20,6 +20,8 @@ from bibucalc.groups import (
     two_group_from_crossed_module,
     validate_crossed_module,
 )
+
+from oracles import encoded_arrow_labels
 
 KRONECKER_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2)]
 
@@ -168,3 +170,13 @@ def test_stacky_data_env_reuse():
     assert data.env() is data.env()
     assert data.env().resolve("mu").bib is not None
     assert data.env().resolve("i") is not None
+
+
+@pytest.mark.parametrize("n, q, arrows, read", [(8, 8, 4096, 64), (3, 1, 6561, 243)])
+def test_check_group_encodes_few_arrows_of_the_fourth_power(n, q, arrows, read):
+    data = kronecker_finite(n, q)
+    # held, so that the check builds its G^4 on this live product
+    G4 = power_groupoid(data.base, 4)
+    assert len(G4.arrows) == arrows
+    assert check_group(data).ok
+    assert 0 < len(encoded_arrow_labels(G4)) <= read
