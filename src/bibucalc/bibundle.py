@@ -206,16 +206,23 @@ class PrincipalityReport:
         return self.surjective and self.free and self.transitive
 
 
+def _scan_fibers(carrier: Iterable[str], moment: Mapping[str, str]) -> dict[str, list[str]]:
+    """The points over each object under moment, in carrier order; objects
+    in the order their first point comes."""
+    out: dict[str, list[str]] = {}
+    for m in carrier:
+        out.setdefault(moment[m], []).append(m)
+    return out
+
+
 def _fibers(M: Bibundle, moment: str) -> dict[str, list[str]]:
     """The carrier points over each object under the moment map named
-    ("lmap" or "rmap"), in carrier order; made once per bundle and kept, so
-    callers must not change it."""
+    ("lmap" or "rmap"), in carrier order, keyed only by objects that have
+    points; made once per bundle and kept, so callers must not change it.
+    A tensor keeps lazy lmap fibers (see calculus.tensor_bibundle)."""
     out = M._cache.get(moment)
     if out is None:
-        out = M._cache[moment] = {}
-        values = getattr(M, moment)
-        for m in M.carrier:
-            out.setdefault(values[m], []).append(m)
+        out = M._cache[moment] = _scan_fibers(M.carrier, getattr(M, moment))
     return out
 
 

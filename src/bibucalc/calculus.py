@@ -22,7 +22,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from math import prod
+from operator import call, getitem
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bibundle import (
     Bibundle,
@@ -32,6 +34,7 @@ from .bibundle import (
     _escapes,
     _fibers,
     _orbit_pass,
+    _scan_fibers,
 )
 from .core import (
     FinGroupoid,
@@ -40,6 +43,8 @@ from .core import (
     StructuralError,
     ValidationReport,
     Violation,
+    _LazyTable,
+    _ProductSet,
     finset,
     power_groupoid,
     product_codec,
@@ -203,11 +208,90 @@ def _product_moments(P: FinGroupoid, legs: Sequence[tuple[FinGroupoid, Mapping[s
     at the mixed-radix position of the points' moments."""
     positions = [0]
     for K, moment, carrier in legs:
-        at = K.objects.index
+        at = K.objects._index.__getitem__  # type: ignore[attr-defined]
         column = [at(moment[c]) for c in carrier]
         n = len(K.objects)
         positions = [p * n + q for p in positions for q in column]
     return list(map(P.objects.elements.__getitem__, positions))
+
+
+class _TensorMoments(_LazyTable):
+    """lmap or rmap of a tensor, keyed by its carrier: a point's moment is
+    the join of its parts' moments, read on its first lookup (see
+    _LazyTable). Once the carrier has been read in full, the first lookup
+    that misses fills every entry in one pass, as a full read does."""
+
+    __slots__ = ("_groupoid", "_join", "_parts_of", "_parts", "_moment", "_moments")
+
+    def __init__(self, P: FinGroupoid, join: Callable, parts: Sequence[Bibundle], moment: str,
+                 carrier: _ProductSet, index: LabelIndex):
+        super().__init__(carrier)
+        self._groupoid, self._join, self._parts_of = P, join, index.parts_of
+        self._parts, self._moment = parts, moment
+        self._moments = [getattr(M, moment) for M in parts]
+
+    def __missing__(self, p: str) -> str:
+        if self._keys.full:
+            moment = dict.get(self._fill(), p)
+            if moment is None:
+                raise KeyError(p)
+            return moment
+        moment = self[p] = self._join(tuple(map(getitem, self._moments, self._parts_of[p])))
+        return moment
+
+    def _entries(self) -> Iterable[tuple[str, str]]:
+        side = "left_groupoid" if self._moment == "lmap" else "right_groupoid"
+        legs = [(getattr(M, side), moment, M.carrier) for M, moment in zip(self._parts, self._moments)]
+        return zip(self._keys.elements, _product_moments(self._groupoid, legs))
+
+
+class _TensorFibers(_LazyTable):
+    """The lmap fibers of a tensor (see _fibers): the points over an object
+    are the combinations of the parts' points over its parts, encoded in one
+    batch on the object's first lookup; an object with no points, or a label
+    that is no object, is a KeyError. Once the carrier has been read in full,
+    the first lookup that misses fills every fiber in one pass."""
+
+    __slots__ = ("_objects", "_split", "_parts", "_index", "_lmap", "_carrier")
+
+    def __init__(self, T: Bibundle, parts: Sequence[Bibundle], split: Callable):
+        super().__init__()
+        self._objects, self._split, self._parts = T.left_groupoid.objects, split, parts
+        self._index, self._lmap, self._carrier = T.index, T.lmap, T.carrier
+
+    def _over(self, x: str) -> list[list[str]]:
+        """The parts' points over x's parts."""
+        if x not in self._objects:
+            raise KeyError(x)
+        return [_fibers(M, "lmap").get(p, ()) for M, p in zip(self._parts, self._split(x))]
+
+    def count(self, objects: Iterable[str]) -> int:
+        """How many points lie over the objects, encoding none of them."""
+        return sum(prod(map(len, self._over(x))) for x in objects)
+
+    def __missing__(self, x: str) -> list[str]:
+        if self._carrier.full:
+            fiber = dict.get(self._fill(), x)
+            if fiber is None:
+                raise KeyError(x)
+            return fiber
+        columns = self._over(x)
+        if not all(columns):
+            raise KeyError(x)
+        escaped = [list(map(memo.__getitem__, c)) for memo, c in zip(self._index.escapes, columns)]
+        fiber = self[x] = self._index.add_escaped(itertools.product(*columns), itertools.product(*escaped))
+        return fiber
+
+    def _entries(self) -> dict[str, list[str]]:
+        return _scan_fibers(self._carrier, self._lmap)
+
+
+def _read_in_full(M: Bibundle) -> None:
+    """Encode every point of a tensor, in one pass; its moments and fibers
+    then fill in one pass each on their next lookup. Any other bundle is
+    read in full already."""
+    if isinstance(M.carrier, _ProductSet):
+        M.carrier.elements
 
 
 def tensor_bibundle(*parts: Bibundle) -> Bibundle:
@@ -217,36 +301,52 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     Products are flat (see product_groupoid), so a tensor of bundles over G^2
     and G lives over G^3, and it carries the live product when there is one.
     An arrow of a product is split into one arrow per part by product_codec.
-    Each carrier label is encoded once, into the tensor's index, from the
-    parts' points escaped through each part's escape memo, so a part's point
-    is escaped once however many tensors and composites read it. One part
-    is returned as it is; no part is a StructuralError. The parts must be valid
-    bibundles (see validate_bibundle): the actions are read through their
-    accessors without domain checks.
+    One part is returned as it is; no part is a StructuralError. The parts
+    must be valid bibundles (see validate_bibundle): the actions are read
+    through their accessors without domain checks.
+
+    A point is encoded only when something reads it. The carrier is a lazy
+    view over the parts' carriers (core._ProductSet) and the label index is
+    lazy over them too: a point's label is encoded on its first lookup in
+    either direction. lmap and rmap fill an entry from the parts' moments on
+    its first lookup, and the lmap fibers (see _fibers) give the points over
+    an object as the product of the parts' points over its parts, encoded in
+    one batch. Iteration, elements, an orbit pass, left_table, equality and
+    the witness builders over a whole tensor read it in full: carrier,
+    index, moments and fibers each fill in one pass, as an eager build
+    would. Every part's points are escaped through the part's escape memo
+    when the tensor is built, so a part's point is escaped once however many
+    tensors and composites read it, and the labels are those of tup.
     """
     if not parts:
         raise StructuralError("empty tensor")
     if len(parts) == 1:
         return parts[0]
-    G, lsplit, _ = product_codec([M.left_groupoid for M in parts])
-    H, rsplit, _ = product_codec([M.right_groupoid for M in parts])
-    index = LabelIndex()
-    columns = [M.carrier.elements for M in parts]
-    escaped = [list(map(_escapes(M).__getitem__, column)) for M, column in zip(parts, columns)]
-    carrier = index.add_escaped(itertools.product(*columns), itertools.product(*escaped))
-    lmap = dict(zip(carrier, _product_moments(G, [(M.left_groupoid, M.lmap, M.carrier) for M in parts])))
-    rmap = dict(zip(carrier, _product_moments(H, [(M.right_groupoid, M.rmap, M.carrier) for M in parts])))
+    G, lsplit, ljoin = product_codec([M.left_groupoid for M in parts])
+    H, rsplit, rjoin = product_codec([M.right_groupoid for M in parts])
+    memos = [_escapes(M) for M in parts]
+    for memo, M in zip(memos, parts):
+        if len(memo) < len(M.carrier):
+            missing = [m for m in M.carrier.elements if m not in memo]
+            memo.update(zip(missing, map(esc, missing)))
+    columns = [M.carrier for M in parts]
+    index = LabelIndex([c._index for c in columns], memos)  # type: ignore[attr-defined]
+    carrier = _ProductSet(columns, index)
+    lmap = _TensorMoments(G, ljoin, parts, "lmap", carrier, index)
+    rmap = _TensorMoments(H, rjoin, parts, "rmap", carrier, index)
     label_of, parts_of = index.label_of, index.parts_of
     lfns = [M.left_fn for M in parts]
     rfns = [M.right_fn for M in parts]
 
     def left_fn(gg: str, p: str) -> str:
-        return label_of[tuple([f(g, c) for f, g, c in zip(lfns, lsplit(gg), parts_of[p])])]
+        return label_of[tuple(map(call, lfns, lsplit(gg), parts_of[p]))]
 
     def right_fn(p: str, hh: str) -> str:
-        return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], rsplit(hh))])]
+        return label_of[tuple(map(call, rfns, parts_of[p], rsplit(hh)))]
 
-    return TensorBibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index, parts=parts)
+    T = TensorBibundle(G, H, carrier, lmap, rmap, left_fn, right_fn, index, parts=parts)
+    T._cache["lmap"] = _TensorFibers(T, parts, lsplit)
+    return T
 
 
 def relabel_bibundle(M: Bibundle, rename: Mapping[str, str]) -> Bibundle:
@@ -281,6 +381,18 @@ class ComposedBibundle(Bibundle):
         return self.project_fn(m, n)
 
 
+def _lmap_fibers(N: Bibundle, objects: Iterable[str]) -> Mapping[str, list[str]]:
+    """N's points over each object (see _fibers), for a compose that reads
+    those over the objects given. A tensor whose points over them make up at
+    least half of it is read in full first, which costs less than encoding
+    that many points fiber by fiber; counting them encodes none."""
+    fibers = _fibers(N, "lmap")
+    if isinstance(fibers, _TensorFibers) and not N.carrier.full:
+        if 2 * fibers.count(set(objects)) >= len(N.carrier):
+            fibers._fill()
+    return fibers
+
+
 def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     """M . N with canonical (lex-least) orbit representatives.
 
@@ -294,14 +406,20 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     representative is encoded once, tup(m0, n) byte for byte, from parts
     escaped through M's and N's escape memos, so a point of M or N is
     escaped once however many composites read it. N's points over each
-    object come from the lmap fibers kept on N. The composite's label index
-    holds each representative's pair, and project looks representatives up.
+    object come from the lmap fibers kept on N. When N is a tensor, whose
+    points are encoded as they are read, only the points over the objects
+    that M's representatives reach are read, unless they make up at least
+    half of N: then N is read in full, in one pass (see _lmap_fibers). The
+    composite's label index holds each representative's pair, and project
+    looks representatives up.
     """
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
     orbits = _orbit_pass(M, "right")
     reach, stabilisers = orbits.reach, orbits.stabilisers
     mrmap, nlmap, nleft = M.rmap, N.lmap, N.left_fn
+    reps = [m for m in M.carrier if reach[m][0] == m]
+    n_by_obj = _lmap_fibers(N, map(mrmap.__getitem__, reps))
     position = N.carrier.index
 
     def least(fixing: tuple[str, ...], n: str) -> str:
@@ -311,10 +429,7 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     pairs: list[tuple[str, str]] = []
     escaped: list[tuple[str, str]] = []
     m_esc, n_esc = _escapes(M).__getitem__, _escapes(N).__getitem__
-    n_by_obj = _fibers(N, "lmap")
-    for m in M.carrier:
-        if reach[m][0] != m:
-            continue
+    for m in reps:
         fixing = stabilisers.get(m)
         escaped_m = m_esc(m)
         for n in n_by_obj.get(mrmap[m], ()):
@@ -501,6 +616,8 @@ def _moments(X: Bibundle) -> list[tuple[str, str]]:
 
 def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
     """Biequivariant bijections M -> N, lex-least first in M's carrier order.
+    M and N must be valid bibundles (see validate_bibundle): no unit arrow
+    is applied, as the units fix every point.
 
     Only orbit representatives (the first carrier point not yet assigned) are
     branched on, over N's points with the same moments in carrier order.
@@ -531,7 +648,9 @@ def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
     def place(m: str, n: str) -> list[str] | None:
         """Assign g.(m.h) |-> g.(n.h) for every arrow pair at m, which covers
         m's orbit; the points assigned, or None (undone) if that is not a
-        well-defined injection. Well defined, it is biequivariant."""
+        well-defined injection. Well defined, it is biequivariant. The units
+        fix every point of a valid bundle, so m |-> n is assigned directly
+        and no unit arrow is applied on either side."""
         trail: list[str] = []
 
         def fits(p: str, q: str) -> bool:
@@ -545,9 +664,12 @@ def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
             trail.append(p)
             return True
 
-        if all(fits(mright(m, h), nright(n, h)) for h in H.l_fiber(M.rmap[m])):
+        x, y = M.lmap[m], M.rmap[m]
+        hu = H.unit[y]
+        if fits(m, n) and all(fits(mright(m, h), nright(n, h)) for h in H.l_fiber(y) if h != hu):
             # the left arrows at m act on each point of m's right orbit
-            gs = G.r_fiber(M.lmap[m])
+            gu = G.unit[x]
+            gs = [g for g in G.r_fiber(x) if g != gu]
             if all(fits(mleft(g, p), nleft(g, forward[p])) for p in list(trail) for g in gs):
                 return trail
         undo(trail)
@@ -588,7 +710,8 @@ def find_iso(M: Bibundle, N: Bibundle) -> IsoWitness | None:
     Each orbit representative of M tries N's points with its moments, in N's
     order, and takes its whole orbit along (see _iso_search). Bibundles over
     different groupoids are never isomorphic, so None comes back for those
-    rather than an error.
+    rather than an error. M and N must be valid bibundles (see
+    validate_bibundle), as the search applies no unit arrow.
     """
     for forward in _iso_search(M, N):
         return IsoWitness(M, N, forward, {v: k for k, v in forward.items()})
@@ -596,6 +719,9 @@ def find_iso(M: Bibundle, N: Bibundle) -> IsoWitness | None:
 
 
 def all_isos(M: Bibundle, N: Bibundle, limit: int = 10_000) -> Iterator[IsoWitness]:
+    """The biequivariant isomorphisms M -> N, at most limit of them, in the
+    order find_iso takes the first (see _iso_search). M and N must be valid
+    bibundles, as the search applies no unit arrow."""
     for forward in itertools.islice(_iso_search(M, N), limit):
         yield IsoWitness(M, N, forward, {v: k for k, v in forward.items()})
 

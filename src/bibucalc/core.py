@@ -18,7 +18,9 @@ filled lazily: its arrows are a view that encodes an arrow's label the first
 time something reads it, and iterating them encodes every arrow in one pass;
 unit fills an entry from the factors' units on its first lookup; l, r, inv
 and comp are mappings that read each entry from the factors' tables; and its
-fibers are products of the factors' fibers.
+fibers are products of the factors' fibers. The same lazy set and lazy
+tables carry the points and moments of a tensor of bibundles (see
+calculus.tensor_bibundle).
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import prod
 from operator import getitem, itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .labels import LabelIndex, tup
 
@@ -115,36 +117,56 @@ def finset(elements: Sequence[str]) -> FinSet:
     return FinSet(tuple(elements))
 
 
-class _ProductArrows(FinSet):
-    """The arrows of a product groupoid: the labels of every combination of
-    one arrow per factor, in itertools.product order, without a stored list.
+class _ProductSet(FinSet):
+    """The labels of every combination of one element per column, in
+    itertools.product order, without a stored list: the arrows of a product
+    groupoid (a column per factor's arrows) or the carrier of a tensor of
+    bibundles (a column per part's carrier). The labels live in a lazy label
+    index whose domains are the columns' positions.
 
-    len, in and index read the factors' arrow positions through the
-    product's lazy label index, so they encode only the labels they are
-    asked about; elements, iteration, equality and hashing encode every
-    arrow once, in one pass that escapes each factor's label once.
+    len, in and index read the columns' positions through that index, so
+    they encode only the labels they are asked about; elements, iteration,
+    equality and hashing encode every label once, in one pass that escapes
+    each column's label once, through the index's memo for its column.
     """
 
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex):
-        columns = tuple(f.arrows.elements for f in factors)
-        object.__setattr__(self, "_columns", columns)
+    def __init__(self, columns: Sequence[FinSet], index: LabelIndex):
+        object.__setattr__(self, "_columns", tuple(c.elements for c in columns))
         object.__setattr__(self, "_sizes", tuple(map(len, columns)))
-        object.__setattr__(self, "_at", tuple(f.arrows._index for f in factors))  # type: ignore[attr-defined]
+        object.__setattr__(self, "_at", tuple(c._index for c in columns))  # type: ignore[attr-defined]
         object.__setattr__(self, "_labels", index)
         object.__setattr__(self, "_elements", None)
+        object.__setattr__(self, "_positions", None)
 
     @property
     def elements(self) -> tuple[str, ...]:  # type: ignore[override]
         elements = self._elements
         if elements is None:
-            elements = tuple(self._labels.add_product(self._columns))
+            columns, labels = self._columns, self._labels
+            escaped = [list(map(memo.__getitem__, c)) for memo, c in zip(labels.escapes, columns)]
+            elements = tuple(labels.add_escaped(itertools.product(*columns), itertools.product(*escaped)))
             object.__setattr__(self, "_elements", elements)
         return elements
 
+    @property
+    def full(self) -> bool:
+        """Whether every label has been encoded."""
+        return self._elements is not None
+
+    @property
+    def _index(self) -> dict[str, int]:
+        """label -> position, stored after reading every label: the domain a
+        product or tensor built over this set checks its parts against."""
+        positions = self._positions
+        if positions is None:
+            positions = dict(zip(self.elements, range(len(self))))
+            object.__setattr__(self, "_positions", positions)
+        return positions
+
     def _position(self, x: str) -> int:
         """x's position: the mixed-radix number of its parts' positions in
-        the factors' arrows, first factor most significant; a KeyError when
-        x is not an arrow of the product."""
+        the columns, first column most significant; a KeyError when x is not
+        in the set."""
         parts = self._labels.parts_of[x]
         if len(parts) != len(self._at):
             raise KeyError(x)
@@ -173,7 +195,7 @@ class _ProductArrows(FinSet):
         return prod(self._sizes)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ProductArrows) and self._columns == other._columns:
+        if isinstance(other, _ProductSet) and self._columns == other._columns:
             return True
         if not isinstance(other, FinSet):
             return NotImplemented
@@ -182,42 +204,50 @@ class _ProductArrows(FinSet):
     __hash__ = FinSet.__hash__
 
 
-class _ProductUnit(dict):
-    """unit of a product groupoid: an entry is read from the factors' units
-    on its first lookup and kept, so a lookup that hits is a plain dict
-    lookup. Whatever reads the whole table (iteration, keys, values, items,
-    equality, repr) first fills every entry, in object order, in one pass."""
+class _LazyTable(dict):
+    """A table read from elsewhere: an entry missing here is filled on its
+    first lookup (__missing__ in each kind) and kept, so a lookup that hits
+    is a plain dict lookup, and get looks up as [] does. Whatever reads the
+    whole table (iteration, keys, values, items, equality, repr) first fills
+    every entry, in the table's order, in one pass from _entries(), which
+    must not read the table itself. len and in read keys, the table's domain
+    when it has one; without one they look up or fill as well."""
 
-    __slots__ = ("_factors", "_index", "_objects", "_full")
+    __slots__ = ("_keys", "_full")
 
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, objects: FinSet):
+    def __init__(self, keys: FinSet | None = None):
         super().__init__()
-        self._factors, self._index, self._objects, self._full = factors, index, objects, False
+        self._keys, self._full = keys, False
 
-    def __missing__(self, x: str) -> str:
-        if x not in self._objects:
-            raise KeyError(x)
-        parts = self._index.parts_of[x]
-        unit = self[x] = self._index.label_of[tuple([f.unit[p] for f, p in zip(self._factors, parts)])]
-        return unit
+    def _entries(self) -> Iterable[tuple] | dict:
+        """Every (key, value) pair of the table, in its order, or a dict of
+        them."""
+        raise NotImplementedError
 
-    def _fill(self) -> "_ProductUnit":
+    def _fill(self) -> "_LazyTable":
         if not self._full:
-            columns = [[f.unit[x] for x in f.objects] for f in self._factors]
-            units = map(self._index.label_of.__getitem__, itertools.product(*columns))
+            entries = self._entries()
             self.clear()
-            self.update(zip(self._objects, units))
+            self.update(entries)
             self._full = True
         return self
 
-    def __iter__(self) -> Iterator[str]:
+    def __iter__(self) -> Iterator:
         return dict.__iter__(self._fill())
 
     def __len__(self) -> int:
-        return len(self._objects)
+        keys = self._keys
+        return len(keys) if keys is not None else dict.__len__(self._fill())
 
     def __contains__(self, x: object) -> bool:
-        return x in self._objects
+        keys = self._keys
+        if keys is not None:
+            return x in keys
+        try:
+            self[x]
+        except KeyError:
+            return False
+        return True
 
     def get(self, x, default=None):
         try:
@@ -235,7 +265,7 @@ class _ProductUnit(dict):
         return dict.items(self._fill())
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ProductUnit):
+        if isinstance(other, _LazyTable):
             other._fill()
         return dict.__eq__(self._fill(), other)
 
@@ -247,6 +277,29 @@ class _ProductUnit(dict):
         return dict.__repr__(self._fill())
 
     __hash__ = None  # type: ignore[assignment]
+
+
+class _ProductUnit(_LazyTable):
+    """unit of a product groupoid, keyed by its objects in object order: an
+    entry is read from the factors' units on its first lookup (see
+    _LazyTable)."""
+
+    __slots__ = ("_factors", "_index")
+
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, objects: FinSet):
+        super().__init__(objects)
+        self._factors, self._index = factors, index
+
+    def __missing__(self, x: str) -> str:
+        if x not in self._keys:
+            raise KeyError(x)
+        parts = self._index.parts_of[x]
+        unit = self[x] = self._index.label_of[tuple([f.unit[p] for f, p in zip(self._factors, parts)])]
+        return unit
+
+    def _entries(self) -> Iterable[tuple[str, str]]:
+        columns = [[f.unit[x] for x in f.objects] for f in self._factors]
+        return zip(self._keys, map(self._index.label_of.__getitem__, itertools.product(*columns)))
 
 
 class _ProductTable(Mapping):
@@ -280,7 +333,7 @@ class _ProductComp(_ProductTable):
     iterate in the order of itertools.product over the factors' tables.
     """
 
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, arrows: _ProductArrows):
+    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, arrows: _ProductSet):
         super().__init__(factors, index, "comp")
         self._arrows = arrows
         self._comps = tuple(f.comp for f in factors)
@@ -328,7 +381,7 @@ class _ProductMap(_ProductTable):
     """
 
     def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex,
-                 arrows: _ProductArrows, kind: str):
+                 arrows: _ProductSet, kind: str):
         super().__init__(factors, index, kind)
         self._maps = tuple(getattr(f, kind) for f in factors)
         self._arrows = arrows
@@ -762,7 +815,7 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
         return live
     index = LabelIndex([f.arrows._index for f in fs])  # type: ignore[attr-defined]
     objects = finset(index.add_product([f.objects.elements for f in fs]))
-    arrows = _ProductArrows(fs, index)
+    arrows = _ProductSet([f.arrows for f in fs], index)
     l, r, inv = (_ProductMap(fs, index, arrows, kind) for kind in ("l", "r", "inv"))
     unit = _ProductUnit(fs, index, objects)
     P = FinGroupoid(objects, arrows, l, r, _ProductComp(fs, index, arrows), inv, unit, index)

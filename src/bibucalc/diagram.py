@@ -29,6 +29,7 @@ from .bibundle import Bibundle
 from .calculus import (
     ComposedBibundle,
     IsoWitness,
+    _read_in_full,
     bundlize,
     compose,
     cv_bibundle,
@@ -98,57 +99,61 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Ast:
-    toks = tokenize(text)
-    end = len(text)
-    i = 0
+    parser = _Parser(tokenize(text), len(text))
+    ast = parser.expr()
+    if (tok := parser.peek()) is not None:
+        raise DiagramError(f"unexpected {tok[1]!r} after expression", (tok[2], tok[2] + 1))
+    return ast
 
-    def peek() -> tuple[str, str, int] | None:
-        return toks[i] if i < len(toks) else None
 
-    def factor() -> Ast:
-        nonlocal i
-        tok = peek()
+class _Parser:
+    """Recursive descent over the tokens: expr is terms joined by ';', a
+    term is factors joined by '*', a factor is a name or a parenthesised
+    expr. A class rather than nested functions, which would refer to one
+    another in a cycle that only the cycle collector frees."""
+
+    def __init__(self, toks: list[tuple[str, str, int]], end: int):
+        self.toks, self.end, self.i = toks, end, 0
+
+    def peek(self) -> tuple[str, str, int] | None:
+        return self.toks[self.i] if self.i < len(self.toks) else None
+
+    def factor(self) -> Ast:
+        tok = self.peek()
         if tok is None:
-            raise DiagramError("expected a name or '('", (end, end))
+            raise DiagramError("expected a name or '('", (self.end, self.end))
         kind, val, at = tok
         if kind == "name":
-            i += 1
+            self.i += 1
             return Gen(val, (at, at + len(val)))
         if kind == "(":
-            i += 1
-            inner = expr()
-            closing = peek()
+            self.i += 1
+            inner = self.expr()
+            closing = self.peek()
             if closing is None or closing[0] != ")":
-                where = (closing[2], closing[2] + 1) if closing else (end, end)
+                where = (closing[2], closing[2] + 1) if closing else (self.end, self.end)
                 raise DiagramError("expected ')'", where)
-            i += 1
+            self.i += 1
             return inner
         raise DiagramError(f"expected a name or '(', found {val!r}", (at, at + 1))
 
-    def term() -> Ast:
-        nonlocal i
-        parts = [factor()]
-        while (tok := peek()) and tok[0] == "*":
-            i += 1
-            parts.append(factor())
+    def term(self) -> Ast:
+        parts = [self.factor()]
+        while (tok := self.peek()) and tok[0] == "*":
+            self.i += 1
+            parts.append(self.factor())
         if len(parts) == 1:
             return parts[0]
         return Tensor(tuple(parts), (parts[0].span[0], parts[-1].span[1]))
 
-    def expr() -> Ast:
-        nonlocal i
-        parts = [term()]
-        while (tok := peek()) and tok[0] == ";":
-            i += 1
-            parts.append(term())
+    def expr(self) -> Ast:
+        parts = [self.term()]
+        while (tok := self.peek()) and tok[0] == ";":
+            self.i += 1
+            parts.append(self.term())
         if len(parts) == 1:
             return parts[0]
         return Seq(tuple(parts), (parts[0].span[0], parts[-1].span[1]))
-
-    ast = expr()
-    if (tok := peek()) is not None:
-        raise DiagramError(f"unexpected {tok[1]!r} after expression", (tok[2], tok[2] + 1))
-    return ast
 
 
 def to_text(ast: Ast) -> str:
@@ -310,6 +315,7 @@ def wired_tensor_witness(env: DiagramEnv,
         return entries[0][0]
     source = tensor_wired(env, [s for _, s, _ in entries]).bib
     target = tensor_wired(env, [t for _, _, t in entries]).bib
+    _read_in_full(target)  # the witness covers it
     fwds = [w.forward for w, _, _ in entries]
     forward = {}
     for rep in source.carrier:
@@ -376,6 +382,7 @@ def interchange_blocks(env: DiagramEnv,
             bib = compose(tensor_wired(env, t_slice).bib, tensor_wired(env, b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
     target = tensor_wired(env, comps)
+    _read_in_full(target.bib)  # the witness covers it
     top_index, bottom_index = (f.index for f in source.factors)
     top_atoms, bottom_atoms = _atoms_of(top_index, len(top)), _atoms_of(bottom_index, len(bottom))
     per_block = []

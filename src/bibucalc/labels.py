@@ -17,14 +17,17 @@ index holds exactly the labels its structure added: a lookup outside it is a
 KeyError, never a fresh encoding. A lazy index, made with the parts allowed
 at each position, is the one exception: it encodes allowed parts on their
 first lookup, and decodes a label on its first lookup when the label encodes
-allowed parts, so a structure fills it only with the labels something reads.
-Escapes is the memo through which a structure escapes each of its labels
-once for add_escaped.
+allowed parts, so a structure fills it only with the labels something reads:
+product groupoids keep their arrows there, and tensors of bibundles their
+points. Escapes is the memo through which a structure escapes each of its
+labels once for add_escaped.
 """
 from __future__ import annotations
 
 import itertools
+import weakref
 from functools import lru_cache
+from operator import getitem
 from typing import Iterable, Sequence
 
 _SPECIAL = {"\\", ",", "(", ")"}
@@ -113,23 +116,24 @@ class _Lazy(dict):
         return True
 
 
+def _encode(domains: tuple[dict, ...], escapes: tuple[dict, ...], parts: tuple[str, ...]) -> str | None:
+    """The label of parts whose i-th part is a key of domains[i], for every
+    i, each part escaped through escapes[i]; None for any other parts."""
+    if type(parts) is tuple and len(parts) == len(domains) and all(map(dict.__contains__, domains, parts)):
+        return _wrap(map(getitem, escapes, parts))
+    return None
+
+
 class _LazyLabels(_Lazy):
-    """parts -> label of a lazy index: parts missing here whose i-th part is
-    a key of domains[i], for every i, are encoded, each part escaped once
-    per index, and recorded in both directions; any other key is a KeyError."""
+    """parts -> label of a lazy index: parts missing here that are drawn
+    from the domains are encoded and recorded in both directions; any other
+    key is a KeyError. It holds its label -> parts dict, which refers back
+    to it only weakly, so the pair is freed without the cycle collector."""
 
-    __slots__ = ("parts_of", "domains", "escaped")
-
-    def encode(self, parts: tuple[str, ...]) -> str | None:
-        """The label of parts drawn from the domains, recording nothing;
-        None for any other parts."""
-        domains = self.domains
-        if type(parts) is tuple and len(parts) == len(domains) and all(map(dict.__contains__, domains, parts)):
-            return _wrap(map(self.escaped.__getitem__, parts))
-        return None
+    __slots__ = ("parts_of", "domains", "escapes", "__weakref__")
 
     def __missing__(self, parts: tuple[str, ...]) -> str:
-        label = self.encode(parts)
+        label = _encode(self.domains, self.escapes, parts)
         if label is None:
             raise KeyError(parts)
         self[parts] = label
@@ -142,17 +146,19 @@ class _LazyParts(_Lazy):
     recorded in both directions when its parts are allowed and encode back to
     it; any other key is a KeyError."""
 
-    __slots__ = ("label_of",)
+    __slots__ = ("labels", "domains", "escapes")
 
     def __missing__(self, label: str) -> tuple[str, ...]:
         try:
             parts = untup(label)
         except (TypeError, ValueError):
             raise KeyError(label) from None
-        if self.label_of.encode(parts) != label:
+        if _encode(self.domains, self.escapes, parts) != label:
             raise KeyError(label)
         self[label] = parts
-        self.label_of[parts] = label
+        label_of = self.labels()
+        if label_of is not None:
+            label_of[parts] = label
         return parts
 
 
@@ -162,19 +168,25 @@ class LabelIndex:
     outside the index raises KeyError. A lazy index, made with domains (one
     dict per part position, keyed by the parts allowed there), is the
     exception: it fills in the label of any parts tuple drawn from the
-    domains on its first lookup in either direction."""
+    domains on its first lookup in either direction, escaping the part at
+    each position through that position's memo in escapes (one Escapes
+    shared by every position unless given)."""
 
-    __slots__ = ("label_of", "parts_of")
+    __slots__ = ("label_of", "parts_of", "escapes")
 
-    def __init__(self, domains: Sequence[dict] | None = None) -> None:
+    def __init__(self, domains: Sequence[dict] | None = None, escapes: Sequence[dict] | None = None) -> None:
         if domains is None:
             self.label_of: dict[tuple[str, ...], str] = {}
             self.parts_of: dict[str, tuple[str, ...]] = {}
+            self.escapes: tuple[dict, ...] | None = None
             return
+        domains = tuple(domains)
+        self.escapes = tuple(escapes) if escapes is not None else (Escapes(),) * len(domains)
         self.label_of = label_of = _LazyLabels()
         self.parts_of = parts_of = _LazyParts()
-        label_of.parts_of, label_of.domains, label_of.escaped = parts_of, tuple(domains), Escapes()
-        parts_of.label_of = label_of
+        label_of.parts_of, parts_of.labels = parts_of, weakref.ref(label_of)
+        label_of.domains = parts_of.domains = domains
+        label_of.escapes = parts_of.escapes = self.escapes
 
     def add_escaped(self, parts: Iterable[tuple[str, ...]], escaped: Iterable) -> list[str]:
         """Record each parts tuple under the label wrapped from its escaped

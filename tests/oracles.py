@@ -45,7 +45,9 @@ These deliberately avoid the code paths they are checking:
   moments by mixed-radix position and splits arrows through product_codec;
   the witness oracles tensor_witness_binary and interchange_witness_binary
   pair the binary tensors' labels by hand, where wired_tensor_witness and
-  interchange_blocks read the n-ary tensors' indexes.
+  interchange_blocks read the n-ary tensors' indexes; tensor_eager builds
+  the n-ary tensor in full up front, every point, moment and label, where
+  tensor_bibundle encodes a point only when something reads it.
 """
 from __future__ import annotations
 
@@ -58,9 +60,17 @@ from bibucalc.bibundle import (
     NoPairing,
     Pairing,
     PrincipalityReport,
+    _escapes,
     check_pairing_axioms,
 )
-from bibucalc.calculus import ComposedBibundle, IsoWitness, _bijection_witness, compose
+from bibucalc.calculus import (
+    ComposedBibundle,
+    IsoWitness,
+    TensorBibundle,
+    _bijection_witness,
+    _product_moments,
+    compose,
+)
 from bibucalc.core import (
     FinGroupoid,
     StructuralError,
@@ -68,6 +78,7 @@ from bibucalc.core import (
     Violation,
     factors_of,
     finset,
+    product_codec,
     product_groupoid,
 )
 from bibucalc.generators import GrpdSpec
@@ -787,3 +798,31 @@ def juxtapose_scan(env, ws) -> Bibundle:
 
     return Bibundle(env.power(m_total), env.power(n_total), finset(carrier), lmap, rmap,
                     left_fn, right_fn, index)
+
+
+def tensor_eager(*parts: Bibundle) -> Bibundle:
+    """tensor_bibundle with every carrier label, moment and index entry built
+    when the tensor is: the carrier through one add_escaped over the parts'
+    escaped points, the moments by mixed-radix position, and plain dicts
+    throughout."""
+    if len(parts) == 1:
+        return parts[0]
+    G, lsplit, _ = product_codec([M.left_groupoid for M in parts])
+    H, rsplit, _ = product_codec([M.right_groupoid for M in parts])
+    index = LabelIndex()
+    columns = [M.carrier.elements for M in parts]
+    escaped = [list(map(_escapes(M).__getitem__, column)) for M, column in zip(parts, columns)]
+    carrier = index.add_escaped(itertools.product(*columns), itertools.product(*escaped))
+    lmap = dict(zip(carrier, _product_moments(G, [(M.left_groupoid, M.lmap, M.carrier) for M in parts])))
+    rmap = dict(zip(carrier, _product_moments(H, [(M.right_groupoid, M.rmap, M.carrier) for M in parts])))
+    label_of, parts_of = index.label_of, index.parts_of
+    lfns = [M.left_fn for M in parts]
+    rfns = [M.right_fn for M in parts]
+
+    def left_fn(gg: str, p: str) -> str:
+        return label_of[tuple([f(g, c) for f, g, c in zip(lfns, lsplit(gg), parts_of[p])])]
+
+    def right_fn(p: str, hh: str) -> str:
+        return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], rsplit(hh))])]
+
+    return TensorBibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index, parts=parts)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 import sys
@@ -17,7 +18,7 @@ from bibucalc import (
     trivial_groupoid,
 )
 from bibucalc import calculus, diagram, groups, labels
-from bibucalc.bibundle import Bibundle, bibundle_from_tables, check_principal, validate_bibundle
+from bibucalc.bibundle import Bibundle, _fibers, bibundle_from_tables, check_principal, validate_bibundle
 from bibucalc.calculus import (
     all_isos,
     assoc_witness,
@@ -51,9 +52,17 @@ from bibucalc.generators import (
     relabel_randomly,
 )
 from bibucalc.groups import kronecker_finite, preinverse
-from bibucalc.labels import tup, untup
+from bibucalc.labels import esc, tup, untup
 
-from oracles import bundle_tables, carrier_holders, iso_search_dfs, orbit_quotient, tensor_binary
+from oracles import (
+    bundle_tables,
+    carrier_holders,
+    iso_search_dfs,
+    lookup_outcomes,
+    orbit_quotient,
+    tensor_binary,
+    tensor_eager,
+)
 
 
 def _composable_pairs(M, N):
@@ -351,6 +360,133 @@ def test_tensor_is_flat_over_powers_and_the_point():
     TT = tensor_bibundle(T, M)
     assert TT.left_groupoid is cube and TT.right_groupoid is power_groupoid(G, 4)
     assert validate_bibundle(TT).ok
+
+
+def _lazy_tensor_parts(rng: random.Random) -> list[Bibundle]:
+    """Two or three random bundles, one of them at times itself a tensor."""
+    parts = [random_bibundle(rng, max_objects=2, max_isotropy=2) for _ in range(rng.choice((2, 3)))]
+    if rng.random() < 0.3:
+        parts[0] = tensor_bibundle(parts[0], random_bibundle(rng, max_objects=1, max_isotropy=2))
+    return parts
+
+
+def _foreign_points(T: Bibundle) -> list:
+    """Labels that are no point of the tensor T: an object, labels with too
+    few parts or a part off its part's carrier, labels that do not decode
+    or decode to parts that encode otherwise, and a non-string."""
+    first = T.parts[0].carrier.elements[0]
+    rest = [M.carrier.elements[0] for M in T.parts[1:]]
+    # decodes to the parts of a point, but is not how they encode
+    padded = "(" + ",".join([esc(first) + "\\0", *map(esc, rest)]) + ")"
+    labels = [T.left_groupoid.objects.elements[0], tup(first), tup("nowhere", *rest),
+              tup(first, *rest, first), padded, "(", "", "(a\\q)", first, 7]
+    points = set(tensor_eager(*T.parts).carrier)
+    return [x for x in labels if x not in points]
+
+
+def _tensor_reads(T: Bibundle, keys: list, objects: list, part_tuples: list) -> list:
+    """Every partial read of a tensor, entry by entry in the order given,
+    refusals included, and the actions at the points among the keys."""
+    fibers = _fibers(T, "lmap")
+    G, H = T.left_groupoid, T.right_groupoid
+    points = [p for p in keys if isinstance(p, str) and p in T.carrier]
+    return [
+        lookup_outcomes(T.carrier.__contains__, keys),
+        lookup_outcomes(T.carrier.index, keys),
+        lookup_outcomes(T.lmap.__getitem__, keys),
+        lookup_outcomes(T.rmap.get, keys),
+        lookup_outcomes(T.lmap.__contains__, keys),
+        lookup_outcomes(fibers.__getitem__, objects),
+        lookup_outcomes(fibers.get, objects),
+        lookup_outcomes(fibers.__contains__, objects),
+        lookup_outcomes(T.index.parts_of.__getitem__, keys),
+        lookup_outcomes(T.index.label_of.__getitem__, part_tuples),
+        [[T.left_fn(g, p) for g in G.r_fiber(T.lmap[p])] for p in points],
+        [[T.right_fn(p, h) for h in H.l_fiber(T.rmap[p])] for p in points],
+    ]
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_lazy_tensor_reads_match_eager_oracle(seed):
+    rng = random.Random(seed)
+    parts = _lazy_tensor_parts(rng)
+    lazy, eager = tensor_bibundle(*parts), tensor_eager(*parts)
+    points = list(eager.carrier)
+    keys = rng.sample(points, min(len(points), 6)) + _foreign_points(eager)
+    rng.shuffle(keys)
+    objects = list(eager.left_groupoid.objects) + ["nowhere", points[0]]
+    rng.shuffle(objects)
+    part_tuples = [eager.index.parts_of[p] for p in rng.sample(points, min(len(points), 4))]
+    part_tuples += [part_tuples[0][:-1], part_tuples[0] + part_tuples[0][:1], ("nowhere",) + part_tuples[0][1:]]
+    want = _tensor_reads(eager, keys, objects, part_tuples)
+    assert _tensor_reads(lazy, keys, objects, part_tuples) == want
+    assert not lazy.carrier.full
+    # a full read gives the eager tensor, order included
+    assert bundle_tables(lazy) == bundle_tables(eager)
+    assert list(_fibers(lazy, "lmap").items()) == list(_fibers(eager, "lmap").items())
+    assert dict(lazy.index.parts_of) == eager.index.parts_of
+    assert dict(lazy.index.label_of) == eager.index.label_of
+    assert lazy == eager and eager == lazy
+    assert _tensor_reads(lazy, keys, objects, part_tuples) == want
+    assert validate_bibundle(lazy).ok
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_lazy_tensor_refuses_foreign_labels_and_records_nothing(seed):
+    T = tensor_bibundle(*_lazy_tensor_parts(random.Random(seed)))
+    foreign = _foreign_points(T)
+    fibers = _fibers(T, "lmap")
+    for x in foreign:
+        assert x not in T.carrier and x not in T.lmap
+        for table in (T.lmap, T.rmap, T.index.parts_of):
+            assert table.get(x) is None
+            with pytest.raises(KeyError):
+                table[x]
+        with pytest.raises(StructuralError):
+            T.carrier.index(x)
+    for x in ["nowhere", "", T.parts[0].carrier.elements[0]]:
+        if x in T.left_groupoid.objects:
+            continue
+        assert fibers.get(x) is None and x not in fibers
+        with pytest.raises(KeyError):
+            fibers[x]
+    for parts in [(), ("nowhere",) * len(T.parts), tuple(M.carrier.elements[0] for M in T.parts)[:-1]]:
+        assert T.index.label_of.get(parts) is None
+    recorded = [T.index.parts_of, T.index.label_of, T.lmap, T.rmap, fibers]
+    assert [dict.__len__(d) for d in recorded] == [0] * len(recorded)
+    assert not T.carrier.full
+
+
+def test_compose_reads_a_tensor_in_full_only_when_it_needs_half_of_it():
+    G = trivial_groupoid(3)
+    T = tensor_bibundle(identity_bibundle(G), identity_bibundle(G))
+    G2 = T.left_groupoid
+    x = G2.objects.elements[4]
+    # a single point over x: its composite with T reads the one point over x
+    pick = bundlize(GroupoidHom(trivial_groupoid(1), G2, {"0": x}, {"0": G2.unit[x]}))
+    C = compose(pick, T)
+    assert len(C.carrier) == 1 and not T.carrier.full
+    assert dict(T.index.parts_of) == {p: T.index.parts_of[p] for p in _fibers(T, "lmap")[x]}
+    assert bundle_tables(C) == bundle_tables(compose(pick, tensor_eager(*T.parts)))
+    # the identity reaches every object, so T is read in full first
+    assert len(compose(identity_bibundle(G2), T).carrier) == len(T.carrier)
+    assert T.carrier.full and dict.__len__(T.lmap) == len(T.carrier)
+
+
+def test_dropped_structures_leave_no_cycles():
+    G = cyclic_groupoid(3)
+    M = identity_bibundle(G)
+    gc.collect()
+    P = power_groupoid(G, 3)
+    assert len(list(P.arrows)) == 27 and P.unit[P.objects.elements[0]] in P.arrows
+    T = tensor_bibundle(M, M)
+    assert T.index.label_of[(M.carrier.elements[0],) * 2] in T.carrier
+    C = compose(T, tensor_bibundle(M, M))
+    assert len(C.carrier) == len(T.carrier)
+    del P, T, C
+    assert gc.collect() == 0
+    assert groups.check_group(kronecker_finite(2, 1)).ok
+    assert gc.collect() == 0
 
 
 def test_find_iso_lex_least_and_relabelling():

@@ -1,8 +1,9 @@
 """Golden outputs: sha256 of the --json manifests and written files of the
 principality, pairing, Morita, linking, group, coherence and identity-check
-verbs on the Kronecker (4,2) fixture, and of check-group and preinverse on
-(3,1) and (8,8), whose fourth powers G^4 are the largest product groupoids
-the group checks build. The check runs pin the bijection the
+verbs on the Kronecker (4,2) fixture, of check-group and preinverse on
+(3,1), (6,6) and (8,8), whose fourth powers G^4 are the largest product
+groupoids the group checks build, and of eval-diagram on the antipode
+composite over (4,2) and (4,4). The check runs pin the bijection the
 isomorphism search finds (or its failure), the coherence run the associator
 and unitor candidates it tries. Every command runs inside a temporary directory with relative paths,
 so manifests hold only relative paths and the inputs' sha256, and the bytes
@@ -144,7 +145,7 @@ GOLDEN = {
 
 
 # check-group and preinverse on the fixtures with the largest G^4 (6,561
-# arrows at (3,1), 4,096 at (8,8)), by (n, q) and run name
+# arrows at (3,1), 4,096 at (8,8), 1,296 at (6,6)), by (n, q) and run name
 POWER_RUNS = [("check_group", "check-group"), ("preinverse", "preinverse")]
 
 GOLDEN_POWERS = {
@@ -160,6 +161,18 @@ GOLDEN_POWERS = {
                 "a7c2ef6278c64bcc38344373302ced5bc93b4cb4a099e9bbb76a8fa8b0c3070a",
         },
     },
+    (6, 6): {
+        "check_group": {
+            "stdout":
+                "b4a8653fe02668d37701ee8a542d117982af8c9c11ce11e3c88ce60583206a53",
+        },
+        "preinverse": {
+            "preinverse.json":
+                "b9ae5b58d41158107e90f1acf210b29c9568d3a861da2ff33880815337536661",
+            "stdout":
+                "f97b1b4085842d28d3aba7ad8022e7ab418f649922e3a5fe07c3dc5e81ae15bc",
+        },
+    },
     (8, 8): {
         "check_group": {
             "stdout":
@@ -171,6 +184,25 @@ GOLDEN_POWERS = {
             "stdout":
                 "8df915948c01dacd0f5bd81d781ee49856346374338bd15cd76bac0ba0baf101",
         },
+    },
+}
+
+
+# the antipode composite, whose tensor (i * id) is read by compose in part
+ANTIPODE = "delta ; (i * id) ; mu"
+
+GOLDEN_ANTIPODE = {
+    (4, 2): {
+        "diagram.json":
+            "98ace792b432cdc4b1c721301b68641ecfef4d2c6baec0942dd0d9aca022045c",
+        "stdout":
+            "c41e6053d030ba768f6d845eb8d3eda4e8ff8f27bd1656ffc5f302bbcebc9d54",
+    },
+    (4, 4): {
+        "diagram.json":
+            "d7117562c102236f4449474b646371d7ddec00105935c30a6e38de340230bf9d",
+        "stdout":
+            "c58b0a90aae517a738fd73593c539b3129c31b6dfa077db95098b28687efc4f8",
     },
 }
 
@@ -228,3 +260,16 @@ def test_power_verb_golden(tmp_path, capsys, n, q, name, verb):
         code, stdout = _run(capsys, [verb, "--spec", f"kronecker_{n}_{q}.json", "--out", name])
     assert code == 0
     assert {"stdout": stdout, **_digests(tmp_path / name)} == GOLDEN_POWERS[(n, q)][name]
+
+
+@pytest.mark.parametrize("n, q", sorted(GOLDEN_ANTIPODE), ids=lambda v: str(v))
+def test_eval_diagram_golden(tmp_path, capsys, n, q):
+    stem = f"kronecker_{n}_{q}"
+    with contextlib.chdir(tmp_path):
+        assert _run(capsys, ["gen-fixture", "--family", "kronecker_finite",
+                             "--n", str(n), "--q", str(q)])[0] == 0
+        code, stdout = _run(capsys, ["eval-diagram", "--groupoid", f"{stem}_groupoid.json",
+                                     "--bind", f"i={stem}_i.json", "--bind", f"mu={stem}_mu.json",
+                                     ANTIPODE, "--out", "antipode"])
+    assert code == 0
+    assert {"stdout": stdout, **_digests(tmp_path / "antipode")} == GOLDEN_ANTIPODE[(n, q)]

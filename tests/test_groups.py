@@ -1,9 +1,14 @@
+import dataclasses
+import itertools
+from collections import Counter
+
 import pytest
 
+from bibucalc import diagram
 from bibucalc.bibundle import PrincipalityReport, validate_bibundle
-from bibucalc.calculus import find_iso, validate_iso
+from bibucalc.calculus import all_isos, find_iso, tensor_bibundle, validate_iso
 from bibucalc.core import StructuralError, one_object_groupoid, power_groupoid, validate_groupoid
-from bibucalc.diagram import check_identity
+from bibucalc.diagram import check_identity, evaluate
 from bibucalc.groups import (
     PREINVERSE_EXPR,
     CrossedModuleIncl,
@@ -21,7 +26,7 @@ from bibucalc.groups import (
     validate_crossed_module,
 )
 
-from oracles import encoded_arrow_labels
+from oracles import encoded_arrow_labels, iso_search_dfs
 
 KRONECKER_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2)]
 
@@ -180,3 +185,60 @@ def test_check_group_encodes_few_arrows_of_the_fourth_power(n, q, arrows, read):
     assert len(G4.arrows) == arrows
     assert check_group(data).ok
     assert 0 < len(encoded_arrow_labels(G4)) <= read
+
+
+@pytest.mark.parametrize("n, q, points, read", [(8, 8, 4096, 64), (3, 1, 2187, 81)])
+def test_check_group_encodes_few_points_of_the_preinverse_tensor(monkeypatch, n, q, points, read):
+    built = []
+
+    def tracking(*parts):
+        built.append(tensor_bibundle(*parts))
+        return built[-1]
+
+    monkeypatch.setattr(diagram, "tensor_bibundle", tracking)
+    data = kronecker_finite(n, q)
+    assert check_group(data).ok
+    # (id * mu * id), read by compose only over the objects that the
+    # representatives of (cv * id * e) reach
+    [T] = [T for T in built if len(T.carrier) == points]
+    mu = data.env().resolve("mu").bib
+    assert len(T.parts) == 3 and T.parts[1] is mu and T.parts[0] is T.parts[2]
+    assert not T.carrier.full
+    assert 0 < len(dict(T.index.parts_of)) <= read
+
+
+# composites over the plain groups, whose arrow fibers hold only units
+PLAIN_PAIRS = [("(mu * id) ; mu", "(id * mu) ; mu"), ("(e * id) ; mu", "id"),
+               ("(id * e) ; mu", "id"), ("delta ; (i * id) ; mu", "eps ; e"),
+               ("(id * mu) ; mu", "(id * mu) ; mu")]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_iso_search_matches_dfs_oracle_over_plain_groups(n):
+    env = kronecker_finite(n, n).env()
+    for lhs, rhs in PLAIN_PAIRS:
+        M, N = evaluate(env, lhs), evaluate(env, rhs)
+        got = [list(w.forward.items()) for w in all_isos(M, N, limit=50)]
+        assert got == [list(f.items()) for f in itertools.islice(iso_search_dfs(M, N), 50)]
+        assert got
+
+
+def test_find_iso_applies_no_action_over_a_plain_group():
+    env = kronecker_finite(4, 4).env()
+    calls: Counter = Counter()
+
+    def counting(fn, side):
+        def act(a, b):
+            calls[side] += 1
+            return fn(a, b)
+        return act
+
+    pair = [evaluate(env, expr) for expr in PLAIN_PAIRS[0]]
+    spied = [dataclasses.replace(X, left_fn=counting(X.left_fn, "left"), right_fn=counting(X.right_fn, "right"))
+             for X in pair]
+    w = find_iso(*spied)
+    assert w is not None and w.forward == find_iso(*pair).forward
+    assert calls == Counter()
+    # the oracle, which applies the units, does act through the spies
+    assert next(iso_search_dfs(*spied)) == w.forward
+    assert calls["left"] and calls["right"]
