@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import prod
@@ -536,12 +537,66 @@ def _l_index(C: FinCategory) -> dict:
     return out
 
 
-def _check_tables(C: FinCategory, out: list[Violation], inv: dict | None) -> None:
+def _table_ok(table: Mapping, keys: set, values: set) -> bool:
+    """Whether table is defined on exactly keys, with every value in values."""
+    return table.keys() == keys and set(table.values()) <= values
+
+
+# a table read into one row per arrow or point: the row's keys and values
+Rows = dict[str, dict[str, str]]
+
+
+def _flat(rows: Rows) -> tuple[list[str], list[str], list[str]]:
+    """The row, key and value of every entry of rows, in row order, each row
+    in its own order."""
+    at = list(itertools.chain.from_iterable(map(itertools.repeat, rows, map(len, rows.values()))))
+    keys = list(itertools.chain.from_iterable(rows.values()))
+    return at, keys, list(itertools.chain.from_iterable(map(dict.values, rows.values())))
+
+
+def _align(rows: Rows, over: Iterable[str]) -> None:
+    """Reorder rows in place so that the rows over one object, which must
+    all hold the same keys, list them in one order; over names the object of
+    each row, in row order. Then two rows over one object can be compared
+    value list against value list."""
+    keys, over = list(map(tuple, rows.values())), list(over)
+    order = dict(zip(over, keys))
+    if list(map(order.__getitem__, over)) != keys:
+        for x, at, k in zip(rows, over, keys):
+            if order[at] != k:
+                rows[x] = dict(zip(order[at], map(rows[x].__getitem__, order[at])))
+
+
+def _comp_rows(C: FinCategory, arrows: set) -> Rows | None:
+    """rows[g] = {g2: comp[(g, g2)]} over the g2 with l(g2) == r(g), the
+    rows over each object r(g) aligned (see _align), when comp is defined on
+    exactly the composable pairs with every value an arrow; None otherwise.
+    l and r must be total on the arrows, with objects as values."""
+    comp, l, r = C.comp, C.l, C.r
+    rows: Rows = {g: {} for g in C.arrows}
+    try:
+        for (g, g2), h in comp.items():
+            rows[g][g2] = h
+    except KeyError:
+        return None
+    if (list(map(l.get, map(itemgetter(1), comp))) != list(map(r.__getitem__, map(itemgetter(0), comp)))
+            or sum(map(Counter(l.values()).__getitem__, r.values())) != len(comp)
+            or not set(comp.values()) <= arrows):
+        return None
+    _align(rows, map(r.__getitem__, rows))
+    return rows
+
+
+def _check_tables(C: FinCategory, out: list[Violation], inv: dict | None) -> Rows | None:
     """Structural checks shared by categories and groupoids (inv is None for
-    a category)."""
+    a category). Each table is first checked whole, by set operations, and
+    scanned entry by entry, to name what is wrong, only when that fails.
+    Returns the rows of comp (see _comp_rows) when nothing is wrong."""
     arrows = set(C.arrows.elements)
     objects = set(C.objects.elements)
     for name, m in (("l", C.l), ("r", C.r)):
+        if _table_ok(m, arrows, objects):
+            continue
         for g in C.arrows:
             if g not in m:
                 out.append(Violation("structural", f"{name}-missing", f"{name} undefined on arrow", (g,)))
@@ -550,15 +605,16 @@ def _check_tables(C: FinCategory, out: list[Violation], inv: dict | None) -> Non
         for g in m:
             if g not in arrows:
                 out.append(Violation("structural", f"{name}-domain", f"{name} defined on non-arrow", (g,)))
-    for x in C.objects:
-        if x not in C.unit:
-            out.append(Violation("structural", "unit-missing", "unit undefined on object", (x,)))
-        elif C.unit[x] not in arrows:
-            out.append(Violation("structural", "unit-range", "unit value is not an arrow", (x, C.unit[x])))
-    for x in C.unit:
-        if x not in objects:
-            out.append(Violation("structural", "unit-domain", "unit defined on non-object", (x,)))
-    if inv is not None:
+    if not _table_ok(C.unit, objects, arrows):
+        for x in C.objects:
+            if x not in C.unit:
+                out.append(Violation("structural", "unit-missing", "unit undefined on object", (x,)))
+            elif C.unit[x] not in arrows:
+                out.append(Violation("structural", "unit-range", "unit value is not an arrow", (x, C.unit[x])))
+        for x in C.unit:
+            if x not in objects:
+                out.append(Violation("structural", "unit-domain", "unit defined on non-object", (x,)))
+    if inv is not None and not _table_ok(inv, arrows, arrows):
         for g in C.arrows:
             if g not in inv:
                 out.append(Violation("structural", "inv-missing", "inv undefined on arrow", (g,)))
@@ -567,6 +623,9 @@ def _check_tables(C: FinCategory, out: list[Violation], inv: dict | None) -> Non
         for g in inv:
             if g not in arrows:
                 out.append(Violation("structural", "inv-domain", "inv defined on non-arrow", (g,)))
+    rows = None if out else _comp_rows(C, arrows)
+    if rows is not None:
+        return rows
     # composition keys
     for key, h in C.comp.items():
         g, g2 = key
@@ -584,30 +643,68 @@ def _check_tables(C: FinCategory, out: list[Violation], inv: dict | None) -> Non
         for g2 in by_l.get(rg, ()):
             if (g, g2) not in C.comp:
                 out.append(Violation("structural", "comp-missing", "comp undefined on composable pair", (g, g2)))
+    return None
 
 
-def _check_category_axioms(C: FinCategory, out: list[Violation]) -> None:
-    for x in C.objects:
-        u = C.unit.get(x)
-        if u is None or u not in C.arrows:
-            continue
-        if C.l.get(u) != x or C.r.get(u) != x:
-            out.append(Violation("axiom", "unit-moment", "unit arrow is not an endo-arrow at its object", (x, u)))
-    for g in C.arrows:
-        ul = C.unit.get(C.l.get(g, ""), None)
-        ur = C.unit.get(C.r.get(g, ""), None)
-        if ul is not None and C.comp.get((ul, g)) != g:
-            out.append(Violation("axiom", "unit-law", "left unit law fails", (g,)))
-        if ur is not None and C.comp.get((g, ur)) != g:
-            out.append(Violation("axiom", "unit-law", "right unit law fails", (g,)))
-    for (g, g2), h in C.comp.items():
-        if h not in C.arrows:
-            continue
-        if C.l.get(h) != C.l.get(g) or C.r.get(h) != C.r.get(g2):
-            out.append(Violation("axiom", "comp-moment", "composite has wrong endpoints", (g, g2, h)))
-    # associativity over all composable triples
-    by_l = _l_index(C)
-    for (g, g2), h in C.comp.items():
+def _check_category_axioms(C: FinCategory, out: list[Violation], rows: Rows) -> None:
+    """The unit, endpoint and associativity laws of C, whose tables are sound
+    and whose comp has the rows given. Each law is first decided by comparing
+    whole lists, a pair's associativity by comparing the row of its composite
+    with its first arrow's row read along its second arrow's; where a list
+    differs, its elements are scanned one by one to name each failure."""
+    objects, arrows = list(C.objects), list(C.arrows)
+    l, r, unit, comp = C.l, C.r, C.unit, C.comp
+    units = list(map(unit.__getitem__, objects))
+    if not list(map(l.__getitem__, units)) == objects == list(map(r.__getitem__, units)):
+        for x in C.objects:
+            u = C.unit.get(x)
+            if u is None or u not in C.arrows:
+                continue
+            if C.l.get(u) != x or C.r.get(u) != x:
+                out.append(Violation("axiom", "unit-moment", "unit arrow is not an endo-arrow at its object",
+                                     (x, u)))
+    # the row of unit(l(g)) holds g at g, and the row of g holds g at unit(r(g))
+    left_units = map(rows.__getitem__, map(unit.__getitem__, map(l.__getitem__, arrows)))
+    right_units = map(unit.__getitem__, map(r.__getitem__, arrows))
+    if not (list(map(dict.get, left_units, arrows)) == arrows
+            == list(map(dict.get, map(rows.__getitem__, arrows), right_units))):
+        for g in C.arrows:
+            ul = C.unit.get(C.l.get(g, ""), None)
+            ur = C.unit.get(C.r.get(g, ""), None)
+            if ul is not None and C.comp.get((ul, g)) != g:
+                out.append(Violation("axiom", "unit-law", "left unit law fails", (g,)))
+            if ur is not None and C.comp.get((g, ur)) != g:
+                out.append(Violation("axiom", "unit-law", "right unit law fails", (g,)))
+    firsts, seconds, composites = _flat(rows)
+    ends = (list(map(l.__getitem__, composites)) == list(map(l.__getitem__, firsts))
+            and list(map(r.__getitem__, composites)) == list(map(r.__getitem__, seconds)))
+    if not ends:
+        for (g, g2), h in C.comp.items():
+            if h not in C.arrows:
+                continue
+            if C.l.get(h) != C.l.get(g) or C.r.get(h) != C.r.get(g2):
+                out.append(Violation("axiom", "comp-moment", "composite has wrong endpoints", (g, g2, h)))
+    # associativity over all composable triples. When r(h) == r(g2), the
+    # rows of h = g g2 and of g2 are keyed alike, by the g3 after g2, so the
+    # triples of the pair hold when the row of h equals the row of g read at
+    # the composites g2 g3 in the row of g2. With every pair's endpoints
+    # right, this is decided for all pairs at once, a row of g at a time;
+    # otherwise, or where that fails, pair by pair
+    values = dict(zip(rows, map(list, map(dict.values, rows.values()))))
+    read = map(getattr, rows.values(), itertools.repeat("__getitem__"))
+    after = map(itertools.chain.from_iterable, map(map, itertools.repeat(values.__getitem__), rows.values()))
+    if ends and (list(itertools.chain.from_iterable(map(values.__getitem__, composites)))
+                 == list(itertools.chain.from_iterable(map(map, read, after)))):
+        return
+    by_l = None
+    for (g, g2), h in comp.items():
+        try:
+            if (ends or r[h] == r[g2]) and values[h] == list(map(rows[g].__getitem__, values[g2])):
+                continue
+        except KeyError:
+            pass
+        if by_l is None:
+            by_l = _l_index(C)
         for g3 in by_l.get(C.r.get(g2), ()):
             left = C.comp.get((h, g3))
             inner = C.comp.get((g2, g3))
@@ -619,19 +716,26 @@ def _check_category_axioms(C: FinCategory, out: list[Violation]) -> None:
 def validate_category(C: FinCategory) -> ValidationReport:
     C = _plain_tables(C)
     out: list[Violation] = []
-    _check_tables(C, out, None)
-    if not any(v.kind == "structural" for v in out):
-        _check_category_axioms(C, out)
+    rows = _check_tables(C, out, None)
+    if rows is not None:
+        _check_category_axioms(C, out, rows)
     return ValidationReport(tuple(out))
 
 
 def validate_groupoid(G: FinGroupoid) -> ValidationReport:
     C, inv = _plain_tables(G), _plain(G.inv)
     out: list[Violation] = []
-    _check_tables(C, out, inv)
-    if any(v.kind == "structural" for v in out):
+    rows = _check_tables(C, out, inv)
+    if rows is None:
         return ValidationReport(tuple(out))
-    _check_category_axioms(C, out)
+    _check_category_axioms(C, out, rows)
+    arrows = list(C.arrows)
+    ls, rs = list(map(C.l.__getitem__, arrows)), list(map(C.r.__getitem__, arrows))
+    inverses = list(map(inv.__getitem__, arrows))
+    if (list(map(C.l.__getitem__, inverses)) == rs and list(map(C.r.__getitem__, inverses)) == ls
+            and list(map(dict.get, map(rows.__getitem__, arrows), inverses)) == list(map(C.unit.__getitem__, ls))
+            and list(map(dict.get, map(rows.__getitem__, inverses), arrows)) == list(map(C.unit.__getitem__, rs))):
+        return ValidationReport(tuple(out))
     for g in C.arrows:
         gi = inv.get(g)
         if gi is None or gi not in C.arrows:
@@ -924,9 +1028,19 @@ def check_hom(phi: GroupoidHom) -> ValidationReport:
     for x in S.objects:
         if phi.f0.get(x) not in T.objects:
             out.append(Violation("structural", "f0", "object map misses the target", (x,)))
+    # with no violation so far, every source object or arrow is a key of its
+    # map, so a key off the source shows in the count
+    if out or len(phi.f0) > len(S.objects):
+        off = phi.f0.keys() - S.objects.elements
+        out += [Violation("structural", "f0-domain", "object map defined off the source objects", (x,))
+                for x in phi.f0 if x in off]
     for g in S.arrows:
         if phi.f1.get(g) not in T.arrows:
             out.append(Violation("structural", "f1", "arrow map misses the target", (g,)))
+    if out or len(phi.f1) > len(S.arrows):
+        off = phi.f1.keys() - S.arrows.elements
+        out += [Violation("structural", "f1-domain", "arrow map defined off the source arrows", (g,))
+                for g in phi.f1 if g in off]
     if out:
         return ValidationReport(tuple(out))
     Sl, Sr, Sunit = _plain(S.l), _plain(S.r), _plain(S.unit)

@@ -47,7 +47,13 @@ These deliberately avoid the code paths they are checking:
   pair the binary tensors' labels by hand, where wired_tensor_witness and
   interchange_blocks read the n-ary tensors' indexes; tensor_eager builds
   the n-ary tensor in full up front, every point, moment and label, where
-  tensor_bibundle encodes a point only when something reads it.
+  tensor_bibundle encodes a point only when something reads it;
+- the validation scans validate_groupoid_scan, validate_category_scan and
+  validate_bibundle_scan look at every table entry, composable pair and
+  composable triple one by one, where the library decides each family of
+  entries and each law by comparing whole lists of rows, and scans only a
+  family or law that fails; the bundle scan reads each action pair by pair
+  over every point's fiber, reporting a pair its table lacks.
 """
 from __future__ import annotations
 
@@ -72,6 +78,7 @@ from bibucalc.calculus import (
     compose,
 )
 from bibucalc.core import (
+    FinCategory,
     FinGroupoid,
     StructuralError,
     ValidationReport,
@@ -826,3 +833,220 @@ def tensor_eager(*parts: Bibundle) -> Bibundle:
         return label_of[tuple([f(c, h) for f, c, h in zip(rfns, parts_of[p], rsplit(hh))])]
 
     return TensorBibundle(G, H, finset(carrier), lmap, rmap, left_fn, right_fn, index, parts=parts)
+
+
+def _plain_scan(table) -> dict:
+    return table if type(table) is dict else dict(table.items())
+
+
+def _l_index_scan(C: FinCategory) -> dict:
+    out: dict = {}
+    for g in C.arrows:
+        out.setdefault(C.l.get(g), []).append(g)
+    return out
+
+
+def _check_tables_scan(C: FinCategory, out: list[Violation], inv: dict | None) -> None:
+    arrows = set(C.arrows.elements)
+    objects = set(C.objects.elements)
+    for name, m in (("l", C.l), ("r", C.r)):
+        for g in C.arrows:
+            if g not in m:
+                out.append(Violation("structural", f"{name}-missing", f"{name} undefined on arrow", (g,)))
+            elif m[g] not in objects:
+                out.append(Violation("structural", f"{name}-range", f"{name}({g!r}) is not an object", (g, m[g])))
+        for g in m:
+            if g not in arrows:
+                out.append(Violation("structural", f"{name}-domain", f"{name} defined on non-arrow", (g,)))
+    for x in C.objects:
+        if x not in C.unit:
+            out.append(Violation("structural", "unit-missing", "unit undefined on object", (x,)))
+        elif C.unit[x] not in arrows:
+            out.append(Violation("structural", "unit-range", "unit value is not an arrow", (x, C.unit[x])))
+    for x in C.unit:
+        if x not in objects:
+            out.append(Violation("structural", "unit-domain", "unit defined on non-object", (x,)))
+    if inv is not None:
+        for g in C.arrows:
+            if g not in inv:
+                out.append(Violation("structural", "inv-missing", "inv undefined on arrow", (g,)))
+            elif inv[g] not in arrows:
+                out.append(Violation("structural", "inv-range", "inv value is not an arrow", (g, inv[g])))
+        for g in inv:
+            if g not in arrows:
+                out.append(Violation("structural", "inv-domain", "inv defined on non-arrow", (g,)))
+    for key, h in C.comp.items():
+        g, g2 = key
+        if g not in arrows or g2 not in arrows:
+            out.append(Violation("structural", "comp-domain", "comp key is not a pair of arrows", key))
+        elif C.l.get(g2) != C.r.get(g):
+            out.append(Violation("structural", "comp-noncomposable", "comp defined on a non-composable pair", key))
+        elif h not in arrows:
+            out.append(Violation("structural", "comp-range", "comp value is not an arrow", (*key, h)))
+    by_l = _l_index_scan(C)
+    for g in C.arrows:
+        rg = C.r.get(g)
+        if rg is None:
+            continue
+        for g2 in by_l.get(rg, ()):
+            if (g, g2) not in C.comp:
+                out.append(Violation("structural", "comp-missing", "comp undefined on composable pair", (g, g2)))
+
+
+def _check_category_axioms_scan(C: FinCategory, out: list[Violation]) -> None:
+    for x in C.objects:
+        u = C.unit.get(x)
+        if u is None or u not in C.arrows:
+            continue
+        if C.l.get(u) != x or C.r.get(u) != x:
+            out.append(Violation("axiom", "unit-moment", "unit arrow is not an endo-arrow at its object", (x, u)))
+    for g in C.arrows:
+        ul = C.unit.get(C.l.get(g, ""), None)
+        ur = C.unit.get(C.r.get(g, ""), None)
+        if ul is not None and C.comp.get((ul, g)) != g:
+            out.append(Violation("axiom", "unit-law", "left unit law fails", (g,)))
+        if ur is not None and C.comp.get((g, ur)) != g:
+            out.append(Violation("axiom", "unit-law", "right unit law fails", (g,)))
+    for (g, g2), h in C.comp.items():
+        if h not in C.arrows:
+            continue
+        if C.l.get(h) != C.l.get(g) or C.r.get(h) != C.r.get(g2):
+            out.append(Violation("axiom", "comp-moment", "composite has wrong endpoints", (g, g2, h)))
+    by_l = _l_index_scan(C)
+    for (g, g2), h in C.comp.items():
+        for g3 in by_l.get(C.r.get(g2), ()):
+            left = C.comp.get((h, g3))
+            inner = C.comp.get((g2, g3))
+            right = C.comp.get((g, inner)) if inner is not None else None
+            if left != right or left is None:
+                out.append(Violation("axiom", "assoc", "associativity fails", (g, g2, g3)))
+
+
+def _plain_tables_scan(C) -> FinCategory:
+    return FinCategory(C.objects, C.arrows, _plain_scan(C.l), _plain_scan(C.r),
+                       _plain_scan(C.comp), _plain_scan(C.unit))
+
+
+def validate_category_scan(C: FinCategory) -> ValidationReport:
+    """validate_category by the per-element scans: every table entry,
+    composable pair and composable triple is looked at one by one."""
+    C = _plain_tables_scan(C)
+    out: list[Violation] = []
+    _check_tables_scan(C, out, None)
+    if not any(v.kind == "structural" for v in out):
+        _check_category_axioms_scan(C, out)
+    return ValidationReport(tuple(out))
+
+
+def validate_groupoid_scan(G: FinGroupoid) -> ValidationReport:
+    """validate_groupoid by the per-element scans, the inverse laws arrow by
+    arrow."""
+    C, inv = _plain_tables_scan(G), _plain_scan(G.inv)
+    out: list[Violation] = []
+    _check_tables_scan(C, out, inv)
+    if any(v.kind == "structural" for v in out):
+        return ValidationReport(tuple(out))
+    _check_category_axioms_scan(C, out)
+    for g in C.arrows:
+        gi = inv.get(g)
+        if gi is None or gi not in C.arrows:
+            continue
+        if C.l.get(gi) != C.r.get(g) or C.r.get(gi) != C.l.get(g):
+            out.append(Violation("axiom", "inv-moment", "inverse has wrong endpoints", (g, gi)))
+            continue
+        if C.comp.get((g, gi)) != C.unit.get(C.l[g]):
+            out.append(Violation("axiom", "inv-law", "g . inv(g) is not a unit", (g,)))
+        if C.comp.get((gi, g)) != C.unit.get(C.r[g]):
+            out.append(Violation("axiom", "inv-law", "inv(g) . g is not a unit", (g,)))
+    return ValidationReport(tuple(out))
+
+
+def _action_table_scan(M: Bibundle, side: str, out: list[Violation]) -> dict:
+    """One side's action as a flat table, read pair by pair over the carrier
+    and each point's fiber; a pair that a bundle built from tables lacks is
+    reported as missing and left out."""
+    given = M.tables[side == "right"] if M.tables is not None else None
+    table = {}
+    for m in M.carrier:
+        if side == "left":
+            keys = [(g, m) for g in M.left_groupoid.r_fiber(M.lmap[m])]
+        else:
+            keys = [(m, h) for h in M.right_groupoid.l_fiber(M.rmap[m])]
+        for key in keys:
+            if given is not None and key not in given:
+                out.append(Violation("structural", f"{side}-act-missing",
+                                     f"{side} action undefined on its domain", key))
+            elif side == "left":
+                table[key] = M.left_fn(*key)
+            else:
+                table[key] = M.right_fn(*key)
+    return table
+
+
+def validate_bibundle_scan(M: Bibundle) -> ValidationReport:
+    """validate_bibundle by the per-element scans: every action row, and
+    every composable pair and commuting square at every point, one by one."""
+    out: list[Violation] = []
+    G, H = M.left_groupoid, M.right_groupoid
+    for m in M.carrier:
+        if M.lmap.get(m) not in G.objects:
+            out.append(Violation("structural", "lmap", "left moment misses G objects", (m,)))
+        if M.rmap.get(m) not in H.objects:
+            out.append(Violation("structural", "rmap", "right moment misses H objects", (m,)))
+    for m in M.lmap:
+        if m not in M.carrier:
+            out.append(Violation("structural", "lmap-domain", "left moment defined off the carrier", (m,)))
+    for m in M.rmap:
+        if m not in M.carrier:
+            out.append(Violation("structural", "rmap-domain", "right moment defined off the carrier", (m,)))
+    if out:
+        return ValidationReport(tuple(out))
+
+    tables = []
+    for side, given in zip(("left", "right"), M.tables or (None, None)):
+        table = _action_table_scan(M, side, out)
+        if given is not None:
+            out += [Violation("structural", f"{side}-act-domain", f"{side} action defined off its domain", key)
+                    for key in given if key not in table]
+        tables.append(table)
+    lt, rt = tables
+    for (g, m), m2 in lt.items():
+        if m2 not in M.carrier:
+            out.append(Violation("structural", "left-act-range", "left action leaves the carrier", (g, m, m2)))
+            continue
+        if M.lmap[m2] != G.l[g]:
+            out.append(Violation("axiom", "left-act-lmap", "left action moves lmap wrongly", (g, m)))
+        if M.rmap[m2] != M.rmap[m]:
+            out.append(Violation("axiom", "left-act-rmap", "left action must fix rmap", (g, m)))
+    for (m, h), m2 in rt.items():
+        if m2 not in M.carrier:
+            out.append(Violation("structural", "right-act-range", "right action leaves the carrier", (m, h, m2)))
+            continue
+        if M.rmap[m2] != H.r[h]:
+            out.append(Violation("axiom", "right-act-rmap", "right action moves rmap wrongly", (m, h)))
+        if M.lmap[m2] != M.lmap[m]:
+            out.append(Violation("axiom", "right-act-lmap", "right action must fix lmap", (m, h)))
+    if out:
+        return ValidationReport(tuple(out))
+
+    for m in M.carrier:
+        if lt[(G.unit[M.lmap[m]], m)] != m:
+            out.append(Violation("axiom", "left-unit", "left unit action is not the identity", (m,)))
+        if rt[(m, H.unit[M.rmap[m]])] != m:
+            out.append(Violation("axiom", "right-unit", "right unit action is not the identity", (m,)))
+    for m in M.carrier:
+        for g2 in G.r_fiber(M.lmap[m]):
+            m2 = lt[(g2, m)]
+            for g1 in G.r_fiber(G.l[g2]):
+                if lt[(g1, m2)] != lt[(G.comp[(g1, g2)], m)]:
+                    out.append(Violation("axiom", "left-assoc", "left action is not associative", (g1, g2, m)))
+        for h1 in H.l_fiber(M.rmap[m]):
+            m2 = rt[(m, h1)]
+            for h2 in H.l_fiber(H.r[h1]):
+                if rt[(m2, h2)] != rt[(m, H.comp[(h1, h2)])]:
+                    out.append(Violation("axiom", "right-assoc", "right action is not associative", (m, h1, h2)))
+        for g in G.r_fiber(M.lmap[m]):
+            for h in H.l_fiber(M.rmap[m]):
+                if rt[(lt[(g, m)], h)] != lt[(g, rt[(m, h)])]:
+                    out.append(Violation("axiom", "commute", "left and right actions do not commute", (g, m, h)))
+    return ValidationReport(tuple(out))

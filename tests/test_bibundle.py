@@ -39,6 +39,7 @@ from oracles import (
     pairing_solutions,
     principality_scan,
     stabiliser_scan,
+    validate_bibundle_scan,
 )
 
 
@@ -300,3 +301,52 @@ def test_stabiliser_found_past_the_first_orbit_of_a_fiber():
     assert rep == principality_scan(M, "right")
     assert rep.witnesses == {"free": ("c", "1"), "transitive": ("c", "a")}
     assert compute_pairing(M) == NoPairing("free", ("c", "1"))
+
+
+def _damaged_tables(rng, M, damage):
+    """M's action tables, each listed in a shuffled order, with one kind of
+    damage: an action value replaced, two values of one table swapped, or a
+    row dropped."""
+    tables = []
+    for table in (M.left_table(), M.right_table()):
+        items = list(table.items())
+        rng.shuffle(items)
+        tables.append(dict(items))
+    table = tables[rng.randrange(2)]
+    keys = list(table)
+    if damage == "replace":
+        table[rng.choice(keys)] = rng.choice(M.carrier.elements)
+    elif damage == "swap":
+        a, b = rng.choice(keys), rng.choice(keys)
+        table[a], table[b] = table[b], table[a]
+    elif damage == "drop":
+        del table[rng.choice(keys)]
+    return bibundle_from_tables(M.left_groupoid, M.right_groupoid, M.carrier, dict(M.lmap), dict(M.rmap), *tables)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.sampled_from(["none", "replace", "swap", "drop"]))
+def test_validate_bibundle_matches_scan_oracle(seed, principal, damage):
+    rng = random.Random(seed)
+    if principal:
+        M = random_right_principal_bibundle(rng, max_objects=2, max_isotropy=3)
+    else:
+        M = random_bibundle(rng, max_objects=2, max_isotropy=3)
+    assert validate_bibundle(M).entries == validate_bibundle_scan(M).entries == ()
+    N = _damaged_tables(rng, M, damage)
+    assert validate_bibundle(N).entries == validate_bibundle_scan(N).entries
+
+
+def test_validate_bibundle_reports_missing_action_rows(cyc3):
+    M = identity_bibundle(cyc3)
+    left, right = M.left_table(), M.right_table()
+    del left[("2", "1")], left[("1", "0")], right[("2", "2")]
+    N = bibundle_from_tables(cyc3, cyc3, M.carrier, dict(M.lmap), dict(M.rmap), left, right)
+    rep = validate_bibundle(N)
+    # carrier x fiber order on each side, left before right
+    assert [(v.kind, v.code, v.witness) for v in rep.entries] == [
+        ("structural", "left-act-missing", ("1", "0")),
+        ("structural", "left-act-missing", ("2", "1")),
+        ("structural", "right-act-missing", ("2", "2")),
+    ]
+    assert rep.entries == validate_bibundle_scan(N).entries

@@ -4,10 +4,11 @@ category and hom files. Every run must exit 0, 1 or 2, print no traceback
 and write its manifest. Structural damage (dropped or retyped keys, non-string or
 duplicate labels, repeated table rows, dangling or self references to
 groupoid files) must exit 2 with an `error` in the manifest. Labels that
-name nothing make `validate` exit 1, and the verbs that validate on ingest
-exit 2. A group spec whose mu, e or i names another part's file is wired
-wrongly: every verb that reads a spec, `validate` included, must exit 2 with
-an `error` naming that part."""
+name nothing, and a table row, map key or list label dropped, make
+`validate` exit 1, and the verbs that validate on ingest exit 2. A group
+spec whose mu, e or i names another part's file is wired wrongly: every
+verb that reads a spec, `validate` included, must exit 2 with an `error`
+naming that part."""
 import contextlib
 import io as _io
 import json
@@ -64,7 +65,7 @@ def damaged(draw, original: dict) -> tuple[dict, bool]:
     """A damaged copy of a bundle file and whether the damage is structural."""
     d = json.loads(json.dumps(original))
     what = draw(st.sampled_from(["drop", "retype", "non-string", "duplicate",
-                                 "reference", "dangling"]))
+                                 "reference", "dangling", "drop-entry"]))
     if what == "reference":
         d[draw(st.sampled_from(GROUPOIDS))] = draw(st.sampled_from([NAME, "missing.json", "."]))
         return d, True
@@ -74,9 +75,19 @@ def damaged(draw, original: dict) -> tuple[dict, bool]:
         "non-string": ("list", "map", "table"),
         "duplicate": ("list", "table"),
         "dangling": ("list", "map", "table"),
+        "drop-entry": ("list", "map", "table"),
     }[what]
     obj, key, shape = draw(st.sampled_from(_fields(d, shapes)))
     value = obj[key]
+    if what == "drop-entry":
+        # one row of a table, one key of a map or one label of a list: the
+        # file still parses, and what the loss leaves undefined or dangling
+        # is a violation
+        if shape == "map":
+            del value[draw(st.sampled_from(sorted(value)))]
+        else:
+            del value[draw(st.integers(0, len(value) - 1))]
+        return d, False
     if what == "drop":
         del obj[key]
     elif what == "retype":

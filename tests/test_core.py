@@ -43,6 +43,8 @@ from oracles import (
     product_comp_entry,
     product_groupoid_eager,
     tup_loop,
+    validate_category_scan,
+    validate_groupoid_scan,
 )
 
 
@@ -542,3 +544,66 @@ def test_validate_product_matches_validate_of_its_json(seeds, damage):
     loaded = groupoid_from_json(groupoid_to_json(P), validate=False)
     assert validate_groupoid(P) == validate_groupoid(loaded)
     assert validate_category(as_category(P)) == validate_category(as_category(loaded))
+
+
+def _damaged(G, rng, damage):
+    """G with plain tables, comp listed in a shuffled order, and one kind of
+    damage: a comp value replaced, two comp values swapped, an inv value
+    replaced or a unit moved."""
+    items = list(G.comp.items())
+    rng.shuffle(items)
+    comp, inv, unit = dict(items), dict(G.inv.items()), dict(G.unit)
+    keys, arrows = list(comp), G.arrows.elements
+    if damage == "replace":
+        comp[rng.choice(keys)] = rng.choice(arrows)
+    elif damage == "swap":
+        a, b = rng.choice(keys), rng.choice(keys)
+        comp[a], comp[b] = comp[b], comp[a]
+    elif damage == "inv":
+        inv[rng.choice(arrows)] = rng.choice(arrows)
+    elif damage == "unit":
+        unit[rng.choice(G.objects.elements)] = rng.choice(arrows)
+    return type(G)(G.objects, G.arrows, dict(G.l.items()), dict(G.r.items()), comp, inv, unit)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from(["none", "replace", "swap", "inv", "unit"]))
+def test_validation_matches_scan_oracle(seed, damage):
+    rng = random.Random(seed)
+    G = _damaged(random_groupoid(rng, max_objects=3, max_isotropy=3), rng, damage)
+    assert validate_groupoid(G).entries == validate_groupoid_scan(G).entries
+    assert validate_category(as_category(G)).entries == validate_category_scan(as_category(G)).entries
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.integers(0, 10_000), min_size=2, max_size=2), st.sampled_from(["none", "replace", "swap"]))
+def test_validation_of_products_matches_scan_oracle(seeds, damage):
+    P = product_groupoid(_random_factors(seeds))
+    assert validate_groupoid(P).entries == validate_groupoid_scan(P).entries == ()
+    G = _damaged(P, random.Random(seeds[0]), damage)
+    assert validate_groupoid(G).entries == validate_groupoid_scan(G).entries
+
+
+def test_comp_rows_over_one_object_list_their_arrows_in_one_order():
+    # comp listed in a shuffled order: rows over one object come out of the
+    # table in different orders, and are compared value list against value
+    # list only once aligned
+    G = _damaged(product_groupoid([pair_groupoid(2), cyclic_groupoid(3)]), random.Random(3), "none")
+    C = core._plain_tables(G)
+    rows = core._comp_rows(C, set(G.arrows.elements))
+    orders = {}
+    for g, row in rows.items():
+        assert orders.setdefault(C.r[g], tuple(row)) == tuple(row)
+        assert row == {g2: C.comp[(g, g2)] for g2 in G.l_fiber(C.r[g])}
+    assert len(orders) == len(G.objects)
+
+
+def test_check_hom_refuses_entries_off_the_source():
+    G = cyclic_groupoid(3)
+    phi = identity_hom(G)
+    assert check_hom(phi).ok
+    f0 = {**phi.f0, "zz": "*"}
+    f1 = {**phi.f1, "zz": "0"}
+    for hom, code in ((type(phi)(G, G, f0, phi.f1), "f0-domain"), (type(phi)(G, G, phi.f0, f1), "f1-domain")):
+        rep = check_hom(hom)
+        assert [(v.kind, v.code, v.witness) for v in rep.entries] == [("structural", code, ("zz",))]

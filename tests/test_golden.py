@@ -7,14 +7,18 @@ composite over (4,2) and (4,4). The check runs pin the bijection the
 isomorphism search finds (or its failure), the coherence run the associator
 and unitor candidates it tries. Every command runs inside a temporary directory with relative paths,
 so manifests hold only relative paths and the inputs' sha256, and the bytes
-do not depend on where the test runs."""
+do not depend on where the test runs. The validate runs pin the violations
+reported, in order, for a groupoid and a bundle whose tables were damaged
+after a valid one was written."""
 import contextlib
 import hashlib
 import os
 
 import pytest
 
+from bibucalc import cyclic_groupoid, identity_bibundle, io, pair_groupoid, product_groupoid
 from bibucalc.cli import main
+from bibucalc.core import FinGroupoid
 
 STEM = "kronecker_4_2"
 
@@ -273,3 +277,67 @@ def test_eval_diagram_golden(tmp_path, capsys, n, q):
                                      ANTIPODE, "--out", "antipode"])
     assert code == 0
     assert {"stdout": stdout, **_digests(tmp_path / "antipode")} == GOLDEN_ANTIPODE[(n, q)]
+
+
+# validate on damaged files over pair(2) x Z/2, whose arrows come two to a
+# pair of endpoints, so a damaged value can keep its row's moments, and whose
+# reports stay under the manifest's 20 violations: the composite of the first
+# unit with itself breaks associativity, the unit laws and the inverse laws;
+# a damaged action row breaks that action's law and commutation
+def _base() -> FinGroupoid:
+    return product_groupoid([pair_groupoid(2), cyclic_groupoid(2)])
+
+
+def _damaged_groupoid() -> dict:
+    d = io.groupoid_to_json(_base())
+    unit = d["arrows"][0]
+    row = next(row for row in d["comp"] if row[:2] == [unit, unit])
+    row[2] = d["arrows"][1]
+    return d
+
+
+def _damaged_bundle(table: str) -> dict:
+    """The identity bundle of the base with row 3 of one action table sent
+    to the other point over the same moments."""
+    d = io.bibundle_to_json(identity_bibundle(_base()))
+    row = d[table][3]
+    row[2] = next(m for m in d["carrier"] if m != row[2] and d["lM"][m] == d["lM"][row[2]]
+                  and d["rM"][m] == d["rM"][row[2]])
+    return d
+
+
+VALIDATE_RUNS = {
+    "groupoid": _damaged_groupoid,
+    "bibundle_left": lambda: _damaged_bundle("leftAct"),
+    "bibundle_right": lambda: _damaged_bundle("rightAct"),
+}
+
+GOLDEN_VALIDATE = {
+    "bibundle_left": {
+        "stdout":
+            "23e18104c8b3793d22c6860cab9ac5dbe304ba6a53fa0c3c10b29dc2f82763f9",
+        "validate_witness.json":
+            "43aacfdf5935d562714e0726eeaaad116223f44d36bc886dfc88f033b39e1656",
+    },
+    "bibundle_right": {
+        "stdout":
+            "bfe108cd2d02e9bc55f4821c0e9ad6e0767a2cca8d52213266cec844981f2e88",
+        "validate_witness.json":
+            "3a2cdad1784b6f99a4eb1a645dc0ea33dd2d8c03f598827d9c99cb5de848d4c8",
+    },
+    "groupoid": {
+        "stdout":
+            "5439de047c54d022f6c6b4b008f5cbb83230aa4d9ba610c5fd50d67f0ef3db54",
+        "validate_witness.json":
+            "603cdc2e01008818f0d1138f025ab2881e191edc79c85014239d96b0590f78fa",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATE_RUNS))
+def test_validate_golden(tmp_path, capsys, name):
+    with contextlib.chdir(tmp_path):
+        io.save_json(f"{name}.json", VALIDATE_RUNS[name]())
+        code, stdout = _run(capsys, ["validate", f"{name}.json", "--out", name])
+    assert code == 1
+    assert {"stdout": stdout, **_digests(tmp_path / name)} == GOLDEN_VALIDATE[name]

@@ -400,6 +400,20 @@ def test_cli_validate_refuses_action_rows_off_the_domain(tmp_path, capsys, table
     assert main(["principal", "--bibundle", bad]) == 2
 
 
+@pytest.mark.parametrize("table, code", [("leftAct", "left-act-missing"), ("rightAct", "right-act-missing")])
+def test_cli_validate_reports_missing_action_rows(tmp_path, capsys, table, code):
+    d = io.bibundle_to_json(identity_bibundle(cyclic_groupoid(3)))
+    row = d[table].pop(4)
+    bad = str(tmp_path / "bad.json")
+    io.save_json(bad, d)
+    capsys.readouterr()
+    assert main(["validate", bad, "--json", "--out", str(tmp_path)]) == 1
+    verdict = json.loads(capsys.readouterr().out)["verdicts"][bad]
+    assert [(v["code"], v["witness"]) for v in verdict["violations"]["bibundle"]] == [(code, repr(tuple(row[:2])))]
+    assert main(["principal", "--bibundle", bad, "--json"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdicts"]["error"].startswith("bibundle file invalid: ")
+
+
 def test_cli_refuses_repeated_json_keys(tmp_path, capsys):
     text = io.dumps(io.bibundle_to_json(identity_bibundle(cyclic_groupoid(3))))
     # a second lM entry for point "0", ahead of the real one

@@ -29,6 +29,8 @@ from bibucalc.generators import (
     relabel_randomly,
 )
 
+from oracles import validate_category_scan
+
 
 def test_linking_category_of_identity_counts():
     G = cyclic_groupoid(3)
@@ -151,6 +153,7 @@ def test_category_validity_iff_bibundle_validity(seed):
         M.left_groupoid, M.right_groupoid, list(M.carrier),
         M.lmap, M.rmap, left, right)
     assert validate_bibundle(N).ok == validate_category(cat).ok
+    assert validate_category(cat).entries == validate_category_scan(cat).entries
 
 
 def test_opposite_of_biprincipal_gives_linking_groupoid_too():
