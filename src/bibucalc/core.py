@@ -688,23 +688,16 @@ def _check_category_axioms(C: FinCategory, out: list[Violation], rows: Rows) -> 
     # rows of h = g g2 and of g2 are keyed alike, by the g3 after g2, so the
     # triples of the pair hold when the row of h equals the row of g read at
     # the composites g2 g3 in the row of g2. With every pair's endpoints
-    # right, this is decided for all pairs at once, a row of g at a time;
-    # otherwise, or where that fails, pair by pair
+    # right, this is decided for all pairs at once; otherwise, or where that
+    # fails, the triples are scanned one by one
     values = dict(zip(rows, map(list, map(dict.values, rows.values()))))
     read = map(getattr, rows.values(), itertools.repeat("__getitem__"))
     after = map(itertools.chain.from_iterable, map(map, itertools.repeat(values.__getitem__), rows.values()))
     if ends and (list(itertools.chain.from_iterable(map(values.__getitem__, composites)))
                  == list(itertools.chain.from_iterable(map(map, read, after)))):
         return
-    by_l = None
+    by_l = _l_index(C)
     for (g, g2), h in comp.items():
-        try:
-            if (ends or r[h] == r[g2]) and values[h] == list(map(rows[g].__getitem__, values[g2])):
-                continue
-        except KeyError:
-            pass
-        if by_l is None:
-            by_l = _l_index(C)
         for g3 in by_l.get(C.r.get(g2), ()):
             left = C.comp.get((h, g3))
             inner = C.comp.get((g2, g3))

@@ -71,16 +71,13 @@ def _triples(table: Mapping[tuple[str, str], str]) -> list[list[str]]:
 
 # Shape checks run before any constructor, so that a mistyped field is named
 # instead of coerced (a string read as its characters) or failing inside one.
-# Each shape is first checked by exact types, in one pass at C speed; the
-# isinstance scan after it decides only what that pass does not accept.
+# Each shape is checked by exact types, in one pass at C speed: JSON decoding
+# yields plain lists, dicts and strings, never their subclasses.
 
 
 def _untriples(rows, what: str) -> dict[tuple[str, str], str]:
     if not (type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
-            and set(map(type, chain.from_iterable(rows))) <= {str}
-            or isinstance(rows, list) and all(
-                isinstance(row, list) and len(row) == 3 and all(isinstance(x, str) for x in row)
-                for row in rows)):
+            and set(map(type, chain.from_iterable(rows))) <= {str}):
         raise StructuralError(f"field {what!r} must be a list of [a, b, value] string triples")
     table = {(a, b): v for a, b, v in rows}
     if len(table) < len(rows):
@@ -91,16 +88,14 @@ def _untriples(rows, what: str) -> dict[tuple[str, str], str]:
 
 def _label_list(obj: dict, key: str) -> list[str]:
     labels = obj[key]
-    if not (type(labels) is list and set(map(type, labels)) <= {str}
-            or isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+    if not (type(labels) is list and set(map(type, labels)) <= {str}):
         raise StructuralError(f"field {key!r} must be a list of strings")
     return labels
 
 
 def _label_map(obj: dict, key: str) -> dict[str, str]:
     table = obj[key]
-    if not (type(table) is dict and set(map(type, table)) <= {str} and set(map(type, table.values())) <= {str}
-            or isinstance(table, dict) and all(isinstance(x, str) for kv in table.items() for x in kv)):
+    if not (type(table) is dict and set(map(type, table)) <= {str} and set(map(type, table.values())) <= {str}):
         raise StructuralError(f"field {key!r} must be an object from strings to strings")
     return dict(table)
 

@@ -51,9 +51,11 @@ These deliberately avoid the code paths they are checking:
 - the validation scans validate_groupoid_scan, validate_category_scan and
   validate_bibundle_scan look at every table entry, composable pair and
   composable triple one by one, where the library decides each family of
-  entries and each law by comparing whole lists of rows, and scans only a
-  family or law that fails; the bundle scan reads each action pair by pair
-  over every point's fiber, reporting a pair its table lacks.
+  a groupoid's or category's entries and each of its laws by comparing
+  whole lists of rows, and scans only a family or law that fails; the
+  bundle scan reads each action as one flat table, pair by pair over every
+  point's fiber, reporting a pair its table lacks, where the library reads
+  it into one row per point.
 """
 from __future__ import annotations
 
