@@ -479,14 +479,15 @@ def _emit(args, man: RunManifest, code: int) -> None:
     if getattr(args, "json", False):
         sys.stdout.write(io.dumps(man.to_json()))
         return
+    lines = []
     for key, value in man.verdicts.items():
         if isinstance(value, dict):
-            inner = ", ".join(f"{k}={v}" for k, v in value.items())
-            print(f"{key}: {inner}")
-        else:
-            print(f"{key}: {value}")
-    for path in man.witnesses:
-        print(f"wrote {path}")
+            value = ", ".join(f"{k}={v}" for k, v in value.items())
+        lines.append(f"{key}: {value}\n")
+    lines += [f"wrote {path}\n" for path in man.witnesses]
+    # a label stdout cannot encode (an ASCII locale) is written as its escape
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    sys.stdout.write("".join(lines).encode(encoding, "backslashreplace").decode(encoding))
 
 
 def main(argv=None) -> int:

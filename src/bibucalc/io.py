@@ -1,21 +1,33 @@
 """JSON interchange for every object the calculus produces.
 
 All carriers are label lists, all maps explicit JSON objects, all binary
-tables sorted triple lists; dumps() output is byte-stable (sorted keys,
-two-space indent, trailing newline) so repeated runs diff clean. Wherever a
-sub-object is referenced, either an inline JSON object or a path string
-relative to the referencing file is accepted.
+tables sorted triple lists; dumps() output is byte-stable so repeated runs
+diff clean. It is byte for byte json.dumps(obj, sort_keys=True, indent=2)
+plus a newline, in ASCII, but written at the speed of json's C encoder,
+which json itself uses only when there is no indent. dumps walks the dicts
+and lists and hands each leaf container (a list of scalars, a str-keyed
+dict of scalars, or a list of non-empty scalar rows such as a comp or
+action table) whole to a C encoder whose item separator breaks the line
+and indents; the breaks around the brackets, and between rows, are put in
+by hand, and the pieces are joined once. Anything else (tuples,
+subclasses, floats, non-str keys, values json refuses) is written by
+json.dumps itself, so its bytes and errors are json's. Files are read as
+UTF-8, whatever the locale. Wherever a sub-object is referenced, either an
+inline JSON object or a path string relative to the referencing file is
+accepted.
 
 Loaders validate on ingest by default and raise StructuralError on the first
 violation; pass validate=False to get the raw object for inspection.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from collections import Counter
 from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Mapping
 
 from .bibundle import Bibundle, bibundle_from_tables, validate_bibundle
@@ -33,13 +45,82 @@ from .groups import StackyGroupData
 from .simplicial import TruncatedSSet, validate_sset
 
 
+_SCALARS = frozenset({str, int, bool, type(None)})
+
+
+@functools.cache
+def _leaf_encoder(depth: int):
+    """json's C encoder for a leaf container at the given depth: no indent
+    (so json takes its C path), and an item separator that breaks the line
+    and indents the next item one level deeper than the container."""
+    return json.JSONEncoder(sort_keys=True, check_circular=False,
+                            separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _write(value: Any, depth: int, path: set[int], out: list[str]) -> None:
+    """Append to out the text of value as json.dumps(..., sort_keys=True,
+    indent=2) writes it at the given depth; path holds the ids of the
+    containers being written. The pieces are joined once, so a large table
+    is copied once, not again at every level that encloses it."""
+    kind = type(value)
+    # a scalar as json's indenting writer converts it, without an encoder call
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append("true" if value is True else "false" if value is False else "null")
+    elif not (kind is list or (kind is dict and set(map(type, value)) <= {str})):
+        out.append(json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth))
+    elif not value:
+        out.append("[]" if kind is list else "{}")
+    else:
+        pad = "\n" + "  " * depth
+        row_pad = pad + "  "
+        opening, closing = ("[", "]") if kind is list else ("{", "}")
+        out.append(opening + row_pad)
+        kinds = set(map(type, value if kind is list else value.values()))
+        if kinds <= _SCALARS:
+            out.append(_leaf_encoder(depth)(value)[1:-1])
+        elif (kind is list and kinds == {list} and all(value)
+              and set(map(type, chain.from_iterable(value))) <= _SCALARS):
+            # Rows: the C encoder breaks between rows as it does between
+            # their items. A "]" before such a break can only close a row,
+            # since an item ends in a quote, digit or letter, and
+            # ensure_ascii keeps newlines out of strings.
+            item_pad = row_pad + "  "
+            rows = _leaf_encoder(depth + 1)(value)[2:-2].replace(
+                "]," + item_pad + "[", row_pad + "]," + row_pad + "[" + item_pad)
+            out += ("[", item_pad, rows, row_pad, "]")
+        else:
+            if id(value) in path:
+                raise ValueError("Circular reference detected")
+            path.add(id(value))
+            sep = "," + row_pad
+            if kind is list:
+                for item in value:
+                    _write(item, depth + 1, path, out)
+                    out.append(sep)
+            else:
+                for key in sorted(value):
+                    out.append(encode_basestring_ascii(key) + ": ")
+                    _write(value[key], depth + 1, path, out)
+                    out.append(sep)
+            out.pop()  # the separator after the last item
+            path.remove(id(value))
+        out.append(pad + closing)
+
+
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    out: list[str] = []
+    _write(obj, 0, set(), out)
+    out.append("\n")
+    return "".join(out)
 
 
 def save_json(path: str, obj: Any) -> str:
-    with open(path, "w") as fh:
-        fh.write(dumps(obj))
+    with open(path, "wb") as fh:
+        fh.write(dumps(obj).encode("ascii"))
     return path
 
 
@@ -53,8 +134,11 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_json(path: str) -> Any:
-    with open(path) as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+    """A JSON file, decoded as UTF-8 (RFC 8259 section 8.1) whatever the
+    locale; a byte order mark is refused by json.loads."""
+    with open(path, "rb") as fh:
+        text = fh.read().decode("utf-8")
+    return json.loads(text, object_pairs_hook=_unique_keys)
 
 
 def sha256_file(path: str) -> str:

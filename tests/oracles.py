@@ -55,11 +55,15 @@ These deliberately avoid the code paths they are checking:
   whole lists of rows, and scans only a family or law that fails; the
   bundle scan reads each action as one flat table, pair by pair over every
   point's fiber, reporting a pair its table lacks, where the library reads
-  it into one row per point.
+  it into one row per point;
+- the writer oracle dumps_stdlib is json.dumps with an indent, which json
+  writes with its pure-Python encoder, where io.dumps hands each leaf
+  container to json's C encoder and puts the line breaks in by hand.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from typing import Callable, Iterable, Iterator
 
@@ -1052,3 +1056,9 @@ def validate_bibundle_scan(M: Bibundle) -> ValidationReport:
                 if rt[(lt[(g, m)], h)] != lt[(g, rt[(m, h)])]:
                     out.append(Violation("axiom", "commute", "left and right actions do not commute", (g, m, h)))
     return ValidationReport(tuple(out))
+
+
+def dumps_stdlib(obj) -> str:
+    """The byte-stable JSON text io.dumps must write, from json's own
+    indenting encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -9,7 +9,8 @@ and unitor candidates it tries. Every command runs inside a temporary directory 
 so manifests hold only relative paths and the inputs' sha256, and the bytes
 do not depend on where the test runs. The validate runs pin the violations
 reported, in order, for a groupoid and a bundle whose tables were damaged
-after a valid one was written."""
+after a valid one was written. Every manifest and file a run writes is also
+checked, as it is written, against json's own indenting writer."""
 import contextlib
 import hashlib
 import os
@@ -19,6 +20,7 @@ import pytest
 from bibucalc import cyclic_groupoid, identity_bibundle, io, pair_groupoid, product_groupoid
 from bibucalc.cli import main
 from bibucalc.core import FinGroupoid
+from oracles import dumps_stdlib
 
 STEM = "kronecker_4_2"
 
@@ -209,6 +211,23 @@ GOLDEN_ANTIPODE = {
             "c58b0a90aae517a738fd73593c539b3129c31b6dfa077db95098b28687efc4f8",
     },
 }
+
+
+@pytest.fixture(autouse=True)
+def writes_match_stdlib(monkeypatch):
+    """io.dumps, which writes every manifest and file, checked against
+    dumps_stdlib on each object it is given."""
+    dumps, written = io.dumps, []
+
+    def checked(obj):
+        text = dumps(obj)
+        assert text == dumps_stdlib(obj)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(io, "dumps", checked)
+    yield
+    assert written
 
 
 def _sha(data: bytes) -> str:
