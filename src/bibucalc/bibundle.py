@@ -23,6 +23,7 @@ from .core import (
     ValidationReport,
     Rows,
     Violation,
+    _scan_fibers,
     finset,
 )
 from .labels import Escapes, LabelIndex
@@ -240,15 +241,6 @@ class PrincipalityReport:
     @property
     def ok(self) -> bool:
         return self.surjective and self.free and self.transitive
-
-
-def _scan_fibers(carrier: Iterable[str], moment: Mapping[str, str]) -> dict[str, list[str]]:
-    """The points over each object under moment, in carrier order; objects
-    in the order their first point comes."""
-    out: dict[str, list[str]] = {}
-    for m in carrier:
-        out.setdefault(moment[m], []).append(m)
-    return out
 
 
 def _fibers(M: Bibundle, moment: str) -> dict[str, list[str]]:

@@ -22,9 +22,8 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from math import prod
-from operator import call, getitem
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from operator import call
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .bibundle import (
     Bibundle,
@@ -34,16 +33,15 @@ from .bibundle import (
     _escapes,
     _fibers,
     _orbit_pass,
-    _scan_fibers,
 )
 from .core import (
     FinGroupoid,
-    FinSet,
     GroupoidHom,
     StructuralError,
     ValidationReport,
     Violation,
-    _LazyTable,
+    _Partwise,
+    _PartwiseFibers,
     _ProductSet,
     finset,
     power_groupoid,
@@ -200,100 +198,6 @@ class TensorBibundle(Bibundle):
     parts: tuple[Bibundle, ...] = field(repr=False, default=())
 
 
-def _product_moments(P: FinGroupoid, legs: Sequence[tuple[FinGroupoid, Mapping[str, str], FinSet]]) -> list[str]:
-    """The objects of P, the product of the legs' groupoids, at each
-    combination of one carrier point per leg, in itertools.product order; a
-    leg is (groupoid, moment map, carrier). P lists its objects in
-    itertools.product order over the legs' groupoids' objects, so each sits
-    at the mixed-radix position of the points' moments."""
-    positions = [0]
-    for K, moment, carrier in legs:
-        at = K.objects._index.__getitem__  # type: ignore[attr-defined]
-        column = [at(moment[c]) for c in carrier]
-        n = len(K.objects)
-        positions = [p * n + q for p in positions for q in column]
-    return list(map(P.objects.elements.__getitem__, positions))
-
-
-class _TensorMoments(_LazyTable):
-    """lmap or rmap of a tensor, keyed by its carrier: a point's moment is
-    the join of its parts' moments, read on its first lookup (see
-    _LazyTable). Once the carrier has been read in full, the first lookup
-    that misses fills every entry in one pass, as a full read does."""
-
-    __slots__ = ("_groupoid", "_join", "_parts_of", "_parts", "_moment", "_moments")
-
-    def __init__(self, P: FinGroupoid, join: Callable, parts: Sequence[Bibundle], moment: str,
-                 carrier: _ProductSet, index: LabelIndex):
-        super().__init__(carrier)
-        self._groupoid, self._join, self._parts_of = P, join, index.parts_of
-        self._parts, self._moment = parts, moment
-        self._moments = [getattr(M, moment) for M in parts]
-
-    def __missing__(self, p: str) -> str:
-        if self._keys.full:
-            moment = dict.get(self._fill(), p)
-            if moment is None:
-                raise KeyError(p)
-            return moment
-        moment = self[p] = self._join(tuple(map(getitem, self._moments, self._parts_of[p])))
-        return moment
-
-    def _entries(self) -> Iterable[tuple[str, str]]:
-        side = "left_groupoid" if self._moment == "lmap" else "right_groupoid"
-        legs = [(getattr(M, side), moment, M.carrier) for M, moment in zip(self._parts, self._moments)]
-        return zip(self._keys.elements, _product_moments(self._groupoid, legs))
-
-
-class _TensorFibers(_LazyTable):
-    """The lmap fibers of a tensor (see _fibers): the points over an object
-    are the combinations of the parts' points over its parts, encoded in one
-    batch on the object's first lookup; an object with no points, or a label
-    that is no object, is a KeyError. Once the carrier has been read in full,
-    the first lookup that misses fills every fiber in one pass."""
-
-    __slots__ = ("_objects", "_split", "_parts", "_index", "_lmap", "_carrier")
-
-    def __init__(self, T: Bibundle, parts: Sequence[Bibundle], split: Callable):
-        super().__init__()
-        self._objects, self._split, self._parts = T.left_groupoid.objects, split, parts
-        self._index, self._lmap, self._carrier = T.index, T.lmap, T.carrier
-
-    def _over(self, x: str) -> list[list[str]]:
-        """The parts' points over x's parts."""
-        if x not in self._objects:
-            raise KeyError(x)
-        return [_fibers(M, "lmap").get(p, ()) for M, p in zip(self._parts, self._split(x))]
-
-    def count(self, objects: Iterable[str]) -> int:
-        """How many points lie over the objects, encoding none of them."""
-        return sum(prod(map(len, self._over(x))) for x in objects)
-
-    def __missing__(self, x: str) -> list[str]:
-        if self._carrier.full:
-            fiber = dict.get(self._fill(), x)
-            if fiber is None:
-                raise KeyError(x)
-            return fiber
-        columns = self._over(x)
-        if not all(columns):
-            raise KeyError(x)
-        escaped = [list(map(memo.__getitem__, c)) for memo, c in zip(self._index.escapes, columns)]
-        fiber = self[x] = self._index.add_escaped(itertools.product(*columns), itertools.product(*escaped))
-        return fiber
-
-    def _entries(self) -> dict[str, list[str]]:
-        return _scan_fibers(self._carrier, self._lmap)
-
-
-def _read_in_full(M: Bibundle) -> None:
-    """Encode every point of a tensor, in one pass; its moments and fibers
-    then fill in one pass each on their next lookup. Any other bundle is
-    read in full already."""
-    if isinstance(M.carrier, _ProductSet):
-        M.carrier.elements
-
-
 def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     """Side-by-side juxtaposition: the bibundle of tuples of points, one per
     part, over the products of the parts' groupoids, acting part by part.
@@ -308,15 +212,19 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     A point is encoded only when something reads it. The carrier is a lazy
     view over the parts' carriers (core._ProductSet) and the label index is
     lazy over them too: a point's label is encoded on its first lookup in
-    either direction. lmap and rmap fill an entry from the parts' moments on
-    its first lookup, and the lmap fibers (see _fibers) give the points over
-    an object as the product of the parts' points over its parts, encoded in
-    one batch. Iteration, elements, an orbit pass, left_table, equality and
-    the witness builders over a whole tensor read it in full: carrier,
-    index, moments and fibers each fill in one pass, as an eager build
-    would. Every part's points are escaped through the part's escape memo
-    when the tensor is built, so a part's point is escaped once however many
-    tensors and composites read it, and the labels are those of tup.
+    either direction. lmap and rmap (core._Partwise) and the lmap fibers
+    (core._PartwiseFibers, see _fibers) follow a product's one storage rule,
+    store on first read: a moment is the join of the parts' moments, and a
+    fiber the product of the parts' points over an object's parts, looked
+    up in the index in one pass. Iteration, elements, an orbit pass,
+    left_table, equality and the witness builders over a whole tensor read
+    it in full: carrier, index, moments and fibers each fill in one pass,
+    the moments at the mixed-radix positions of the parts' moments, and
+    once the carrier is read in full the first lookup that misses in a
+    table fills all of it. Every part's points are escaped through the
+    part's escape memo when the tensor is built, so a part's point is
+    escaped once however many tensors and composites read it, and the
+    labels are those of tup.
     """
     if not parts:
         raise StructuralError("empty tensor")
@@ -332,9 +240,11 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     columns = [M.carrier for M in parts]
     index = LabelIndex([c._index for c in columns], memos)  # type: ignore[attr-defined]
     carrier = _ProductSet(columns, index)
-    lmap = _TensorMoments(G, ljoin, parts, "lmap", carrier, index)
-    rmap = _TensorMoments(H, rjoin, parts, "rmap", carrier, index)
     label_of, parts_of = index.label_of, index.parts_of
+    lmap = _Partwise(carrier, G.objects, [(M.lmap, M.carrier, M.left_groupoid.objects) for M in parts],
+                     parts_of.__getitem__, ljoin, carrier)
+    rmap = _Partwise(carrier, H.objects, [(M.rmap, M.carrier, M.right_groupoid.objects) for M in parts],
+                     parts_of.__getitem__, rjoin, carrier)
     lfns = [M.left_fn for M in parts]
     rfns = [M.right_fn for M in parts]
 
@@ -345,7 +255,7 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
         return label_of[tuple(map(call, rfns, parts_of[p], rsplit(hh)))]
 
     T = TensorBibundle(G, H, carrier, lmap, rmap, left_fn, right_fn, index, parts=parts)
-    T._cache["lmap"] = _TensorFibers(T, parts, lsplit)
+    T._cache["lmap"] = _PartwiseFibers(lmap, lsplit, index, [_fibers(M, "lmap") for M in parts], list)
     return T
 
 
@@ -387,7 +297,7 @@ def _lmap_fibers(N: Bibundle, objects: Iterable[str]) -> Mapping[str, list[str]]
     least half of it is read in full first, which costs less than encoding
     that many points fiber by fiber; counting them encodes none."""
     fibers = _fibers(N, "lmap")
-    if isinstance(fibers, _TensorFibers) and not N.carrier.full:
+    if isinstance(fibers, _PartwiseFibers) and not N.carrier.full:
         if 2 * fibers.count(set(objects)) >= len(N.carrier):
             fibers._fill()
     return fibers

@@ -377,7 +377,9 @@ def _cmd_gen_fixture(args, man: RunManifest) -> int:
         man.verdicts["output"] = _write(args, man, f"{stem}.json", spec)
         return 0
     rng = random.Random(args.seed if args.seed is not None else 0)
-    cap = args.max_size or 3
+    cap = args.max_size
+    if cap < 1:
+        raise StructuralError(f"--max-size must be at least 1, got {cap}")
     if fam == "random-groupoid":
         G = random_groupoid(rng, max_objects=cap, max_isotropy=cap)
         rep = validate_groupoid(G)
@@ -470,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--seed", type=int, default=None, help="seed of the random families")
-    p.add_argument("--max-size", type=int, default=None, dest="max_size",
-                   help="cap on objects and isotropy in the random families")
+    p.add_argument("--max-size", type=int, default=3, dest="max_size",
+                   help="cap on objects and isotropy in the random families (default 3)")
     return top
 
 

@@ -15,11 +15,12 @@ groupoid G^0 is dropped. A product label is the tuple label of one label per
 flat factor; factors_of and product_codec are the only readers of that
 layout. A product groupoid stores its objects, eagerly, and a label index
 filled lazily: its arrows are a view that encodes an arrow's label the first
-time something reads it, and iterating them encodes every arrow in one pass;
-unit fills an entry from the factors' units on its first lookup; l, r, inv
-and comp are mappings that read each entry from the factors' tables; and its
-fibers are products of the factors' fibers. The same lazy set and lazy
-tables carry the points and moments of a tensor of bibundles (see
+time something reads it, and iterating them encodes every arrow in one pass.
+Its l, r, inv and unit are part-wise tables and its fibers a part-wise
+fibers table, with one storage rule: an entry is read from the factors on
+its first lookup and stored, and a full read fills the table in one pass.
+comp alone stores nothing. The same lazy set and the same two tables carry
+the points, moments and fibers of a tensor of bibundles (see
 calculus.tensor_bibundle).
 """
 from __future__ import annotations
@@ -33,7 +34,7 @@ from math import prod
 from operator import getitem, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .labels import LabelIndex, tup
+from .labels import LabelIndex, _Lazy, tup
 
 
 class StructuralError(Exception):
@@ -205,25 +206,43 @@ class _ProductSet(FinSet):
     __hash__ = FinSet.__hash__
 
 
-class _LazyTable(dict):
-    """A table read from elsewhere: an entry missing here is filled on its
-    first lookup (__missing__ in each kind) and kept, so a lookup that hits
-    is a plain dict lookup, and get looks up as [] does. Whatever reads the
-    whole table (iteration, keys, values, items, equality, repr) first fills
-    every entry, in the table's order, in one pass from _entries(), which
-    must not read the table itself. len and in read keys, the table's domain
-    when it has one; without one they look up or fill as well."""
+def _scan_fibers(keys: Iterable[str], moment: Mapping[str, str]) -> dict[str, list[str]]:
+    """The keys over each object under moment, in key order; objects in the
+    order their first key comes."""
+    out: dict[str, list[str]] = {}
+    for m in keys:
+        out.setdefault(moment[m], []).append(m)
+    return out
 
-    __slots__ = ("_keys", "_full")
 
-    def __init__(self, keys: FinSet | None = None):
-        super().__init__()
-        self._keys, self._full = keys, False
+class _LazyTable(_Lazy):
+    """A table read from its parts and stored on first read: an entry missing
+    here is filled by _entry(key) on its first lookup and kept, so a lookup
+    that hits is a plain dict lookup; a label the table refuses is a
+    KeyError and records nothing. Whatever reads the whole table (iteration,
+    keys, values, items, equality, repr) fills every entry in one pass from
+    _entries(), its (key, value) pairs in the table's order or a dict of
+    them, which must not read the table itself and reads the lazy set of
+    labels the table lies over (a product's arrows, a tensor's carrier) in
+    full. A table given that set as over, as a tensor's are, is read in full
+    when the set is: once every label of over is encoded, the first lookup
+    that misses fills every entry in that one pass. len reads keys, the
+    table's domain, when it has one; without one it fills."""
 
-    def _entries(self) -> Iterable[tuple] | dict:
-        """Every (key, value) pair of the table, in its order, or a dict of
-        them."""
-        raise NotImplementedError
+    __slots__ = ("_keys", "_over", "_full")
+
+    def __init__(self, keys: FinSet | None, over: _ProductSet | None):
+        self._keys, self._over, self._full = keys, over, False
+
+    def __missing__(self, key):
+        over = self._over
+        if over is None or not over.full:
+            value = self[key] = self._entry(key)
+            return value
+        value = dict.get(self._fill(), key)
+        if value is None:
+            raise KeyError(key)
+        return value
 
     def _fill(self) -> "_LazyTable":
         if not self._full:
@@ -239,22 +258,6 @@ class _LazyTable(dict):
     def __len__(self) -> int:
         keys = self._keys
         return len(keys) if keys is not None else dict.__len__(self._fill())
-
-    def __contains__(self, x: object) -> bool:
-        keys = self._keys
-        if keys is not None:
-            return x in keys
-        try:
-            self[x]
-        except KeyError:
-            return False
-        return True
-
-    def get(self, x, default=None):
-        try:
-            return self[x]
-        except KeyError:
-            return default
 
     def keys(self):
         return dict.keys(self._fill())
@@ -280,67 +283,93 @@ class _LazyTable(dict):
     __hash__ = None  # type: ignore[assignment]
 
 
-class _ProductUnit(_LazyTable):
-    """unit of a product groupoid, keyed by its objects in object order: an
-    entry is read from the factors' units on its first lookup (see
-    _LazyTable)."""
+class _Partwise(_LazyTable):
+    """A table whose entry at a key is the join of its parts' entries at the
+    key's parts: l, r, inv and unit of a product groupoid, a part per flat
+    factor, and lmap and rmap of a tensor, a part per tensor part. A part is
+    (table, keys, values): its table, the keys it is read at, in order, and
+    the set its entries lie in. The table's keys come in itertools.product
+    order over the parts' keys, and values, the set its entries lie in, in
+    itertools.product order over the parts' values, so the full read is one
+    pass over the parts' columns: an entry is the element of values at the
+    mixed-radix position of its parts' entries, first part most
+    significant. A lookup splits a key into its parts and joins their
+    entries; a label that is not a key is refused before it is split."""
 
-    __slots__ = ("_factors", "_index")
+    __slots__ = ("_split", "_join", "_values", "_parts", "_tables")
 
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, objects: FinSet):
-        super().__init__(objects)
-        self._factors, self._index = factors, index
+    def __init__(self, keys: FinSet, values: FinSet, parts: Sequence[tuple[Mapping, FinSet, FinSet]],
+                 split: Split, join: Join, over: _ProductSet | None = None):
+        _LazyTable.__init__(self, keys, over)
+        self._split, self._join, self._values, self._parts = split, join, values, parts
+        self._tables = [table for table, _, _ in parts]
 
-    def __missing__(self, x: str) -> str:
-        if x not in self._keys:
-            raise KeyError(x)
-        parts = self._index.parts_of[x]
-        unit = self[x] = self._index.label_of[tuple([f.unit[p] for f, p in zip(self._factors, parts)])]
-        return unit
+    def _entry(self, key: str) -> str:
+        if key not in self._keys:
+            raise KeyError(key)
+        return self._join(tuple(map(getitem, self._tables, self._split(key))))
 
     def _entries(self) -> Iterable[tuple[str, str]]:
-        columns = [[f.unit[x] for x in f.objects] for f in self._factors]
-        return zip(self._keys, map(self._index.label_of.__getitem__, itertools.product(*columns)))
+        positions = [0]
+        for table, keys, values in self._parts:
+            at, n = values._index, len(values)  # type: ignore[attr-defined]
+            column = [at[table[k]] for k in keys]
+            positions = [p * n + q for p in positions for q in column]
+        return zip(self._keys.elements, map(self._values.elements.__getitem__, positions))
 
 
-class _ProductTable(Mapping):
-    """A table of a product groupoid, read from its factors through the label
-    index the product carries; nothing is stored. Equality with any mapping is
-    equality of entries, compared in one pass over items(); two tables of the
-    same kind over the same factor objects are equal outright."""
+class _PartwiseFibers(_LazyTable):
+    """The fibers of a part-wise moment table (a product's l or r, a
+    tensor's lmap), by object: the keys over an object are the
+    combinations of the parts' keys over its parts, in key order, looked up
+    in one pass on the object's first lookup through the label index that
+    holds the keys, which encodes those not read yet; an object with no keys
+    over it, or a label that is no object, is a KeyError. A fiber is made a
+    tuple or a list by seq. The full read scans the moment table, read in
+    full, so objects come in the order of their first key."""
 
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, kind: str):
-        self._factors = factors
-        self._index = index
-        self._kind = kind
+    __slots__ = ("_moment", "_split", "_label_of", "_fibers", "_seq")
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _ProductTable) and (self._kind, self._factors) == (other._kind, other._factors):
-            return True
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        if len(other) != len(self):
-            return False
-        missing = object()
-        return all(other.get(k, missing) == v for k, v in self.items())
+    def __init__(self, moment: _Partwise, split: Split, index: LabelIndex,
+                 fibers: Sequence[Mapping[str, Sequence[str]]], seq: type):
+        _LazyTable.__init__(self, None, moment._over)
+        self._moment, self._split, self._label_of = moment, split, index.label_of
+        self._fibers, self._seq = fibers, seq
 
-    __hash__ = None  # type: ignore[assignment]
+    def _columns(self, x: str) -> list:
+        """The parts' keys over x's parts."""
+        if x not in self._moment._values:
+            raise KeyError(x)
+        return [fibers.get(p, ()) for fibers, p in zip(self._fibers, self._split(x))]
+
+    def count(self, objects: Iterable[str]) -> int:
+        """How many keys lie over the objects, encoding none of them."""
+        return sum(prod(map(len, self._columns(x))) for x in objects)
+
+    def _entry(self, x: str) -> Sequence[str]:
+        columns = self._columns(x)
+        if not all(columns):
+            raise KeyError(x)
+        return self._seq(map(self._label_of.__getitem__, itertools.product(*columns)))
+
+    def _entries(self) -> dict:
+        fibers, seq = _scan_fibers(self._moment.keys(), self._moment), self._seq
+        return fibers if seq is list else {x: seq(keys) for x, keys in fibers.items()}
 
 
-class _ProductComp(_ProductTable):
-    """Composition table of a product groupoid.
-
-    A lookup splits both labels and composes component by component. Keys
-    iterate in the order of itertools.product over the factors' tables.
-    """
+class _ProductComp(Mapping):
+    """Composition table of a product groupoid, and the marker factors_of
+    reads: a lookup splits both labels and composes component by component,
+    nothing is stored. Keys iterate in the order of itertools.product over
+    the factors' tables. Equality with any mapping is equality of entries,
+    compared in one pass over items(); two such tables over the same
+    factors are equal outright."""
 
     def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex, arrows: _ProductSet):
-        super().__init__(factors, index, "comp")
+        self._factors = factors
+        self._index = index
         self._arrows = arrows
         self._comps = tuple(f.comp for f in factors)
-        self._len = 1
-        for f in factors:
-            self._len *= len(f.comp)
 
     def __getitem__(self, key: tuple[str, str]) -> str:
         parts_of = self._index.parts_of
@@ -370,64 +399,19 @@ class _ProductComp(_ProductTable):
         return (key for key, _ in self.items())
 
     def __len__(self) -> int:
-        return self._len
+        return prod(map(len, self._comps))
 
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _ProductComp) and self._factors == other._factors:
+            return True
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        if len(other) != len(self):
+            return False
+        missing = object()
+        return all(other.get(k, missing) == v for k, v in self.items())
 
-class _ProductMap(_ProductTable):
-    """l, r or inv of a product groupoid.
-
-    A lookup maps each part of an arrow through the matching factor's table.
-    The keys are the product's arrows, in arrow order; any other label, an
-    object's included, is a KeyError, and get() gives the default for it.
-    """
-
-    def __init__(self, factors: tuple["FinGroupoid", ...], index: LabelIndex,
-                 arrows: _ProductSet, kind: str):
-        super().__init__(factors, index, kind)
-        self._maps = tuple(getattr(f, kind) for f in factors)
-        self._arrows = arrows
-
-    def __getitem__(self, g: str) -> str:
-        index = self._index
-        try:
-            return index.label_of[tuple(map(getitem, self._maps, index.parts_of[g]))]
-        except KeyError:
-            raise KeyError(g) from None
-
-    def items(self) -> Iterator[tuple[str, str]]:  # type: ignore[override]
-        """(arrow, value) pairs in arrow order, read from the factors' tables
-        in itertools.product order."""
-        columns = ([m[g] for g in f.arrows] for m, f in zip(self._maps, self._factors))
-        return zip(self._arrows, map(self._index.label_of.__getitem__, itertools.product(*columns)))
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._arrows)
-
-    def __len__(self) -> int:
-        return len(self._arrows)
-
-
-class _ProductFibers:
-    """The l- or r-fibers of a product groupoid, by object: the fiber at x is
-    the product of the factors' fibers at x's parts, which is arrow order. A
-    fiber is built the first time it is asked for and then kept; a label that
-    is not an object is a KeyError."""
-
-    def __init__(self, table: _ProductMap, objects: "FinSet"):
-        self._fibers: dict[str, tuple[str, ...]] = {}
-        self._of = tuple(getattr(f, f"{table._kind}_fiber") for f in table._factors)
-        self._index = table._index
-        self._objects = objects
-
-    def __getitem__(self, x: str) -> tuple[str, ...]:
-        fiber = self._fibers.get(x)
-        if fiber is None:
-            if x not in self._objects:
-                raise KeyError(x)
-            parts = self._index.parts_of[x]
-            combos = itertools.product(*(of(p) for of, p in zip(self._of, parts)))
-            fiber = self._fibers[x] = tuple(map(self._index.label_of.__getitem__, combos))
-        return fiber
+    __hash__ = None  # type: ignore[assignment]
 
 
 @dataclass(frozen=True, eq=True)
@@ -451,9 +435,13 @@ class FinGroupoid:
     index: LabelIndex = field(default_factory=LabelIndex, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.l, _ProductMap) and isinstance(self.r, _ProductMap):
-            object.__setattr__(self, "_l_fibers", _ProductFibers(self.l, self.objects))
-            object.__setattr__(self, "_r_fibers", _ProductFibers(self.r, self.objects))
+        comp = self.comp
+        if type(comp) is _ProductComp and isinstance(self.l, _Partwise) and isinstance(self.r, _Partwise):
+            fs, split = comp._factors, self.index.parts_of.__getitem__
+            l_parts = [f._l_fibers for f in fs]  # type: ignore[attr-defined]
+            r_parts = [f._r_fibers for f in fs]  # type: ignore[attr-defined]
+            object.__setattr__(self, "_l_fibers", _PartwiseFibers(self.l, split, self.index, l_parts, tuple))
+            object.__setattr__(self, "_r_fibers", _PartwiseFibers(self.r, split, self.index, r_parts, tuple))
             return
         lf: dict[str, list[str]] = {x: [] for x in self.objects}
         rf: dict[str, list[str]] = {x: [] for x in self.objects}
@@ -749,6 +737,8 @@ def validate_groupoid(G: FinGroupoid) -> ValidationReport:
 
 def _labels(n_or_labels: int | Sequence[str]) -> tuple[str, ...]:
     if isinstance(n_or_labels, int):
+        if n_or_labels < 0:
+            raise StructuralError(f"a groupoid needs n >= 0 objects, got {n_or_labels}")
         return tuple(str(i) for i in range(n_or_labels))
     return tuple(n_or_labels)
 
@@ -886,14 +876,15 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     Objects and arrows come in itertools.product order over the factors', so
     over parts that are products they come in itertools.product order over
     the parts' own. The product stores its objects, each label encoded once,
-    and a label index, nothing else. The index holds every object and is
-    filled with arrows lazily: an arrow's label is encoded (or decoded) the
-    first time something looks it up, and reading the arrows in full encodes
-    them all in one pass, escaping each factor label once. unit fills each
-    entry from the factors' units on its first lookup; l, r, inv and comp
-    look each entry up in the factors' tables and map the result through the
-    index; and the l- or r-fiber at an object is the product of the factors'
-    fibers at its parts, built the first time it is asked for.
+    and a label index. The index holds every object and is filled with
+    arrows lazily: an arrow's label is encoded (or decoded) the first time
+    something looks it up, and reading the arrows in full encodes them all
+    in one pass, escaping each factor label once. l, r, inv, unit and the
+    l- and r-fibers follow one storage rule, store on first read (see
+    _Partwise and _PartwiseFibers): an entry is read from the factors on its
+    first lookup and kept, and a full read fills a table in one pass; the
+    fiber at an object is the product of the factors' fibers at its parts.
+    comp reads each entry from the factors' tables and stores nothing.
 
     While a product of the same flat factor objects is alive, that product is
     returned instead of a new one, so G^2 x G is G^3. The store holds its
@@ -913,8 +904,11 @@ def product_groupoid(factors: Sequence[FinGroupoid]) -> FinGroupoid:
     index = LabelIndex([f.arrows._index for f in fs])  # type: ignore[attr-defined]
     objects = finset(index.add_product([f.objects.elements for f in fs]))
     arrows = _ProductSet([f.arrows for f in fs], index)
-    l, r, inv = (_ProductMap(fs, index, arrows, kind) for kind in ("l", "r", "inv"))
-    unit = _ProductUnit(fs, index, objects)
+    split, join = index.parts_of.__getitem__, index.label_of.__getitem__
+    l = _Partwise(arrows, objects, [(f.l, f.arrows, f.objects) for f in fs], split, join)
+    r = _Partwise(arrows, objects, [(f.r, f.arrows, f.objects) for f in fs], split, join)
+    inv = _Partwise(arrows, arrows, [(f.inv, f.arrows, f.arrows) for f in fs], split, join)
+    unit = _Partwise(objects, arrows, [(f.unit, f.objects, f.arrows) for f in fs], split, join)
     P = FinGroupoid(objects, arrows, l, r, _ProductComp(fs, index, arrows), inv, unit, index)
     _PRODUCTS[key] = P
     return P

@@ -29,7 +29,6 @@ from .bibundle import Bibundle
 from .calculus import (
     ComposedBibundle,
     IsoWitness,
-    _read_in_full,
     bundlize,
     compose,
     cv_bibundle,
@@ -315,7 +314,7 @@ def wired_tensor_witness(env: DiagramEnv,
         return entries[0][0]
     source = tensor_wired(env, [s for _, s, _ in entries]).bib
     target = tensor_wired(env, [t for _, _, t in entries]).bib
-    _read_in_full(target)  # the witness covers it
+    target.carrier.elements  # the witness covers it: read it in full, in one pass
     fwds = [w.forward for w, _, _ in entries]
     forward = {}
     for rep in source.carrier:
@@ -382,7 +381,7 @@ def interchange_blocks(env: DiagramEnv,
             bib = compose(tensor_wired(env, t_slice).bib, tensor_wired(env, b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
     target = tensor_wired(env, comps)
-    _read_in_full(target.bib)  # the witness covers it
+    target.bib.carrier.elements  # the witness covers it: read it in full, in one pass
     top_index, bottom_index = (f.index for f in source.factors)
     top_atoms, bottom_atoms = _atoms_of(top_index, len(top)), _atoms_of(bottom_index, len(bottom))
     per_block = []

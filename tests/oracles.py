@@ -17,7 +17,9 @@ These deliberately avoid the code paths they are checking:
   entry by entry, refusals included, so a lazy product's answers can be
   compared with the eager one's; encoded_arrow_labels finds the arrows a
   product has encoded by decoding every label of its index afresh, where the
-  index keeps each label's parts;
+  index keeps each label's parts; entry_fills records each per-entry fill
+  of a part-wise table, so a test can tell a full read made in one pass
+  from one made entry by entry;
 - carrier_holders counts, for each label, the bundles that hold it as a
   point, the most times compose may escape it when each bundle escapes each
   of its points once;
@@ -80,7 +82,6 @@ from bibucalc.calculus import (
     IsoWitness,
     TensorBibundle,
     _bijection_witness,
-    _product_moments,
     compose,
 )
 from bibucalc.core import (
@@ -89,6 +90,8 @@ from bibucalc.core import (
     StructuralError,
     ValidationReport,
     Violation,
+    _Partwise,
+    _PartwiseFibers,
     factors_of,
     finset,
     product_codec,
@@ -389,6 +392,19 @@ def lookup_outcomes(read: Callable, keys: Iterable) -> list:
         except Exception as exc:  # a refusal is an outcome to compare
             out.append(type(exc))
     return out
+
+
+def entry_fills(monkeypatch) -> list:
+    """A list that gets the table of every per-entry fill of a part-wise
+    table (core._Partwise, core._PartwiseFibers) made from now on in the
+    test, one item a fill; the full-read pass adds nothing to it."""
+    fills: list = []
+    for cls in (_Partwise, _PartwiseFibers):
+        def counting(table, key, entry=cls._entry):
+            fills.append(table)
+            return entry(table, key)
+        monkeypatch.setattr(cls, "_entry", counting)
+    return fills
 
 
 def encoded_arrow_labels(P: FinGroupoid) -> list[str]:
@@ -816,18 +832,19 @@ def juxtapose_scan(env, ws) -> Bibundle:
 def tensor_eager(*parts: Bibundle) -> Bibundle:
     """tensor_bibundle with every carrier label, moment and index entry built
     when the tensor is: the carrier through one add_escaped over the parts'
-    escaped points, the moments by mixed-radix position, and plain dicts
-    throughout."""
+    escaped points, each point's moment the join, through product_codec, of
+    its parts' moments, and plain dicts throughout."""
     if len(parts) == 1:
         return parts[0]
-    G, lsplit, _ = product_codec([M.left_groupoid for M in parts])
-    H, rsplit, _ = product_codec([M.right_groupoid for M in parts])
+    G, lsplit, ljoin = product_codec([M.left_groupoid for M in parts])
+    H, rsplit, rjoin = product_codec([M.right_groupoid for M in parts])
     index = LabelIndex()
     columns = [M.carrier.elements for M in parts]
     escaped = [list(map(_escapes(M).__getitem__, column)) for M, column in zip(parts, columns)]
     carrier = index.add_escaped(itertools.product(*columns), itertools.product(*escaped))
-    lmap = dict(zip(carrier, _product_moments(G, [(M.left_groupoid, M.lmap, M.carrier) for M in parts])))
-    rmap = dict(zip(carrier, _product_moments(H, [(M.right_groupoid, M.rmap, M.carrier) for M in parts])))
+    points = list(itertools.product(*columns))
+    lmap = {p: ljoin(tuple([M.lmap[c] for M, c in zip(parts, ps)])) for p, ps in zip(carrier, points)}
+    rmap = {p: rjoin(tuple([M.rmap[c] for M, c in zip(parts, ps)])) for p, ps in zip(carrier, points)}
     label_of, parts_of = index.label_of, index.parts_of
     lfns = [M.left_fn for M in parts]
     rfns = [M.right_fn for M in parts]

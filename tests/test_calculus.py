@@ -15,6 +15,7 @@ from bibucalc import (
     finset,
     pair_groupoid,
     power_groupoid,
+    product_groupoid,
     trivial_groupoid,
 )
 from bibucalc import calculus, diagram, groups, labels
@@ -57,6 +58,7 @@ from bibucalc.labels import esc, tup, untup
 from oracles import (
     bundle_tables,
     carrier_holders,
+    entry_fills,
     iso_search_dfs,
     lookup_outcomes,
     orbit_quotient,
@@ -473,6 +475,29 @@ def test_compose_reads_a_tensor_in_full_only_when_it_needs_half_of_it():
     assert T.carrier.full and dict.__len__(T.lmap) == len(T.carrier)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_tensor_tables_fill_in_one_pass_once_the_carrier_is_read(monkeypatch, seed):
+    parts = _lazy_tensor_parts(random.Random(seed))
+    T, eager = tensor_bibundle(*parts), tensor_eager(*parts)
+    fibers = _fibers(T, "lmap")
+    own = {id(T.lmap), id(T.rmap), id(fibers)}
+    fills = entry_fills(monkeypatch)
+    # before a full read, a lookup fills its own entry alone
+    p = eager.carrier.elements[-1]
+    assert T.lmap[p] == eager.lmap[p] and fibers[eager.lmap[p]] == _fibers(eager, "lmap")[eager.lmap[p]]
+    assert [id(t) for t in fills] == [id(T.lmap), id(fibers)]
+    fills.clear()
+    assert T.carrier.elements == eager.carrier.elements
+    points = list(eager.carrier)
+    assert [T.lmap[p] for p in points] == [eager.lmap[p] for p in points]
+    assert [T.rmap[p] for p in points] == [eager.rmap[p] for p in points]
+    want = _fibers(eager, "lmap")
+    assert [fibers[x] for x in want] == list(want.values())
+    assert list(fibers.items()) == list(want.items())
+    assert T.left_table() == eager.left_table()
+    assert [t for t in fills if id(t) in own] == []
+
+
 def test_dropped_structures_leave_no_cycles():
     G = cyclic_groupoid(3)
     M = identity_bibundle(G)
@@ -483,7 +508,14 @@ def test_dropped_structures_leave_no_cycles():
     assert T.index.label_of[(M.carrier.elements[0],) * 2] in T.carrier
     C = compose(T, tensor_bibundle(M, M))
     assert len(C.carrier) == len(T.carrier)
-    del P, T, C
+    # a product whose l, r, inv and fibers have been read, entry by entry
+    # and in full
+    Q = product_groupoid([G, pair_groupoid(2)])
+    g = Q.index.label_of[(G.arrows.elements[1], tup("0", "1"))]
+    assert Q.inv[g] in Q.arrows and Q.l_fiber(Q.l[g]) and Q.r_fiber(Q.r[g])
+    assert len(dict(Q.l)) == len(dict(Q.r)) == len(dict(Q.inv)) == len(Q.arrows)
+    assert all(Q.l_fiber(x) and Q.r_fiber(x) for x in Q.objects)
+    del P, T, C, Q
     assert gc.collect() == 0
     assert groups.check_group(kronecker_finite(2, 1)).ok
     assert gc.collect() == 0

@@ -38,6 +38,7 @@ from bibucalc.labels import LabelIndex, esc, tup, untup
 from oracles import (
     eager_product_comp,
     encoded_arrow_labels,
+    entry_fills,
     esc_loop,
     lookup_outcomes,
     product_comp_entry,
@@ -160,6 +161,15 @@ def test_power_groupoid_degenerate_cases():
     P = power_groupoid(G, 2)
     assert len(P.arrows) == 9
     assert validate_groupoid(P).ok
+
+
+def test_sized_constructors_refuse_a_negative_size():
+    for make in (trivial_groupoid, pair_groupoid):
+        for n in (-1, -3):
+            with pytest.raises(StructuralError, match="n >= 0"):
+                make(n)
+        empty = make(0)
+        assert len(empty.objects) == len(empty.arrows) == 0 and validate_groupoid(empty).ok
 
 
 def test_opposite_is_involutive():
@@ -516,6 +526,32 @@ class _CountingDict(dict):
     def values(self):
         self.reads += 1
         return super().values()
+
+
+def test_product_tables_fill_in_one_pass_once_read_in_full(monkeypatch):
+    factors = [kronecker_finite(3, 1).base, pair_groupoid(2)]
+    P, want = product_groupoid(factors), product_groupoid_eager(factors)
+    fills = entry_fills(monkeypatch)
+    # before a full read, a lookup fills its own entry alone
+    g = want.arrows.elements[-1]
+    assert P.l[g] == want.l[g] and P.l_fiber(want.l[g]) == want.l_fiber(want.l[g])
+    assert len(fills) == 2 and fills[0] is P.l and fills[1] is P._l_fibers
+    fills.clear()
+    assert list(P.arrows) == list(want.arrows)
+    for name in ("l", "r", "inv", "unit"):
+        table = getattr(P, name)
+        assert list(table.items()) == list(getattr(want, name).items())
+        assert [table[k] for k in table] == list(getattr(want, name).values())
+    for fibers, fiber in ((P._l_fibers, want.l_fiber), (P._r_fibers, want.r_fiber)):
+        assert dict(fibers.items()) == {x: fiber(x) for x in want.objects}
+    assert [P.r_fiber(x) for x in want.objects] == [want.r_fiber(x) for x in want.objects]
+    assert fills == []
+
+
+def test_a_product_given_plain_l_and_r_scans_its_fibers():
+    P = product_groupoid([pair_groupoid(2), cyclic_groupoid(2)])
+    Q = type(P)(P.objects, P.arrows, dict(P.l), dict(P.r), P.comp, P.inv, P.unit, P.index)
+    assert [(Q.l_fiber(x), Q.r_fiber(x)) for x in P.objects] == [(P.l_fiber(x), P.r_fiber(x)) for x in P.objects]
 
 
 def test_building_a_power_reads_no_entry_of_the_factor_tables():

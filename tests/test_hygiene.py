@@ -5,9 +5,11 @@ of decoding it), the generators name no encoder tup (they encode each label
 once, through a LabelIndex), every public function of tests/oracles.py is imported by
 some test module, so an oracle cannot outlive the code it checks, and every
 function the benchmark tracer wraps still exists, so `run.py --trace` cannot
-break on a rename. Found with the stdlib ast module: a name counts as used
-when it is read anywhere in the module; annotations stay expressions in the
-tree even under `from __future__ import annotations`."""
+break on a rename, and the only tables filled on lookup are the label
+index's, the escape memo and the two part-wise tables. Found with the
+stdlib ast module: a name counts as used when it is read anywhere in the
+module; annotations stay expressions in the tree even under
+`from __future__ import annotations`."""
 import ast
 import importlib
 import pathlib
@@ -77,6 +79,42 @@ def test_untup_scan_sees_every_use():
 
 def test_generators_do_not_encode_labels():
     assert _lines_naming((PACKAGE / "generators.py").read_text(), "tup") == []
+
+
+def _lazy_tables(source: str) -> tuple[set[str], set[str]]:
+    """The classes that define __missing__, and the subclasses of
+    _LazyTable, whether named bare or as an attribute."""
+    missing, tables = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(isinstance(f, ast.FunctionDef) and f.name == "__missing__" for f in node.body):
+            missing.add(node.name)
+        if any(getattr(base, "id", getattr(base, "attr", None)) == "_LazyTable" for base in node.bases):
+            tables.add(node.name)
+    return missing, tables
+
+
+def test_lazy_tables_are_the_part_wise_ones():
+    """A table filled on lookup is the lazy label index's, the escape memo,
+    or one of the two part-wise tables on _LazyTable, which holds their one
+    __missing__: a new table of parts reuses those instead of spelling its
+    own fill."""
+    missing, tables = set(), set()
+    for path in MODULES:
+        found = _lazy_tables(path.read_text())
+        missing |= {f"{path.stem}.{name}" for name in found[0]}
+        tables |= {f"{path.stem}.{name}" for name in found[1]}
+    assert sorted(missing) == ["core._LazyTable", "labels.Escapes", "labels._LazyLabels", "labels._LazyParts"]
+    assert sorted(tables) == ["core._Partwise", "core._PartwiseFibers"]
+
+
+def test_lazy_table_scan_sees_every_fill():
+    snippet = ("class A(dict):\n    def __missing__(self, k):\n        return k\n"
+               "class B(_LazyTable):\n    pass\n"
+               "class C(core._LazyTable):\n    def _entry(self, k):\n        return k\n"
+               "class D(dict):\n    def get(self, k):\n        return k\n")
+    assert _lazy_tables(snippet) == ({"A"}, {"B", "C"})
 
 
 def _oracle_imports(source: str) -> set[str]:

@@ -186,6 +186,39 @@ def test_cli_gen_fixture_families(tmp_path):
     assert len(json.load(open(tmp_path / "pair3.json"))["arrows"]) == 9
 
 
+@pytest.mark.parametrize("family, n", [("trivial", -5), ("pair", -1)])
+def test_cli_gen_fixture_refuses_a_negative_size(tmp_path, capsys, family, n):
+    assert main(["gen-fixture", "--family", family, "--n", str(n), "--out", str(tmp_path), "--json"]) == 2
+    assert "n >= 0" in json.loads(capsys.readouterr().out)["verdicts"]["error"]
+    assert os.listdir(tmp_path) == []
+    # the empty groupoid stays allowed
+    assert main(["gen-fixture", "--family", family, "--n", "0", "--out", str(tmp_path)]) == 0
+    assert json.load(open(tmp_path / f"{family}0.json"))["objects"] == []
+
+
+@pytest.mark.parametrize("cap", [0, -2])
+def test_cli_gen_fixture_refuses_a_max_size_below_one(tmp_path, capsys, cap):
+    argv = ["gen-fixture", "--family", "random-groupoid", "--seed", "3", "--max-size", str(cap),
+            "--out", str(tmp_path)]
+    assert main(argv + ["--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["verdicts"]["error"]
+    assert "--max-size" in error and "randrange" not in error
+    assert os.listdir(tmp_path) == []
+    assert main(argv) == 2
+    assert "--max-size" in capsys.readouterr().err
+
+
+def test_cli_gen_fixture_max_size_one_and_its_default(tmp_path):
+    one, default = tmp_path / "one", tmp_path / "default"
+    assert main(["gen-fixture", "--family", "random-groupoid", "--seed", "3", "--max-size", "1",
+                 "--out", str(one)]) == 0
+    assert len(json.load(open(one / "random_groupoid_3.json"))["objects"]) == 1
+    # without the flag the cap is 3, as with --max-size 3
+    for out, extra in ((default, []), (tmp_path / "three", ["--max-size", "3"])):
+        assert main(["gen-fixture", "--family", "random-groupoid", "--seed", "3", "--out", str(out)] + extra) == 0
+    assert open(default / "random_groupoid_3.json").read() == open(tmp_path / "three" / "random_groupoid_3.json").read()
+
+
 def test_cli_gen_fixture_determinism(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
