@@ -16,10 +16,18 @@ The passes also give the pairings, from which is_weak_isomorphism builds its
 2-cells; only find_iso and all_isos search, one orbit at a time: a
 biequivariant bijection is fixed by its value on one point of each orbit, so
 only representatives branch.
+
+A construction returns its live result for the same inputs: compose and
+tensor_bibundle, like core.product_groupoid, keep each result weakly, keyed
+by the inputs' ids, and return it while it is alive. So the witness builders
+compose their own endpoints, and a chain of 2-cells between composites (the
+coherence loops of groups.check_coherence) builds each node once.
 """
 from __future__ import annotations
 
 import itertools
+import sys
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import call
@@ -198,6 +206,12 @@ class TensorBibundle(Bibundle):
     parts: tuple[Bibundle, ...] = field(repr=False, default=())
 
 
+# the live tensor of each part tuple and the live composite of each pair,
+# keyed by the inputs' ids, as core._PRODUCTS keys products
+_TENSORS: weakref.WeakValueDictionary[tuple[int, ...], Bibundle] = weakref.WeakValueDictionary()
+_COMPOSITES: weakref.WeakValueDictionary[tuple[int, int], ComposedBibundle] = weakref.WeakValueDictionary()
+
+
 def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     """Side-by-side juxtaposition: the bibundle of tuples of points, one per
     part, over the products of the parts' groupoids, acting part by part.
@@ -225,11 +239,18 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     part's escape memo when the tensor is built, so a part's point is
     escaped once however many tensors and composites read it, and the
     labels are those of tup.
+
+    While a tensor of the same part objects is alive, that tensor is
+    returned, with what it has read, instead of a new one (see compose).
     """
     if not parts:
         raise StructuralError("empty tensor")
     if len(parts) == 1:
         return parts[0]
+    key = tuple(map(id, parts))
+    live = _TENSORS.get(key)
+    if live is not None:
+        return live
     G, lsplit, ljoin = product_codec([M.left_groupoid for M in parts])
     H, rsplit, rjoin = product_codec([M.right_groupoid for M in parts])
     memos = [_escapes(M) for M in parts]
@@ -256,6 +277,7 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
 
     T = TensorBibundle(G, H, carrier, lmap, rmap, left_fn, right_fn, index, parts=parts)
     T._cache["lmap"] = _PartwiseFibers(lmap, lsplit, index, [_fibers(M, "lmap") for M in parts], list)
+    _TENSORS[key] = T
     return T
 
 
@@ -322,7 +344,18 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     half of N: then N is read in full, in one pass (see _lmap_fibers). The
     composite's label index holds each representative's pair, and project
     looks representatives up.
+
+    While a composite of the same pair of objects is alive, that composite
+    is returned, with its orbit passes and fibers, instead of a new one, so
+    a witness builder composes its endpoints itself and takes no composite
+    from its caller. The store holds its composites weakly, keyed by the
+    factors' ids: sound, as in core.product_groupoid, because a composite
+    holds its factors, so no factor's id is reused while its entry exists.
     """
+    key = (id(M), id(N))
+    live = _COMPOSITES.get(key)
+    if live is not None:
+        return live
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
     orbits = _orbit_pass(M, "right")
@@ -376,10 +409,11 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
         m, n = pair_of[rep]
         return project(m, nright(n, k))
 
-    return ComposedBibundle(
+    C = _COMPOSITES[key] = ComposedBibundle(
         M.left_groupoid, N.right_groupoid, finset(carrier), lmap, rmap, left_fn, right_fn, index,
         factors=(M, N), project_fn=project,
     )
+    return C
 
 
 # ---------------------------------------------------------------------------
@@ -458,18 +492,10 @@ def _bijection_witness(source: Bibundle, target: Bibundle, forward: dict[str, st
     return IsoWitness(source, target, forward, backward)
 
 
-def assoc_witness(
-    M: Bibundle, N: Bibundle, L: Bibundle,
-    MN: ComposedBibundle | None = None,
-    NL: ComposedBibundle | None = None,
-    left: ComposedBibundle | None = None,
-    right: ComposedBibundle | None = None,
-) -> IsoWitness:
+def assoc_witness(M: Bibundle, N: Bibundle, L: Bibundle) -> IsoWitness:
     """(M.N).L ~ M.(N.L), [[m,n],l] |-> [m,[n,l]]."""
-    MN = MN if MN is not None else compose(M, N)
-    NL = NL if NL is not None else compose(N, L)
-    left = left if left is not None else compose(MN, L)
-    right = right if right is not None else compose(M, NL)
+    MN, NL = compose(M, N), compose(N, L)
+    left, right = compose(MN, L), compose(M, NL)
     forward = {}
     for rep in left.carrier:
         mn, lp = left.index.parts_of[rep]
@@ -479,7 +505,11 @@ def assoc_witness(
 
 
 def lunit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoWitness:
-    """Id_G . M ~ M, [g, m] |-> g.m."""
+    """Id_G . M ~ M, [g, m] |-> g.m, on composed, by default
+    compose(identity_bibundle(G), M). composed may have any left factor
+    equal to identity_bibundle(G): check_coherence collapses (Id * Id) ; mu,
+    whose left factor is a tensor of two identities and not
+    identity_bibundle(G^2), so two callers need different composites."""
     if composed is None:
         composed = compose(identity_bibundle(M.left_groupoid), M)
     forward = {}
@@ -490,7 +520,9 @@ def lunit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoW
 
 
 def runit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoWitness:
-    """M . Id_H ~ M, [m, h] |-> m.h."""
+    """M . Id_H ~ M, [m, h] |-> m.h, on composed, by default
+    compose(M, identity_bibundle(H)); as in lunit_witness, composed may have
+    any right factor equal to identity_bibundle(H)."""
     if composed is None:
         composed = compose(M, identity_bibundle(M.right_groupoid))
     forward = {}
@@ -500,14 +532,9 @@ def runit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoW
     return _bijection_witness(composed, M, forward)
 
 
-def comp_witness(
-    w1: IsoWitness, w2: IsoWitness,
-    source: ComposedBibundle | None = None,
-    target: ComposedBibundle | None = None,
-) -> IsoWitness:
+def comp_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
     """Whisker two witnesses along composition: w1 . w2 on M1.N1 -> M2.N2."""
-    source = source if source is not None else compose(w1.source, w2.source)
-    target = target if target is not None else compose(w1.target, w2.target)
+    source, target = compose(w1.source, w2.source), compose(w1.target, w2.target)
     f1, f2 = w1.forward, w2.forward
     forward = {}
     for rep in source.carrier:
@@ -630,9 +657,10 @@ def find_iso(M: Bibundle, N: Bibundle) -> IsoWitness | None:
 
 def all_isos(M: Bibundle, N: Bibundle, limit: int = 10_000) -> Iterator[IsoWitness]:
     """The biequivariant isomorphisms M -> N, at most limit of them, in the
-    order find_iso takes the first (see _iso_search). M and N must be valid
-    bibundles, as the search applies no unit arrow."""
-    for forward in itertools.islice(_iso_search(M, N), limit):
+    order find_iso takes the first (see _iso_search); a limit past
+    sys.maxsize is no limit. M and N must be valid bibundles, as the search
+    applies no unit arrow."""
+    for forward in itertools.islice(_iso_search(M, N), min(limit, sys.maxsize)):
         yield IsoWitness(M, N, forward, {v: k for k, v in forward.items()})
 
 

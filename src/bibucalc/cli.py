@@ -314,6 +314,8 @@ def _cmd_preinverse(args, man: RunManifest) -> int:
 
 
 def _cmd_coherence(args, man: RunManifest) -> int:
+    if args.max_candidates < 1:
+        raise StructuralError(f"--max-candidates must be at least 1, got {args.max_candidates}")
     _, data = _load(args, man, args.spec, ("group-spec",))
     rep = check_coherence(data, max_candidates=args.max_candidates)
     man.verdicts["coherence"] = {

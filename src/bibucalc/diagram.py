@@ -15,19 +15,18 @@ their groupoids). `*` is juxtaposition (side by side), `;` is composition
 
 Juxtaposition is calculus.tensor_bibundle. Products of groupoids are flat,
 so the tensor of bundles over powers G^m1, ..., G^mk lives over G^(m1+...+mk),
-the env's own power; the env only keeps each live tensor for reuse.
+the env's own power. A tensor or composite of the same bundles is the live
+one while it exists (see calculus.compose), so the env keeps none.
 """
 from __future__ import annotations
 
 import operator
 import re
-import weakref
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Sequence, Union
 
 from .bibundle import Bibundle
 from .calculus import (
-    ComposedBibundle,
     IsoWitness,
     bundlize,
     compose,
@@ -98,8 +97,14 @@ def tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def parse(text: str) -> Ast:
+    """The expression's tree; an expression nested deeper than the parser's
+    recursion can follow is a DiagramError at the token it stopped on."""
     parser = _Parser(tokenize(text), len(text))
-    ast = parser.expr()
+    try:
+        ast = parser.expr()
+    except RecursionError:
+        at = parser.toks[parser.i][2] if parser.i < len(parser.toks) else len(text)
+        raise DiagramError("expression nested too deeply", (at, at + 1)) from None
     if (tok := parser.peek()) is not None:
         raise DiagramError(f"unexpected {tok[1]!r} after expression", (tok[2], tok[2] + 1))
     return ast
@@ -186,17 +191,15 @@ MAX_ARITY = 6
 
 
 class DiagramEnv:
-    """Evaluation context: the base groupoid, bound names, and cached powers
-    and tensors. Powers are kept for the env's lifetime; tensor_wired keeps
-    each live tensor weakly, so a tensor goes when its last user does."""
+    """Evaluation context: the base groupoid, bound names, and the powers
+    and resolved names, kept for the env's lifetime. Tensors and composites
+    are not kept here: tensor_bibundle and compose return the live one."""
 
     def __init__(self, base: FinGroupoid, bindings: Mapping[str, Bibundle] | None = None):
         self.base = base
         self.bindings = dict(bindings or {})
         self._powers: dict[int, FinGroupoid] = {1: base}
         self._cache: dict[str, Wired] = {}
-        # the live tensor of each part tuple, keyed by (id(bib), m, n) per part
-        self._tensors: weakref.WeakValueDictionary[tuple, Bibundle] = weakref.WeakValueDictionary()
 
     def power(self, k: int) -> FinGroupoid:
         if k not in self._powers:
@@ -278,31 +281,20 @@ def typecheck(env: DiagramEnv, expr: str | Ast) -> tuple[int, int]:
     raise DiagramError(f"not a diagram node: {ast!r}")
 
 
-def tensor_wired(env: DiagramEnv, parts: Sequence[Wired]) -> Wired:
-    """Side-by-side juxtaposition: tensor_bibundle of the parts' bundles.
-    Its groupoids are the products of the parts' powers of the base, which
-    are the env's powers of the totals, as live products are shared.
-
-    While a tensor of the same parts (the same bundles at the same arities)
-    is alive, that tensor is returned instead of a new one, with its orbit
-    passes. The env holds its tensors weakly, keyed by the parts' ids, which
-    stay theirs because a tensor holds its parts.
-    """
+def tensor_wired(parts: Sequence[Wired]) -> Wired:
+    """Side-by-side juxtaposition: tensor_bibundle of the parts' bundles,
+    the live tensor of the same bundles while one exists. Its groupoids are
+    the products of the parts' powers of the base, which are the env's
+    powers of the totals, as live products are shared."""
     ws = list(parts)
     if not ws:
         raise DiagramError("empty juxtaposition")
     if len(ws) == 1:
         return ws[0]
-    m, n = sum(w.m for w in ws), sum(w.n for w in ws)
-    key = tuple([(id(w.bib), w.m, w.n) for w in ws])
-    bib = env._tensors.get(key)
-    if bib is None:
-        bib = env._tensors[key] = tensor_bibundle(*[w.bib for w in ws])
-    return Wired(bib, m, n)
+    return Wired(tensor_bibundle(*[w.bib for w in ws]), sum(w.m for w in ws), sum(w.n for w in ws))
 
 
-def wired_tensor_witness(env: DiagramEnv,
-                         entries: Sequence[tuple[IsoWitness, Wired, Wired]]) -> IsoWitness:
+def wired_tensor_witness(entries: Sequence[tuple[IsoWitness, Wired, Wired]]) -> IsoWitness:
     """Juxtapose witnesses componentwise between tensors.
 
     Each entry is (witness, source wiring, target wiring); the wirings must
@@ -312,8 +304,8 @@ def wired_tensor_witness(env: DiagramEnv,
         raise DiagramError("empty witness juxtaposition")
     if len(entries) == 1:
         return entries[0][0]
-    source = tensor_wired(env, [s for _, s, _ in entries]).bib
-    target = tensor_wired(env, [t for _, _, t in entries]).bib
+    source = tensor_wired([s for _, s, _ in entries]).bib
+    target = tensor_wired([t for _, _, t in entries]).bib
     target.carrier.elements  # the witness covers it: read it in full, in one pass
     fwds = [w.forward for w, _, _ in entries]
     forward = {}
@@ -342,12 +334,9 @@ def _run_label(index: LabelIndex, start: int, k: int) -> Callable[[tuple[str, ..
     return lambda atoms: lookup(atoms[run])
 
 
-def interchange_blocks(env: DiagramEnv,
-                       top: Sequence[Wired],
+def interchange_blocks(top: Sequence[Wired],
                        bottom: Sequence[Wired],
                        blocks: Sequence[tuple[int, int]],
-                       source: ComposedBibundle | None = None,
-                       block_composites: Sequence[ComposedBibundle] | None = None,
                        ) -> tuple[IsoWitness, list[Wired]]:
     """Regroup a two-layer composite into side-by-side vertical blocks.
 
@@ -358,9 +347,7 @@ def interchange_blocks(env: DiagramEnv,
     """
     if sum(kt for kt, _ in blocks) != len(top) or sum(kb for _, kb in blocks) != len(bottom):
         raise DiagramError("blocks do not partition the layers")
-    if source is None:
-        source = compose(tensor_wired(env, list(top)).bib,
-                         tensor_wired(env, list(bottom)).bib)
+    source = compose(tensor_wired(top).bib, tensor_wired(bottom).bib)
     comps: list[Wired] = []
     at_t, at_b = 0, 0
     spans = []
@@ -375,12 +362,9 @@ def interchange_blocks(env: DiagramEnv,
         spans.append((at_t, kt, at_b, kb))
         at_t += kt
         at_b += kb
-        if block_composites is not None:
-            bib = block_composites[len(spans) - 1]
-        else:
-            bib = compose(tensor_wired(env, t_slice).bib, tensor_wired(env, b_slice).bib)
+        bib = compose(tensor_wired(t_slice).bib, tensor_wired(b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
-    target = tensor_wired(env, comps)
+    target = tensor_wired(comps)
     target.bib.carrier.elements  # the witness covers it: read it in full, in one pass
     top_index, bottom_index = (f.index for f in source.factors)
     top_atoms, bottom_atoms = _atoms_of(top_index, len(top)), _atoms_of(bottom_index, len(bottom))
@@ -408,7 +392,7 @@ def evaluate_wired(env: DiagramEnv, expr: str | Ast) -> Wired:
     if isinstance(ast, Gen):
         return env.resolve(ast.name, ast.span)
     if isinstance(ast, Tensor):
-        return tensor_wired(env, [evaluate_wired(env, p) for p in ast.parts])
+        return tensor_wired([evaluate_wired(env, p) for p in ast.parts])
     if isinstance(ast, Seq):
         acc = evaluate_wired(env, ast.parts[0])
         for p in ast.parts[1:]:

@@ -203,115 +203,67 @@ def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> Coherenc
     The reassociation loop compares the two witness paths from ((ab)c)d to
     a(b(cd)) built out of one associator; the unit loop compares the two ways
     of cancelling an inserted unit between two factors. Candidates are tried
-    in search order, bounded by max_candidates per witness.
+    in search order, bounded by max_candidates per witness, which must be at
+    least 1. Each loop is its list of edges: an edge builds its own endpoints,
+    and as compose and tensor_bibundle return the live result for the same
+    inputs, every node is built once, while an edge that holds it is alive.
     """
+    if max_candidates < 1:
+        raise StructuralError(f"max_candidates must be at least 1, got {max_candidates}")
     env = data.env()
-    mu_w = env.resolve("mu")
-    e_w = env.resolve("e")
-    id_w = env.resolve("id")
-    mu_b = mu_w.bib
+    mu_w, e_w, id_w = env.resolve("mu"), env.resolve("e"), env.resolve("id")
+    mu_b, id_b = mu_w.bib, id_w.bib
 
-    d1_3 = tensor_wired(env, [mu_w, id_w])
-    d2_3 = tensor_wired(env, [id_w, mu_w])
-    X1 = compose(d1_3.bib, mu_b)
-    X2 = compose(d2_3.bib, mu_b)
-    X1w, X2w = Wired(X1, 3, 1), Wired(X2, 3, 1)
-
-    d1_4 = tensor_wired(env, [mu_w, id_w, id_w])
-    d2_4 = tensor_wired(env, [id_w, mu_w, id_w])
-    d3_4 = tensor_wired(env, [id_w, id_w, mu_w])
-
-    IdId = compose(id_w.bib, id_w.bib)
-    IdIdw = Wired(IdId, 1, 1)
-    idid_witness = identity_witness(IdId)
-
-    # two-layer composites at arity 4 -> 2
-    C14_13 = compose(d1_4.bib, d1_3.bib)
-    C24_13 = compose(d2_4.bib, d1_3.bib)
-    C24_23 = compose(d2_4.bib, d2_3.bib)
-    C34_23 = compose(d3_4.bib, d2_3.bib)
-    C14_23 = compose(d1_4.bib, d2_3.bib)
-    C34_13 = compose(d3_4.bib, d1_3.bib)
-
-    # fully composed nodes at arity 4 -> 1
-    start = compose(C14_13, mu_b)
-    n_l1 = compose(C24_13, mu_b)
-    n_l2 = compose(d2_4.bib, X1)
-    n_l3 = compose(d2_4.bib, X2)
-    n_l4 = compose(C24_23, mu_b)
-    n_l5 = compose(C34_23, mu_b)
-    n_r1 = compose(d1_4.bib, X1)
-    n_r2 = compose(d1_4.bib, X2)
-    n_r3 = compose(C14_23, mu_b)
-    n_r4 = compose(C34_13, mu_b)
-    n_r5 = compose(d3_4.bib, X1)
-    end = compose(d3_4.bib, X2)
-
+    d1_3, d2_3 = tensor_wired([mu_w, id_w]).bib, tensor_wired([id_w, mu_w]).bib
+    X1w, X2w = Wired(compose(d1_3, mu_b), 3, 1), Wired(compose(d2_3, mu_b), 3, 1)
+    d1_4 = tensor_wired([mu_w, id_w, id_w]).bib
+    d2_4 = tensor_wired([id_w, mu_w, id_w]).bib
+    d3_4 = tensor_wired([id_w, id_w, mu_w]).bib
+    IdIdw = Wired(compose(id_b, id_b), 1, 1)
+    idid_witness = identity_witness(IdIdw.bib)
     mu_id_w = identity_witness(mu_b)
 
     # block regroupings that do not involve the associator
-    ich_l0, _ = interchange_blocks(env, [mu_w, id_w, id_w], [mu_w, id_w],
-                                   [(2, 1), (1, 1)], source=C14_13,
-                                   block_composites=[X1, IdId])
-    ich_l1, _ = interchange_blocks(env, [id_w, mu_w, id_w], [mu_w, id_w],
-                                   [(2, 1), (1, 1)], source=C24_13,
-                                   block_composites=[X2, IdId])
-    ich_l4, _ = interchange_blocks(env, [id_w, mu_w, id_w], [id_w, mu_w],
-                                   [(1, 1), (2, 1)], source=C24_23,
-                                   block_composites=[IdId, X1])
-    ich_l5, _ = interchange_blocks(env, [id_w, id_w, mu_w], [id_w, mu_w],
-                                   [(1, 1), (2, 1)], source=C34_23,
-                                   block_composites=[IdId, X2])
-
-    MuId = compose(mu_b, id_w.bib)
-    IdMu = compose(tensor_wired(env, [id_w, id_w]).bib, mu_b)
-    ich_r3, _ = interchange_blocks(env, [mu_w, id_w, id_w], [id_w, mu_w],
-                                   [(1, 1), (2, 1)], source=C14_23,
-                                   block_composites=[MuId, IdMu])
-    ich_r4, _ = interchange_blocks(env, [id_w, id_w, mu_w], [mu_w, id_w],
-                                   [(2, 1), (1, 1)], source=C34_13,
-                                   block_composites=[IdMu, MuId])
-    MuIdw = Wired(MuId, 2, 1)
-    IdMuw = Wired(IdMu, 2, 1)
-    to_mu_r = runit_witness(mu_b, composed=MuId)
-    to_mu_l = lunit_witness(mu_b, composed=IdMu)
-    squeeze_a = wired_tensor_witness(env, [(to_mu_r, MuIdw, mu_w), (to_mu_l, IdMuw, mu_w)])
-    squeeze_b = wired_tensor_witness(env, [(to_mu_l, IdMuw, mu_w), (to_mu_r, MuIdw, mu_w)])
+    ich_l0, _ = interchange_blocks([mu_w, id_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
+    ich_l1, _ = interchange_blocks([id_w, mu_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
+    ich_l4, _ = interchange_blocks([id_w, mu_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
+    ich_l5, _ = interchange_blocks([id_w, id_w, mu_w], [id_w, mu_w], [(1, 1), (2, 1)])
+    ich_r3, (MuIdw, IdMuw) = interchange_blocks([mu_w, id_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
+    ich_r4, _ = interchange_blocks([id_w, id_w, mu_w], [mu_w, id_w], [(2, 1), (1, 1)])
+    to_mu_r = runit_witness(mu_b, composed=MuIdw.bib)
+    to_mu_l = lunit_witness(mu_b, composed=IdMuw.bib)
+    squeeze_a = wired_tensor_witness([(to_mu_r, MuIdw, mu_w), (to_mu_l, IdMuw, mu_w)])
+    squeeze_b = wired_tensor_witness([(to_mu_l, IdMuw, mu_w), (to_mu_r, MuIdw, mu_w)])
     middle_swap = chain_witnesses(ich_r3, squeeze_a, invert_witness(squeeze_b),
                                   invert_witness(ich_r4))
-    edge_r4 = comp_witness(middle_swap, mu_id_w, source=n_r3, target=n_r4)
+    edge_r4 = comp_witness(middle_swap, mu_id_w)
 
     # associator-independent associativity-of-composition edges
-    as_l2 = assoc_witness(d2_4.bib, d1_3.bib, mu_b, MN=C24_13, NL=X1, left=n_l1, right=n_l2)
-    as_l4 = assoc_witness(d2_4.bib, d2_3.bib, mu_b, MN=C24_23, NL=X2, left=n_l4, right=n_l3)
-    as_l6 = assoc_witness(d3_4.bib, d2_3.bib, mu_b, MN=C34_23, NL=X2, left=n_l5, right=end)
-    as_r1 = assoc_witness(d1_4.bib, d1_3.bib, mu_b, MN=C14_13, NL=X1, left=start, right=n_r1)
-    as_r3 = assoc_witness(d1_4.bib, d2_3.bib, mu_b, MN=C14_23, NL=X2, left=n_r3, right=n_r2)
-    as_r5 = assoc_witness(d3_4.bib, d1_3.bib, mu_b, MN=C34_13, NL=X1, left=n_r4, right=n_r5)
+    as_l2 = assoc_witness(d2_4, d1_3, mu_b)
+    as_l4 = assoc_witness(d2_4, d2_3, mu_b)
+    as_l6 = assoc_witness(d3_4, d2_3, mu_b)
+    as_r1 = assoc_witness(d1_4, d1_3, mu_b)
+    as_r3 = assoc_witness(d1_4, d2_3, mu_b)
+    as_r5 = assoc_witness(d3_4, d1_3, mu_b)
 
-    id_d14 = identity_witness(d1_4.bib)
-    id_d24 = identity_witness(d2_4.bib)
-    id_d34 = identity_witness(d3_4.bib)
+    id_d14, id_d24, id_d34 = identity_witness(d1_4), identity_witness(d2_4), identity_witness(d3_4)
 
     def reassociation_loop_closes(ass: IsoWitness) -> bool:
-        w_mid_l0 = wired_tensor_witness(env, [(ass, X1w, X2w), (idid_witness, IdIdw, IdIdw)])
-        edge_l1 = comp_witness(
-            chain_witnesses(ich_l0, w_mid_l0, invert_witness(ich_l1)),
-            mu_id_w, source=start, target=n_l1)
-        edge_l3 = comp_witness(id_d24, ass, source=n_l2, target=n_l3)
-        w_mid_l4 = wired_tensor_witness(env, [(idid_witness, IdIdw, IdIdw), (ass, X1w, X2w)])
-        edge_l5 = comp_witness(
-            chain_witnesses(ich_l4, w_mid_l4, invert_witness(ich_l5)),
-            mu_id_w, source=n_l4, target=n_l5)
-        left_path = [edge_l1, as_l2, edge_l3, invert_witness(as_l4), edge_l5, as_l6]
-        edge_r2 = comp_witness(id_d14, ass, source=n_r1, target=n_r2)
-        edge_r6 = comp_witness(id_d34, ass, source=n_r5, target=end)
-        right_path = [as_r1, edge_r2, invert_witness(as_r3), edge_r4, as_r5, edge_r6]
+        w_mid_l0 = wired_tensor_witness([(ass, X1w, X2w), (idid_witness, IdIdw, IdIdw)])
+        w_mid_l4 = wired_tensor_witness([(idid_witness, IdIdw, IdIdw), (ass, X1w, X2w)])
+        left_path = [
+            comp_witness(chain_witnesses(ich_l0, w_mid_l0, invert_witness(ich_l1)), mu_id_w),
+            as_l2, comp_witness(id_d24, ass), invert_witness(as_l4),
+            comp_witness(chain_witnesses(ich_l4, w_mid_l4, invert_witness(ich_l5)), mu_id_w),
+            as_l6,
+        ]
+        right_path = [as_r1, comp_witness(id_d14, ass), invert_witness(as_r3), edge_r4, as_r5,
+                      comp_witness(id_d34, ass)]
         return _loop_closes(left_path, right_path)
 
     attempts = 0
     associator = None
-    for ass in all_isos(X1, X2, limit=max_candidates):
+    for ass in all_isos(X1w.bib, X2w.bib, limit=max_candidates):
         attempts += 1
         if reassociation_loop_closes(ass):
             associator = ass
@@ -321,51 +273,26 @@ def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> Coherenc
                                note="no associator closes the reassociation loop")
 
     # unit loop: cancel a unit inserted between two factors
-    s1_2 = tensor_wired(env, [id_w, e_w, id_w])
-    S13 = compose(s1_2.bib, d1_3.bib)
-    S23 = compose(s1_2.bib, d2_3.bib)
-    p0 = compose(s1_2.bib, X1)
-    p_l1 = compose(S13, mu_b)
-    p_r1 = compose(s1_2.bib, X2)
-    p_r2 = compose(S23, mu_b)
-    IdE_Mu = compose(tensor_wired(env, [id_w, e_w]).bib, mu_b)
-    E_Id_Mu = compose(tensor_wired(env, [e_w, id_w]).bib, mu_b)
-    # the middle node of the unit loop, (Id * Id) ; mu, is IdMu
-    p_mid = IdMu
-    squeeze_idid = lunit_witness(id_w.bib, composed=IdId)
-
-    ich_p_l, _ = interchange_blocks(env, [id_w, e_w, id_w], [mu_w, id_w],
-                                    [(2, 1), (1, 1)], source=S13,
-                                    block_composites=[IdE_Mu, IdId])
-    ich_p_r, _ = interchange_blocks(env, [id_w, e_w, id_w], [id_w, mu_w],
-                                    [(1, 1), (2, 1)], source=S23,
-                                    block_composites=[IdId, E_Id_Mu])
-    as_p_l = assoc_witness(s1_2.bib, d1_3.bib, mu_b, MN=S13, NL=X1, left=p_l1, right=p0)
-    as_p_r = assoc_witness(s1_2.bib, d2_3.bib, mu_b, MN=S23, NL=X2, left=p_r2, right=p_r1)
-    id_s = identity_witness(s1_2.bib)
-    collapse = to_mu_l
-    IdE_Muw = Wired(IdE_Mu, 1, 1)
-    E_Id_Muw = Wired(E_Id_Mu, 1, 1)
+    s1_2 = tensor_wired([id_w, e_w, id_w]).bib
+    ich_p_l, (IdE_Muw, _) = interchange_blocks([id_w, e_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
+    ich_p_r, (_, E_Id_Muw) = interchange_blocks([id_w, e_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
+    as_p_l = assoc_witness(s1_2, d1_3, mu_b)
+    as_p_r = assoc_witness(s1_2, d2_3, mu_b)
+    id_s = identity_witness(s1_2)
+    squeeze_idid = lunit_witness(id_b, composed=IdIdw.bib)
 
     def unit_loop_closes(runi: IsoWitness, luni: IsoWitness) -> bool:
-        w_l = wired_tensor_witness(env, [(runi, IdE_Muw, id_w), (squeeze_idid, IdIdw, id_w)])
-        left_path = [
-            invert_witness(as_p_l),
-            comp_witness(chain_witnesses(ich_p_l, w_l), mu_id_w, source=p_l1, target=p_mid),
-            collapse,
-        ]
-        w_r = wired_tensor_witness(env, [(squeeze_idid, IdIdw, id_w), (luni, E_Id_Muw, id_w)])
-        right_path = [
-            comp_witness(id_s, associator, source=p0, target=p_r1),
-            invert_witness(as_p_r),
-            comp_witness(chain_witnesses(ich_p_r, w_r), mu_id_w, source=p_r2, target=p_mid),
-            collapse,
-        ]
+        # both paths end at (Id * Id) ; mu, collapsed onto mu
+        w_l = wired_tensor_witness([(runi, IdE_Muw, id_w), (squeeze_idid, IdIdw, id_w)])
+        w_r = wired_tensor_witness([(squeeze_idid, IdIdw, id_w), (luni, E_Id_Muw, id_w)])
+        left_path = [invert_witness(as_p_l), comp_witness(chain_witnesses(ich_p_l, w_l), mu_id_w),
+                     to_mu_l]
+        right_path = [comp_witness(id_s, associator), invert_witness(as_p_r),
+                      comp_witness(chain_witnesses(ich_p_r, w_r), mu_id_w), to_mu_l]
         return _loop_closes(left_path, right_path)
 
-    id_b = id_w.bib
-    runi_cands = list(all_isos(IdE_Mu, id_b, limit=max_candidates))
-    luni_cands = list(all_isos(E_Id_Mu, id_b, limit=max_candidates))
+    runi_cands = list(all_isos(IdE_Muw.bib, id_b, limit=max_candidates))
+    luni_cands = list(all_isos(E_Id_Muw.bib, id_b, limit=max_candidates))
     unitors = None
     for runi, luni in itertools.product(runi_cands, luni_cands):
         attempts += 1

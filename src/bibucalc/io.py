@@ -135,10 +135,14 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 def load_json(path: str) -> Any:
     """A JSON file, decoded as UTF-8 (RFC 8259 section 8.1) whatever the
-    locale; a byte order mark is refused by json.loads."""
+    locale; a byte order mark is refused by json.loads, and nesting deeper
+    than the decoder can follow is a StructuralError."""
     with open(path, "rb") as fh:
         text = fh.read().decode("utf-8")
-    return json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise StructuralError(f"{path}: JSON nested too deeply") from None
 
 
 def sha256_file(path: str) -> str:

@@ -103,6 +103,58 @@ def test_compose_requires_matching_middle():
         compose(identity_bibundle(cyclic_groupoid(2)), identity_bibundle(cyclic_groupoid(3)))
 
 
+def test_compose_returns_the_live_composite_of_the_same_pair():
+    G = cyclic_groupoid(3)
+    M, N = identity_bibundle(G), diagonal_bibundle(G)
+    C = compose(M, N)
+    assert compose(M, N) is C and C.factors == (M, N)
+    assert compose(M, M) is not C
+    # the witness builders compose their endpoints through the store
+    assert comp_witness(identity_witness(M), identity_witness(N)).source is C
+
+
+def test_composite_store_keys_by_identity_not_equality():
+    G = cyclic_groupoid(3)
+    M1, M2, N = identity_bibundle(G), identity_bibundle(G), diagonal_bibundle(G)
+    assert M1 == M2 and M1 is not M2
+    C1, C2 = compose(M1, N), compose(M2, N)
+    assert C1 is not C2 and C1 == C2
+
+
+def test_composite_store_lets_unused_composites_go(monkeypatch):
+    # an empty store of the same kind, so that only this composite is in it
+    monkeypatch.setattr(calculus, "_COMPOSITES", type(calculus._COMPOSITES)())
+    G = cyclic_groupoid(3)
+    M = identity_bibundle(G)
+    C = compose(M, M)
+    assert list(calculus._COMPOSITES.values()) == [C]
+    del C
+    gc.collect()
+    assert len(calculus._COMPOSITES) == 0
+    assert compose(M, M).factors == (M, M)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_stored_composite_equals_a_fresh_one(seed):
+    rng = random.Random(seed)
+    M = random_bibundle(rng, max_objects=2, max_isotropy=3)
+    N = opposite_bibundle(M) if rng.random() < 0.7 else identity_bibundle(M.right_groupoid)
+    C = compose(M, N)
+    tables = bundle_tables(C)  # read in full: C keeps its orbit passes and fibers
+    assert compose(M, N) is C
+    saved = calculus._COMPOSITES
+    calculus._COMPOSITES = type(saved)()
+    try:
+        fresh = compose(M, N)
+    finally:
+        calculus._COMPOSITES = saved
+    assert fresh is not C
+    assert bundle_tables(fresh) == bundle_tables(C) == tables
+    pairs = _composable_pairs(M, N)
+    assert [C.project(*p) for p in pairs] == [fresh.project(*p) for p in pairs]
+
+
 def _cosets_of_z2_in_z4():
     """Z/4 acting on the right of its two cosets of {0, 2}: 1 and 3 swap "a"
     and "b", 2 fixes both, so "a" is a representative fixed by 2."""
@@ -317,9 +369,8 @@ def test_comp_and_tensor_whiskering():
     w = identity_witness(M)
     ww = comp_witness(w, w)
     assert validate_iso(ww).ok
-    env = diagram.DiagramEnv(G)
-    Mw = env.wire(M)
-    tw = diagram.wired_tensor_witness(env, [(w, Mw, Mw), (w, Mw, Mw)])
+    Mw = diagram.DiagramEnv(G).wire(M)
+    tw = diagram.wired_tensor_witness([(w, Mw, Mw), (w, Mw, Mw)])
     assert validate_iso(tw).ok
 
 

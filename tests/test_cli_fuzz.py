@@ -8,7 +8,8 @@ name nothing, and a table row, map key or list label dropped, make
 `validate` exit 1, and the verbs that validate on ingest exit 2. A group
 spec whose mu, e or i names another part's file is wired wrongly: every
 verb that reads a spec, `validate` included, must exit 2 with an `error`
-naming that part."""
+naming that part. So must a file nested deeper than the JSON decoder can
+follow."""
 import contextlib
 import io as _io
 import json
@@ -17,7 +18,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bibucalc import as_category, io, pair_groupoid
+from bibucalc import StructuralError, as_category, io, pair_groupoid
 from bibucalc.cli import main
 from bibucalc.generators import random_groupoid, random_hom
 from bibucalc.groups import kronecker_finite
@@ -176,6 +177,28 @@ def test_wrongly_wired_group_spec_exits_2(fixture, part, other):
             assert code == 2, (argv, out)
             assert "Traceback" not in err
             assert f"group spec {part} " in json.loads(out)["verdicts"]["error"]
+
+
+DEEP = {
+    "array": "[" * 100_000 + "]" * 100_000,
+    # a valid groupoid file with one extra key holding an array 5,000 deep
+    "groupoid": io.dumps(io.groupoid_to_json(pair_groupoid(2))).replace(
+        "{", '{"deep": ' + "[" * 5000 + "]" * 5000 + ", ", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP))
+def test_deeply_nested_json_exits_2(tmp_path, name):
+    with contextlib.chdir(tmp_path):
+        with open(NAME, "w") as fh:
+            fh.write(DEEP[name])
+        with pytest.raises(StructuralError, match="nested too deeply"):
+            io.load_json(NAME)
+        for argv in VERBS + SPEC_VERBS[1:] + [["kan", "--sset", NAME, "--n", "2", "--i", "1"]]:
+            code, out, err = _run(argv)
+            assert code == 2, (argv, out)
+            assert "Traceback" not in err
+            assert "nested too deeply" in json.loads(out)["verdicts"]["error"]
 
 
 # the other file kinds, each with the verbs that read it

@@ -1,5 +1,6 @@
 import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -83,6 +84,16 @@ def test_parse_errors_carry_spans():
         parse("a ; ; b")
     with pytest.raises(DiagramError):
         parse("")
+
+
+def test_parse_refuses_nesting_too_deep_to_follow():
+    deep = "(" * 3000 + "id" + ")" * 3000
+    with pytest.raises(DiagramError, match="nested too deeply") as e:
+        parse(deep)
+    start, end = e.value.span
+    assert deep[start:end] == "("
+    # nesting the parser can follow still parses
+    assert parse("(" * 50 + "id" + ")" * 50) == Gen("id")
 
 
 def test_typecheck_arities():
@@ -193,22 +204,38 @@ def test_tensor_wired_flattens_to_one_power():
 def test_tensor_store_returns_the_live_tensor_of_the_same_parts():
     env = DiagramEnv(standard_groupoid("cyclic", 2))
     a, b = env.resolve("id"), env.resolve("delta")
-    t = tensor_wired(env, [a, b])
-    again = tensor_wired(env, [a, b])
+    t = tensor_wired([a, b])
+    again = tensor_wired([a, b])
     assert again.bib is t.bib and (again.m, again.n) == (t.m, t.n) == (2, 3)
     assert t.bib.parts == (a.bib, b.bib)
-    assert tensor_wired(env, [b, a]).bib is not t.bib
-    # a tensor in an expression is the live one too
+    assert tensor_bibundle(a.bib, b.bib) is t.bib
+    assert tensor_wired([b, a]).bib is not t.bib
+    # a tensor in an expression is the live one too, in any env
     assert evaluate_wired(env, "id * delta").bib is t.bib
+    assert evaluate_wired(DiagramEnv(env.base, {"x": a.bib, "y": b.bib}), "x * y").bib is t.bib
 
 
-def test_tensor_store_lets_unused_tensors_go():
+class _CountingStore(weakref.WeakValueDictionary):
+    """A store that counts the entries put in it: one per build."""
+
+    def __init__(self):
+        super().__init__()
+        self.builds = 0
+
+    def __setitem__(self, key, value):
+        self.builds += 1
+        super().__setitem__(key, value)
+
+
+def test_tensor_store_lets_unused_tensors_go(monkeypatch):
+    # an empty store of the same kind, so that only this tensor is in it
+    monkeypatch.setattr(calculus, "_TENSORS", type(calculus._TENSORS)())
     env = DiagramEnv(standard_groupoid("cyclic", 2))
-    t = tensor_wired(env, [env.resolve("id"), env.resolve("tau")])
-    assert list(env._tensors.values()) == [t.bib]
+    t = tensor_wired([env.resolve("id"), env.resolve("tau")])
+    assert list(calculus._TENSORS.values()) == [t.bib]
     del t
     gc.collect()
-    assert len(env._tensors) == 0
+    assert len(calculus._TENSORS) == 0
 
 
 def test_tensor_store_keys_by_identity_not_equality():
@@ -216,44 +243,38 @@ def test_tensor_store_keys_by_identity_not_equality():
     env = DiagramEnv(G)
     x, y = env.wire(identity_bibundle(G)), env.wire(identity_bibundle(G))
     assert x.bib == y.bib and x.bib is not y.bib
-    tx, ty = tensor_wired(env, [x, x]), tensor_wired(env, [x, y])
+    tx, ty = tensor_wired([x, x]), tensor_wired([x, y])
     assert tx.bib is not ty.bib
     assert tx.bib == ty.bib
 
 
 def test_coherence_builds_each_tensor_and_composite_once(monkeypatch):
-    counts = {"tensor": 0, "compose": 0}
-
-    def counted_tensor(*parts):
-        counts["tensor"] += 1
-        return tensor_bibundle(*parts)
-
-    def counted_compose(M, N):
-        counts["compose"] += 1
-        return compose(M, N)
-
-    monkeypatch.setattr(diagram, "tensor_bibundle", counted_tensor)
-    for module in (calculus, diagram, groups):
-        monkeypatch.setattr(module, "compose", counted_compose)
-    assert groups.check_coherence(groups.kronecker_finite(2, 1)).ok
-    # 29 tensor_wired calls on 18 part tuples, and 31 composites
-    assert counts == {"tensor": 18, "compose": 31}
+    """Builds are store misses; calls, which include the hits, are many more."""
+    for n, q in ((2, 1), (4, 2)):
+        for store in ("_TENSORS", "_COMPOSITES"):
+            monkeypatch.setattr(calculus, store, _CountingStore())
+        rep = groups.check_coherence(groups.kronecker_finite(n, q))
+        assert rep.ok and rep.attempts == 2
+        builds = {"tensor": calculus._TENSORS.builds, "compose": calculus._COMPOSITES.builds}
+        assert builds == {"tensor": 18, "compose": 31}
 
 
 def test_tensor_wired_matches_juxtapose_oracle_on_coherence(monkeypatch):
     calls = []
     tensor = diagram.tensor_wired
 
-    def recording(env, parts):
-        out = tensor(env, parts)
-        calls.append((env, list(parts), out))
+    def recording(parts):
+        out = tensor(parts)
+        calls.append((list(parts), out))
         return out
 
     for module in (diagram, groups):
         monkeypatch.setattr(module, "tensor_wired", recording)
-    assert groups.check_coherence(groups.kronecker_finite(2, 1)).ok
+    data = groups.kronecker_finite(2, 1)
+    assert groups.check_coherence(data).ok
+    env = data.env()
     seen = set()
-    for env, ws, out in calls:
+    for ws, out in calls:
         key = tuple((id(w.bib), w.m, w.n) for w in ws)
         if len(ws) < 2 or key in seen:
             continue
@@ -277,7 +298,7 @@ def test_interchange_blocks_matches_binary_witness_oracle(seed):
     env = DiagramEnv(G)
     A, B, C, D = (_hom_bundle(rng, G) for _ in range(4))
     top, bottom = [env.wire(A), env.wire(B)], [env.wire(C), env.wire(D)]
-    w, comps = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)])
+    w, comps = interchange_blocks(top, bottom, [(1, 1), (1, 1)])
     want = interchange_witness_binary(A, B, C, D)
     assert list(w.source.carrier) == list(want.source.carrier)
     assert list(w.target.carrier) == list(want.target.carrier)
@@ -298,7 +319,7 @@ def test_wired_tensor_witness_matches_binary_witness_oracle(seed):
         w = find_iso(M, relabel_randomly(rng, M))
         witnesses.append(w)
         entries.append((w, env.wire(w.source), env.wire(w.target)))
-    got = wired_tensor_witness(env, entries)
+    got = wired_tensor_witness(entries)
     want = tensor_witness_binary(*witnesses)
     assert list(got.forward.items()) == list(want.forward.items())
     assert validate_iso(got).ok
@@ -316,21 +337,20 @@ def test_constructors_over_a_product_base():
     assert typecheck(env, "delta * ev") == (3, 2)
 
 
-def test_interchange_blocks_takes_a_pinned_composite():
-    G = standard_groupoid("cyclic", 2)
-    built, env = DiagramEnv(G), DiagramEnv(G)
+def test_wire_keeps_a_pinned_composites_factors():
+    # two equal bases that are distinct objects, so their powers are too
+    built, env = DiagramEnv(standard_groupoid("cyclic", 2)), DiagramEnv(standard_groupoid("cyclic", 2))
     composite = compose(evaluate_wired(built, "delta * id").bib,
                         evaluate_wired(built, "tau * id").bib)
     pinned = env.wire(composite).bib
     # pinned over env's powers, and still a composite of the same factors
+    assert pinned is not composite and pinned.left_groupoid is not composite.left_groupoid
     assert pinned.left_groupoid is env.power(2) and pinned.right_groupoid is env.power(3)
     assert pinned.factors is composite.factors
-    top = [env.resolve("delta"), env.resolve("id")]
-    bottom = [env.resolve("tau"), env.resolve("id")]
-    w, _ = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)], source=pinned)
-    ref, _ = interchange_blocks(env, top, bottom, [(1, 1), (1, 1)])
-    assert validate_iso(w).ok
-    assert w.forward == ref.forward
+    pair = composite.index.parts_of[composite.carrier.elements[0]]
+    assert pinned.project(*pair) == composite.carrier.elements[0]
+    # the same carrier, moments and actions, over the pinned groupoids
+    assert bundle_tables(pinned)[2:] == bundle_tables(composite)[2:]
 
 
 def test_identity_check_reports_arity_mismatch():

@@ -100,6 +100,15 @@ def test_coherence_loops_close(n, q):
         assert validate_iso(w).ok
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_coherence_refuses_a_candidate_bound_below_one(bound):
+    with pytest.raises(StructuralError, match="max_candidates must be at least 1"):
+        check_coherence(kronecker_finite(2, 1), max_candidates=bound)
+    assert check_coherence(kronecker_finite(2, 1), max_candidates=1).attempts == 2
+    # a bound past what islice takes is no bound
+    assert check_coherence(kronecker_finite(2, 1), max_candidates=10**30).attempts == 2
+
+
 def test_coherence_for_degenerate_group():
     rep = check_coherence(plain_group_data(4))
     assert rep.ok

@@ -5,8 +5,9 @@ of decoding it), the generators name no encoder tup (they encode each label
 once, through a LabelIndex), every public function of tests/oracles.py is imported by
 some test module, so an oracle cannot outlive the code it checks, and every
 function the benchmark tracer wraps still exists, so `run.py --trace` cannot
-break on a rename, and the only tables filled on lookup are the label
-index's, the escape memo and the two part-wise tables. Found with the
+break on a rename, the only tables filled on lookup are the label
+index's, the escape memo and the two part-wise tables, and the only weak
+stores of live results are those of products, tensors and composites. Found with the
 stdlib ast module: a name counts as used when it is read anywhere in the
 module; annotations stay expressions in the tree even under
 `from __future__ import annotations`."""
@@ -115,6 +116,43 @@ def test_lazy_table_scan_sees_every_fill():
                "class C(core._LazyTable):\n    def _entry(self, k):\n        return k\n"
                "class D(dict):\n    def get(self, k):\n        return k\n")
     assert _lazy_tables(snippet) == ({"A"}, {"B", "C"})
+
+
+def _weak_stores(source: str) -> set[str]:
+    """Every WeakValueDictionary the source builds: by name when it is the
+    value of a module-level assignment, else by line."""
+    tree = ast.parse(source)
+    named = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            named[id(node.value)] = ",".join(getattr(t, "id", "?") for t in targets)
+    return {named.get(id(node), f"line {node.lineno}") for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "WeakValueDictionary"}
+
+
+def test_live_result_stores_are_the_three_constructions():
+    """A construction that returns its live result for the same inputs keeps
+    it in one module-level weak store: the product, tensor and composite
+    stores. A new construction reuses that rule instead of threading its
+    results through parameters or keeping a store of its own."""
+    stores = set()
+    for path in MODULES:
+        stores |= {f"{path.stem}.{name}" for name in _weak_stores(path.read_text())}
+    assert sorted(stores) == ["calculus._COMPOSITES", "calculus._TENSORS", "core._PRODUCTS"]
+
+
+def test_weak_store_scan_sees_every_store():
+    snippet = ("import weakref\nfrom weakref import WeakValueDictionary\n"
+               "A = weakref.WeakValueDictionary()\n"
+               "B: dict = WeakValueDictionary()\n"
+               "C = {}\n"
+               "class Env:\n    def __init__(self):\n"
+               "        self.store = weakref.WeakValueDictionary()\n"
+               "def f():\n    return WeakValueDictionary()\n")
+    found = _weak_stores(snippet)
+    assert found == {"A", "B", "line 8", "line 10"}
 
 
 def _oracle_imports(source: str) -> set[str]:

@@ -252,6 +252,34 @@ def test_cli_preinverse_and_coherence(tmp_path):
     assert main(["coherence", "--spec", spec]) == 0
 
 
+@pytest.mark.parametrize("bound", [0, -1])
+def test_cli_coherence_refuses_max_candidates_below_one(tmp_path, capsys, bound):
+    assert main(["gen-fixture", "--family", "kronecker_finite", "--n", "2", "--q", "1",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    argv = ["coherence", "--spec", str(tmp_path / "kronecker_2_1.json"),
+            "--max-candidates", str(bound), "--out", str(tmp_path / "out")]
+    code, out, err = _run(argv + ["--json"], capsys)
+    assert code == 2 and "Traceback" not in err
+    error = json.loads(out)["verdicts"]["error"]
+    assert "--max-candidates" in error and "islice" not in error
+    code, _, err = _run(argv, capsys)
+    assert code == 2 and "--max-candidates" in err
+    assert not (tmp_path / "out" / "coherence_witness.json").exists()
+
+
+@pytest.mark.parametrize("verb", ["check", "eval-diagram"])
+def test_cli_refuses_a_deeply_nested_expression(idg, tmp_path, capsys, verb):
+    gpath, _ = idg
+    deep = "(" * 3000 + "id" + ")" * 3000
+    argv = {"check": ["check", "--groupoid", gpath, "--lhs", deep, "--rhs", "id"],
+            "eval-diagram": ["eval-diagram", "--groupoid", gpath, deep]}[verb]
+    code, out, err = _run(argv + ["--json", "--out", str(tmp_path)], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert "expression nested too deeply (at " in json.loads(out)["verdicts"]["error"]
+    assert sorted(os.listdir(tmp_path)) == ["g.json", "idg.json"]
+
+
 def test_cli_linking_verbs(idg, tmp_path):
     _, mpath = idg
     assert main(["linking", "--bibundle", mpath, "--category", "--out", str(tmp_path)]) == 0
