@@ -271,7 +271,9 @@ class _OrbitPass:
 
     The carrier is walked in order; each point not reached yet becomes the
     representative of its orbit and is moved once by every non-unit arrow at
-    its moment (the bundle must be valid, so the unit moves nothing).
+    its moment (the bundle must be valid, so the unit moves nothing). At a
+    moment whose fiber holds one arrow, that arrow is the unit, so the
+    representative is recorded without reading the unit table.
     reach[m] is (rep, a) with rep . a == m on the right, a . rep == m on the
     left. stabilisers maps each representative with a nontrivial
     stabiliser, in carrier order, to the non-unit arrows fixing it, in arrow
@@ -320,13 +322,20 @@ def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
     for rep in M.carrier:
         if rep in reach:
             continue
-        unit = acting.unit[moment[rep]]
+        x = moment[rep]
+        arrows = arrows_at(x)
+        if len(arrows) == 1:
+            # a valid groupoid has the unit in every fiber, so this fiber
+            # holds only the unit: rep is its own orbit, with no stabiliser
+            reach[rep] = (rep, arrows[0])
+            continue
+        unit = acting.unit[x]
         reach[rep] = (rep, unit)
         fixing = []
-        for k in arrows_at(moment[rep]):
+        for k in arrows:
             # the unit fixes every point of a valid bundle, so moving by it
             # would add nothing: rep is reached already and the unit is no
-            # stabiliser; over a discrete base it is the only arrow there
+            # stabiliser
             if k == unit:
                 continue
             m = move(rep, k)

@@ -31,7 +31,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import call
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .bibundle import (
     Bibundle,
@@ -551,6 +551,16 @@ def _moments(X: Bibundle) -> list[tuple[str, str]]:
     return [(X.lmap[x], X.rmap[x]) for x in X.carrier]
 
 
+def _non_units(G: FinGroupoid, fiber: Sequence[str], x: str) -> Sequence[str]:
+    """The arrows of fiber, a fiber of G at x, other than the unit at x. A
+    one-arrow fiber of a valid groupoid holds only the unit, so it gives ()
+    without reading the unit table."""
+    if len(fiber) == 1:
+        return ()
+    u = G.unit[x]
+    return [g for g in fiber if g != u]
+
+
 def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
     """Biequivariant bijections M -> N, lex-least first in M's carrier order.
     M and N must be valid bibundles (see validate_bibundle): no unit arrow
@@ -587,7 +597,8 @@ def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
         m's orbit; the points assigned, or None (undone) if that is not a
         well-defined injection. Well defined, it is biequivariant. The units
         fix every point of a valid bundle, so m |-> n is assigned directly
-        and no unit arrow is applied on either side."""
+        and no unit arrow is applied on either side; a side whose fiber at m
+        is the unit alone is skipped (see _non_units)."""
         trail: list[str] = []
 
         def fits(p: str, q: str) -> bool:
@@ -602,11 +613,9 @@ def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
             return True
 
         x, y = M.lmap[m], M.rmap[m]
-        hu = H.unit[y]
-        if fits(m, n) and all(fits(mright(m, h), nright(n, h)) for h in H.l_fiber(y) if h != hu):
+        if fits(m, n) and all(fits(mright(m, h), nright(n, h)) for h in _non_units(H, H.l_fiber(y), y)):
             # the left arrows at m act on each point of m's right orbit
-            gu = G.unit[x]
-            gs = [g for g in G.r_fiber(x) if g != gu]
+            gs = _non_units(G, G.r_fiber(x), x)
             if all(fits(mleft(g, p), nleft(g, forward[p])) for p in list(trail) for g in gs):
                 return trail
         undo(trail)

@@ -24,6 +24,7 @@ from .calculus import bundlize, compose, is_weak_isomorphism
 from .core import (
     StructuralError,
     check_hom,
+    cycle_collector_paused,
     validate_category,
     validate_groupoid,
 )
@@ -494,11 +495,17 @@ def _emit(args, man: RunManifest, code: int) -> None:
     sys.stdout.write("".join(lines).encode(encoding, "backslashreplace").decode(encoding))
 
 
+@cycle_collector_paused()
 def main(argv=None) -> int:
+    """Run one verb on argv (sys.argv[1:] when None) and return its exit
+    code, with the cycle collector paused (see core.cycle_collector_paused).
+    Only argparse leaves reference cycles behind: when it builds the parser,
+    on the first call in a process, and when it reports a usage error."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    man = RunManifest(command=[args.verb] + [a for a in (argv or sys.argv[1:]) if a != args.verb],
-                      seed=getattr(args, "seed", None))
+    rest = list(argv or sys.argv[1:])
+    rest.remove(args.verb)
+    man = RunManifest(command=[args.verb] + rest, seed=getattr(args, "seed", None))
     try:
         code = args.handler(args, man)
     except (StructuralError, DiagramError, ValueError, OSError) as exc:

@@ -25,10 +25,12 @@ calculus.tensor_bibundle).
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import weakref
 from collections import Counter
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from math import prod
 from operator import getitem, itemgetter
@@ -39,6 +41,27 @@ from .labels import LabelIndex, _Lazy, tup
 
 class StructuralError(Exception):
     """Data used outside its declared domain (never silently ignored)."""
+
+
+@contextmanager
+def cycle_collector_paused() -> Iterator[None]:
+    """Hold off the cycle collector for the block, then restore the setting
+    found on entry, on every exit path; nested pauses leave it off until the
+    outermost one ends. The pause is process-wide: while a block runs, no
+    collection runs anywhere in the process, and a reference cycle dropped
+    in the block waits for the first collection after it. No structure of
+    this package holds a cycle, so the collections a block would otherwise
+    run reclaim nothing. Used as a decorator, each call pauses anew.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 @dataclass(frozen=True)

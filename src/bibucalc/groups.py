@@ -38,6 +38,7 @@ from .core import (
     StructuralError,
     action_groupoid,
     check_hom,
+    cycle_collector_paused,
     one_object_groupoid,
     power_groupoid,
     product_codec,
@@ -158,7 +159,11 @@ class GroupReport:
         return self.antipode is None or self.antipode.ok
 
 
+@cycle_collector_paused()
 def check_group(data: StackyGroupData) -> GroupReport:
+    """The monoid axioms, the preinverse and its weak invertibility, and the
+    antipode identities when data has an inverse i. Runs with the cycle
+    collector paused (see core.cycle_collector_paused)."""
     env = data.env()
     monoid = check_monoid(data)
     s = preinverse(data)
@@ -197,6 +202,7 @@ def _loop_closes(left_edges: Sequence[IsoWitness], right_edges: Sequence[IsoWitn
     return all(lw.forward[x] == rw.forward[x] for x in lw.forward)
 
 
+@cycle_collector_paused()
 def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> CoherenceReport:
     """Search for an associator and unitors whose two canonical loops close.
 
@@ -207,6 +213,7 @@ def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> Coherenc
     least 1. Each loop is its list of edges: an edge builds its own endpoints,
     and as compose and tensor_bibundle return the live result for the same
     inputs, every node is built once, while an edge that holds it is alive.
+    Runs with the cycle collector paused (see core.cycle_collector_paused).
     """
     if max_candidates < 1:
         raise StructuralError(f"max_candidates must be at least 1, got {max_candidates}")

@@ -240,15 +240,15 @@ def _face_table(X: TruncatedSSet, n: int, a: int, xs: Sequence[str]) -> Mapping[
 
 
 def horn_set(X: TruncatedSSet, n: int, i: int) -> tuple[HornFiller, ...]:
-    """All compatible (n, i)-horns, enumerated by backtracking over the face
-    indices j != i in increasing order.
+    """All compatible (n, i)-horns, extended face by face over the indices
+    j != i in increasing order.
 
     The face at position pos must satisfy d_a(x_b) = d_{b-1}(x_a) against
     every earlier face x_a, so X_{n-1} is bucketed once per position by the
     key (d_a(x) for each earlier index a), and a step reads the one bucket
     keyed (d_{b-1}(x_a) for each face chosen so far). A bucket keeps
-    X_{n-1}'s order, so the horns come out in the order of trying every
-    candidate in turn: lexicographic in X_{n-1}'s order, face by face."""
+    X_{n-1}'s order and the partial horns are extended in turn, so the horns
+    come out lexicographic in X_{n-1}'s order, face by face."""
     if not (2 <= n <= X.k) or not (0 <= i <= n):
         raise StructuralError(f"horn index ({n}, {i}) out of range for k = {X.k}")
     indices = [j for j in range(n + 1) if j != i]
@@ -262,20 +262,11 @@ def horn_set(X: TruncatedSSet, n: int, i: int) -> tuple[HornFiller, ...]:
         for x in lower:
             bucket.setdefault(tuple(t[x] for t in earlier), []).append(x)
         steps.append((bucket, d.get(b - 1)))
-    out: list[HornFiller] = []
-
-    def extend(pos: int, chosen: list[str]) -> None:
-        if pos == len(indices):
-            out.append(HornFiller(n, i, tuple(zip(indices, chosen))))
-            return
-        bucket, back = steps[pos]
-        for x in bucket.get(tuple(back[xa] for xa in chosen), ()):
-            chosen.append(x)
-            extend(pos + 1, chosen)
-            chosen.pop()
-
-    extend(0, [])
-    return tuple(out)
+    chosen: list[tuple[str, ...]] = [()]
+    for bucket, back in steps:
+        chosen = [faces + (x,) for faces in chosen
+                  for x in bucket.get(tuple(back[xa] for xa in faces), ())]
+    return tuple(HornFiller(n, i, tuple(zip(indices, faces))) for faces in chosen)
 
 
 def _restriction(X: TruncatedSSet, n: int, i: int, x: str) -> tuple[tuple[int, str], ...]:

@@ -1,8 +1,10 @@
+import dataclasses
 import gc
 import itertools
 import random
 import sys
 from collections import Counter
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,14 @@ from bibucalc import (
     trivial_groupoid,
 )
 from bibucalc import calculus, diagram, groups, labels
-from bibucalc.bibundle import Bibundle, _fibers, bibundle_from_tables, check_principal, validate_bibundle
+from bibucalc.bibundle import (
+    Bibundle,
+    _fibers,
+    _orbit_pass,
+    bibundle_from_tables,
+    check_principal,
+    validate_bibundle,
+)
 from bibucalc.calculus import (
     all_isos,
     assoc_witness,
@@ -52,7 +61,7 @@ from bibucalc.generators import (
     random_right_principal_bibundle,
     relabel_randomly,
 )
-from bibucalc.groups import kronecker_finite, preinverse
+from bibucalc.groups import kronecker_finite, plain_group_data, preinverse
 from bibucalc.labels import esc, tup, untup
 
 from oracles import (
@@ -61,7 +70,9 @@ from oracles import (
     entry_fills,
     iso_search_dfs,
     lookup_outcomes,
+    orbit_pass_scan,
     orbit_quotient,
+    stabiliser_scan,
     tensor_binary,
     tensor_eager,
 )
@@ -730,3 +741,109 @@ def test_chain_witnesses_roundtrip():
     w = lunit_witness(M, C)
     loop = chain_witnesses(w, invert_witness(w))
     assert loop.forward == {m: m for m in C.carrier}
+
+
+# ---------------------------------------------------------------------------
+# one-arrow fibers: the orbit pass and the iso search take them in one step
+
+
+def _one_arrow_objects(G) -> set[str]:
+    """The objects whose fibers hold only the unit (isolated, no isotropy)."""
+    return {x for x in G.objects if len(G.l_fiber(x)) == 1}
+
+
+def _mixed(G) -> bool:
+    return 0 < len(_one_arrow_objects(G)) < len(G.objects)
+
+
+def _power_bundles() -> list[Bibundle]:
+    """Bundles over discrete powers, where every fiber holds one arrow: the
+    multiplication of Z/3 with identity arrows only, from G^2 to G, and two
+    tensors over G^3."""
+    data = plain_group_data(3)
+    ident = identity_bibundle(data.base)
+    return [data.mu, tensor_bibundle(data.mu, ident), tensor_bibundle(ident, ident, ident)]
+
+
+def _mixed_bundles(count: int) -> list[Bibundle]:
+    """The first count seeded generator bundles whose left or right base
+    mixes one-arrow fibers with larger ones."""
+    out = []
+    for seed in itertools.count():
+        M = random_bibundle(random.Random(seed), max_objects=3, max_isotropy=2)
+        if _mixed(M.left_groupoid) or _mixed(M.right_groupoid):
+            out.append(M)
+            if len(out) == count:
+                return out
+
+
+def test_one_arrow_fiber_inputs_are_what_they_claim():
+    for M in _power_bundles():
+        for G in (M.left_groupoid, M.right_groupoid):
+            assert _one_arrow_objects(G) == set(G.objects)
+    assert len(_power_bundles()[1].left_groupoid.objects) == 27
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_orbit_pass_at_one_arrow_fibers_matches_scans(side):
+    for M in _power_bundles() + _mixed_bundles(24):
+        M2 = tensor_bibundle(M, M)
+        for B in (M, M2):
+            orbits = _orbit_pass(B, side)
+            reach, stabilisers = orbit_pass_scan(B, side)
+            assert list(orbits.reach.items()) == list(reach.items())
+            assert list(orbits.stabilisers.items()) == list(stabilisers.items())
+            assert list(orbits.stabilisers.items()) == list(stabiliser_scan(B, side).items())
+
+
+def test_iso_search_at_one_arrow_fibers_matches_dfs_oracle():
+    rng = random.Random(5)
+    pairs = []
+    for M in _power_bundles():
+        pairs += [(M, M), (M, relabel_randomly(rng, M))]
+    for M in _mixed_bundles(12):
+        pairs += _search_pairs(rng, M)
+    for A, B in pairs:
+        got = list(all_isos(A, B, limit=50))
+        want = [list(f.items()) for f in itertools.islice(iso_search_dfs(A, B), 50)]
+        assert [list(w.forward.items()) for w in got] == want
+        least = find_iso(A, B)
+        assert (least and list(least.forward.items())) == (want[0] if want else None)
+
+
+class _ReadUnits(Mapping):
+    """A unit table that records the objects whose unit is read."""
+
+    def __init__(self, unit: Mapping):
+        self.unit, self.read = unit, []
+
+    def __getitem__(self, x):
+        self.read.append(x)
+        return self.unit[x]
+
+    def __iter__(self):
+        return iter(self.unit)
+
+    def __len__(self):
+        return len(self.unit)
+
+
+def _recording_units(M: Bibundle) -> tuple[Bibundle, list[_ReadUnits]]:
+    """M over copies of its groupoids whose unit tables record their reads."""
+    tables = [_ReadUnits(M.left_groupoid.unit), _ReadUnits(M.right_groupoid.unit)]
+    G = dataclasses.replace(M.left_groupoid, unit=tables[0])
+    H = dataclasses.replace(M.right_groupoid, unit=tables[1])
+    return dataclasses.replace(M, left_groupoid=G, right_groupoid=H), tables
+
+
+def test_units_are_read_only_at_fibers_of_several_arrows():
+    read_somewhere = False
+    for M in _power_bundles() + _mixed_bundles(12):
+        R, tables = _recording_units(M)
+        for side in ("right", "left"):
+            _orbit_pass(R, side)
+        assert find_iso(R, relabel_randomly(random.Random(0), R)) is not None
+        for table, G in zip(tables, (R.left_groupoid, R.right_groupoid)):
+            assert not set(table.read) & _one_arrow_objects(G)
+            read_somewhere = read_somewhere or bool(table.read)
+    assert read_somewhere

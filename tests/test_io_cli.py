@@ -529,3 +529,15 @@ def test_parser_is_built_once_and_reused_safely(idg, tmp_path, capsys, monkeypat
     assert shared == fresh
     assert [code for code, _, _ in shared] == [2, 0, 0, 0, 0, 1, 0]
     assert sorted(json.loads(shared[2][1])["inputs"]) == sorted([gpath, dpath])
+
+
+def test_manifest_command_keeps_arguments_equal_to_the_verb(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    io.save_json("validate", io.groupoid_to_json(cyclic_groupoid(2)))
+    argv = ["validate", "validate", "--json", "--out", "validate"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv
+    # read from the process arguments, too
+    monkeypatch.setattr("sys.argv", ["bibucalc", *argv])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv
