@@ -15,7 +15,9 @@ m0. A free action has no such arrows, so there the second step is empty.
 The passes also give the pairings, from which is_weak_isomorphism builds its
 2-cells; only find_iso and all_isos search, one orbit at a time: a
 biequivariant bijection is fixed by its value on one point of each orbit, so
-only representatives branch.
+only representatives branch. Over discrete groupoids, whose arrows are all
+units, find_iso does not search: it pairs the points with equal moments in
+carrier order, which is the search's first map; all_isos always searches.
 
 A construction returns its live result for the same inputs: compose and
 tensor_bibundle, like core.product_groupoid, keep each result weakly, keyed
@@ -561,6 +563,30 @@ def _non_units(G: FinGroupoid, fiber: Sequence[str], x: str) -> Sequence[str]:
     return [g for g in fiber if g != u]
 
 
+def _candidates(M: Bibundle, N: Bibundle) -> tuple[list[tuple[str, str]], dict[tuple[str, str], list[str]]] | None:
+    """M's moments in carrier order, and N's points bucketed by their
+    moments, each bucket in N's carrier order; None when M and N lie over
+    different groupoids or some moments are held by different numbers of
+    points, as then no bijection preserves them."""
+    n_moments = _moments(N)
+    m_moments = _moments(M)
+    if not (_same_groupoid(M.left_groupoid, N.left_groupoid)
+            and _same_groupoid(M.right_groupoid, N.right_groupoid)
+            and Counter(m_moments) == Counter(n_moments)):
+        return None
+    cands: dict[tuple[str, str], list[str]] = {}
+    for n, key in zip(N.carrier, n_moments):
+        cands.setdefault(key, []).append(n)
+    return m_moments, cands
+
+
+def _discrete(G: FinGroupoid) -> bool:
+    """Whether every arrow of G is a unit. The units of distinct objects are
+    distinct, so in a valid groupoid that is exactly as many arrows as
+    objects."""
+    return len(G.arrows) == len(G.objects)
+
+
 def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
     """Biequivariant bijections M -> N, lex-least first in M's carrier order.
     M and N must be valid bibundles (see validate_bibundle): no unit arrow
@@ -574,14 +600,10 @@ def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
     representative's orbit, so lex order over the representatives is lex
     order over the whole map.
     """
-    n_moments = _moments(N)
-    if not (_same_groupoid(M.left_groupoid, N.left_groupoid)
-            and _same_groupoid(M.right_groupoid, N.right_groupoid)
-            and Counter(_moments(M)) == Counter(n_moments)):
+    found = _candidates(M, N)
+    if found is None:
         return
-    cands: dict[tuple[str, str], list[str]] = {}
-    for n, key in zip(N.carrier, n_moments):
-        cands.setdefault(key, []).append(n)
+    cands = found[1]
     G, H = M.left_groupoid, M.right_groupoid
     mleft, mright = M.left_fn, M.right_fn
     nleft, nright = N.left_fn, N.right_fn
@@ -650,6 +672,18 @@ def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:
             return
 
 
+def _bucket_pairing(M: Bibundle, N: Bibundle) -> dict[str, str] | None:
+    """M's points sent to N's with the same moments, each bucket's in
+    carrier order on both sides; None when no bijection keeps the moments
+    (see _candidates)."""
+    found = _candidates(M, N)
+    if found is None:
+        return None
+    m_moments, cands = found
+    takes = {key: iter(ns).__next__ for key, ns in cands.items()}
+    return {m: takes[key]() for m, key in zip(M.carrier, m_moments)}
+
+
 def find_iso(M: Bibundle, N: Bibundle) -> IsoWitness | None:
     """Least biequivariant isomorphism in carrier order, or None.
 
@@ -658,17 +692,27 @@ def find_iso(M: Bibundle, N: Bibundle) -> IsoWitness | None:
     different groupoids are never isomorphic, so None comes back for those
     rather than an error. M and N must be valid bibundles (see
     validate_bibundle), as the search applies no unit arrow.
+
+    Over discrete groupoids (every arrow a unit, as for a plain group on
+    its powers) there is no search: every orbit is one point and every
+    moment-preserving bijection is biequivariant, so the least one pairs
+    the points of each moment bucket, M's and N's, in carrier order. That
+    is the search's first map, as each representative takes its first
+    untaken candidate and no placement fails.
     """
-    for forward in _iso_search(M, N):
-        return IsoWitness(M, N, forward, {v: k for k, v in forward.items()})
-    return None
+    discrete = _discrete(M.left_groupoid) and _discrete(M.right_groupoid)
+    forward = _bucket_pairing(M, N) if discrete else next(_iso_search(M, N), None)
+    if forward is None:
+        return None
+    return IsoWitness(M, N, forward, {v: k for k, v in forward.items()})
 
 
 def all_isos(M: Bibundle, N: Bibundle, limit: int = 10_000) -> Iterator[IsoWitness]:
     """The biequivariant isomorphisms M -> N, at most limit of them, in the
     order find_iso takes the first (see _iso_search); a limit past
     sys.maxsize is no limit. M and N must be valid bibundles, as the search
-    applies no unit arrow."""
+    applies no unit arrow. It searches over every groupoid, discrete ones
+    too, so it stays the oracle for find_iso's bucket pairing."""
     for forward in itertools.islice(_iso_search(M, N), min(limit, sys.maxsize)):
         yield IsoWitness(M, N, forward, {v: k for k, v in forward.items()})
 

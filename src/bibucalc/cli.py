@@ -495,27 +495,27 @@ def _emit(args, man: RunManifest, code: int) -> None:
     sys.stdout.write("".join(lines).encode(encoding, "backslashreplace").decode(encoding))
 
 
-@cycle_collector_paused()
 def main(argv=None) -> int:
     """Run one verb on argv (sys.argv[1:] when None) and return its exit
     code, with the cycle collector paused (see core.cycle_collector_paused).
-    Only argparse leaves reference cycles behind: when it builds the parser,
-    on the first call in a process, and when it reports a usage error."""
+    The parser is built before the pause, as building it leaves reference
+    cycles; inside the pause only a usage error leaves any (6 objects)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    rest = list(argv or sys.argv[1:])
-    rest.remove(args.verb)
-    man = RunManifest(command=[args.verb] + rest, seed=getattr(args, "seed", None))
-    try:
-        code = args.handler(args, man)
-    except (StructuralError, DiagramError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if getattr(args, "json", False):
-            man.verdicts["error"] = str(exc)
-            sys.stdout.write(io.dumps(man.to_json()))
-        return 2
-    _emit(args, man, code)
-    return code
+    with cycle_collector_paused():
+        args = parser.parse_args(argv)
+        rest = list(argv or sys.argv[1:])
+        rest.remove(args.verb)
+        man = RunManifest(command=[args.verb] + rest, seed=getattr(args, "seed", None))
+        try:
+            code = args.handler(args, man)
+        except (StructuralError, DiagramError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if getattr(args, "json", False):
+                man.verdicts["error"] = str(exc)
+                sys.stdout.write(io.dumps(man.to_json()))
+            return 2
+        _emit(args, man, code)
+        return code
 
 
 if __name__ == "__main__":

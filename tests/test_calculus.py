@@ -635,9 +635,14 @@ def test_iso_search_runs_deeper_than_the_recursion_limit():
     M = Bibundle(T, T, finset(points), dict.fromkeys(points, "0"), dict.fromkeys(points, "0"),
                  lambda g, m: m, lambda m, h: m)
     reverse = dict(zip(points, reversed(points)))
-    w = find_iso(M, relabel_bibundle(M, reverse))
-    # the relabelled carrier runs backwards, and candidates come in its order
+    N = relabel_bibundle(M, reverse)
+    # the relabelled carrier runs backwards, and candidates come in its order;
+    # find_iso pairs the points over the discrete base without searching, so
+    # all_isos drives the search itself
+    w = find_iso(M, N)
     assert w is not None and list(w.forward.items()) == list(reverse.items())
+    first = next(all_isos(M, N))
+    assert list(first.forward.items()) == list(reverse.items())
 
 
 def _search_pairs(rng: random.Random, M: Bibundle) -> list[tuple[Bibundle, Bibundle]]:
@@ -842,8 +847,94 @@ def test_units_are_read_only_at_fibers_of_several_arrows():
         R, tables = _recording_units(M)
         for side in ("right", "left"):
             _orbit_pass(R, side)
-        assert find_iso(R, relabel_randomly(random.Random(0), R)) is not None
+        relabelled = relabel_randomly(random.Random(0), R)
+        assert find_iso(R, relabelled) is not None
+        # over a discrete base find_iso takes no search, so all_isos runs it
+        assert next(all_isos(R, relabelled), None) is not None
         for table, G in zip(tables, (R.left_groupoid, R.right_groupoid)):
             assert not set(table.read) & _one_arrow_objects(G)
             read_somewhere = read_somewhere or bool(table.read)
     assert read_somewhere
+
+
+# ---------------------------------------------------------------------------
+# find_iso over discrete groupoids pairs moment buckets instead of searching
+
+
+def _assoc_sides(data) -> tuple[Bibundle, Bibundle]:
+    env = data.env()
+    return evaluate(env, "(mu * id) ; mu"), evaluate(env, "(id * mu) ; mu")
+
+
+def _discrete_pairs(rng: random.Random) -> list[tuple[Bibundle, Bibundle]]:
+    """Bundles over discrete groupoids against themselves, a relabelling,
+    and the other side of an associativity identity. On most of them a
+    point's moments fix the point; op(mu) . mu puts the n points (x, y)
+    with x + y = s over (s, s), so its buckets hold several points and
+    their order shows."""
+    bundles = _power_bundles()
+    pairs = []
+    for data in [groups.and_monoid_data()] + [kronecker_finite(n, n) for n in (2, 3, 4)]:
+        lhs, rhs = _assoc_sides(data)
+        pairs += [(lhs, rhs), (rhs, lhs)]
+        bundles += [lhs, terminal_bibundle(data.base), terminal_bibundle(power_groupoid(data.base, 0)),
+                    compose(opposite_bibundle(data.mu), data.mu)]
+    for M in bundles:
+        pairs += [(M, M), (M, relabel_randomly(rng, M))]
+    return pairs
+
+
+def _moved_moment(M: Bibundle) -> Bibundle | None:
+    """M with its last point's right moment moved to another object, over
+    the same discrete groupoids (any moments are valid there), or None when
+    the right groupoid has one object."""
+    H = M.right_groupoid
+    last = M.carrier.elements[-1]
+    other = next((y for y in H.objects if y != M.rmap[last]), None)
+    if other is None:
+        return None
+    rmap = {m: M.rmap[m] for m in M.carrier}
+    rmap[last] = other
+    return Bibundle(M.left_groupoid, H, finset(M.carrier.elements), {m: M.lmap[m] for m in M.carrier},
+                    rmap, lambda g, m: m, lambda m, h: m)
+
+
+def test_find_iso_over_discrete_groupoids_pairs_moment_buckets(monkeypatch):
+    rng = random.Random(3)
+    pairs = _discrete_pairs(rng)
+    want = [next(iso_search_dfs(A, B), None) for A, B in pairs]
+    sources = {id(A): A for A, _ in pairs}.values()
+    moved = [(A, B) for A, B in ((A, _moved_moment(A)) for A in sources) if B is not None]
+    assert moved and all(validate_bibundle(B).ok for _, B in moved)
+
+    def no_search(M, N):
+        raise AssertionError("find_iso searched over discrete groupoids")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(calculus, "_iso_search", no_search)
+        for (A, B), first in zip(pairs, want):
+            assert first is not None
+            w = find_iso(A, B)
+            assert list(w.forward.items()) == list(first.items())
+            assert validate_iso(w).ok
+        for A, B in moved:
+            assert len(A.carrier) == len(B.carrier)
+            assert find_iso(A, B) is None and find_iso(B, A) is None
+        # two different discrete groupoids, the same shape
+        A = identity_bibundle(trivial_groupoid(["0", "1"]))
+        B = identity_bibundle(trivial_groupoid(["0", "2"]))
+        assert find_iso(A, B) is None and find_iso(B, A) is None
+
+    # a base with non-unit arrows still takes the search
+    entered = []
+
+    def counted(M, N):
+        entered.append((M, N))
+        return calculus_search(M, N)
+
+    calculus_search = calculus._iso_search
+    monkeypatch.setattr(calculus, "_iso_search", counted)
+    lhs, rhs = _assoc_sides(kronecker_finite(2, 1))
+    w = find_iso(lhs, rhs)
+    assert entered == [(lhs, rhs)]
+    assert list(w.forward.items()) == list(next(iso_search_dfs(lhs, rhs)).items())

@@ -6,6 +6,7 @@ The caller's collector setting comes back however the verb ends.
 
 The no-cycle checks run with the collector off, so that no automatic
 collection between the verb and the check can hide a cycle."""
+import argparse
 import gc
 from pathlib import Path
 
@@ -90,6 +91,31 @@ def test_verbs_restore_the_setting(collector, tmp_path, capsys, monkeypatch):
     assert cli.main(["check-group", "--spec", str(tmp_path / "kronecker_2_1.json")]) == 0
     assert seen == [False, False]
     assert gc.isenabled() is collector
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_before_the_pause(monkeypatch, tmp_path, capsys):
+    """Building the parser leaves reference cycles, so a first call in a
+    process builds it with the caller's collector still running."""
+    seen = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        seen.append(gc.isenabled())
+        return add_argument(self, *args, **kwargs)
+
+    was = gc.isenabled()
+    gc.enable()
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["gen-fixture", "--family", "trivial", "--n", "1", "--out", str(tmp_path)]) == 0
+        assert gc.isenabled()
+    finally:
+        cli.build_parser.cache_clear()
+        _set_collector(was)
+    # every argument of every verb is added with the collector on
+    assert len(seen) > 1 and all(seen)
     capsys.readouterr()
 
 
