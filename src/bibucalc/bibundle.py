@@ -13,18 +13,24 @@ index, which the closures read instead of decoding labels.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from operator import getitem
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     FinGroupoid,
     FinSet,
+    Join,
     StructuralError,
     ValidationReport,
     Rows,
     Violation,
+    _LazyTable,
+    _ProductSet,
     _scan_fibers,
     finset,
+    product_codec,
 )
 from .labels import Escapes, LabelIndex
 
@@ -264,27 +270,43 @@ def _escapes(M: Bibundle) -> Escapes:
     return memo
 
 
+@dataclass(frozen=True, eq=False)
+class TensorBibundle(Bibundle):
+    """A juxtaposition built by calculus.tensor_bibundle, acting part by
+    part. It holds its parts, so no part's id can be reused while the tensor
+    is alive, and its orbit passes are read off its parts' (see
+    _orbit_pass)."""
+
+    parts: tuple[Bibundle, ...] = field(repr=False, default=())
+
+
 @dataclass(frozen=True)
 class _OrbitPass:
     """One pass of one side's action over the carrier, made once per bundle
-    and side and cached on the bundle.
+    and side and cached on the bundle (see _orbit_pass).
 
-    The carrier is walked in order; each point not reached yet becomes the
-    representative of its orbit and is moved once by every non-unit arrow at
-    its moment (the bundle must be valid, so the unit moves nothing). At a
-    moment whose fiber holds one arrow, that arrow is the unit, so the
-    representative is recorded without reading the unit table.
+    reps holds the first carrier point of each orbit, in carrier order.
     reach[m] is (rep, a) with rep . a == m on the right, a . rep == m on the
-    left. stabilisers maps each representative with a nontrivial
+    left, and rep the representative of m's orbit; reach[rep] is
+    (rep, unit). stabilisers maps each representative with a nontrivial
     stabiliser, in carrier order, to the non-unit arrows fixing it, in arrow
     order. Stabilisers are conjugate along an orbit, so the representatives
     decide freeness; stabiliser, the first of those arrows, witnesses that the
     action is not free.
+
+    Where a representative's stabiliser is nontrivial, several arrows move
+    it to the same point, and reach names one of them: the walked pass the
+    first in arrow order, a tensor's pass the join of its parts' choices,
+    which may differ. Nothing depends on that choice: calculus.compose sends
+    a pair along reach and then takes the least image under the stabiliser,
+    and pairing reads reach only for free actions, where the arrow is
+    unique.
     """
 
     side: str
     acting: FinGroupoid
-    reach: dict[str, tuple[str, str]]
+    reps: Sequence[str]
+    reach: Mapping[str, tuple[str, str]]
     stabilisers: dict[str, tuple[str, ...]]
 
     @property
@@ -304,24 +326,48 @@ class _OrbitPass:
 
 
 def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
+    """The orbit pass of M's action on side ("right" or "left"), made on
+    first use and kept on M: read off the parts' passes for a tensor (see
+    _tensor_pass), walked over the carrier for any other bundle (see
+    _walked_pass). M must be a valid bibundle: both rely on the action
+    laws."""
     cached = M._cache.get(side)
-    if cached is not None:
-        return cached
+    if cached is None:
+        make = _tensor_pass if isinstance(M, TensorBibundle) else _walked_pass
+        cached = M._cache[side] = make(M, side)
+    return cached
+
+
+def _acting(M: Bibundle, side: str) -> tuple[FinGroupoid, Mapping[str, str], Callable[[str], Sequence[str]]]:
+    """The groupoid acting on side, the moment it acts at, and its arrows
+    acting at an object."""
     if side == "right":
-        acting, moment = M.right_groupoid, M.rmap
-        arrows_at, move = acting.l_fiber, M.right_fn
+        return M.right_groupoid, M.rmap, M.right_groupoid.l_fiber
+    return M.left_groupoid, M.lmap, M.left_groupoid.r_fiber
+
+
+def _walked_pass(M: Bibundle, side: str) -> _OrbitPass:
+    """The carrier is walked in order; each point not reached yet becomes the
+    representative of its orbit and is moved once by every non-unit arrow at
+    its moment (the unit moves nothing in a valid bundle). At a moment whose
+    fiber holds one arrow, that arrow is the unit, so the representative is
+    recorded without reading the unit table."""
+    acting, moment, arrows_at = _acting(M, side)
+    if side == "right":
+        move = M.right_fn
     else:
-        acting, moment = M.left_groupoid, M.lmap
-        arrows_at, left_fn = acting.r_fiber, M.left_fn
+        left_fn = M.left_fn
 
         def move(m: str, k: str) -> str:
             return left_fn(k, m)
 
+    reps: list[str] = []
     reach: dict[str, tuple[str, str]] = {}
     stabilisers: dict[str, tuple[str, ...]] = {}
     for rep in M.carrier:
         if rep in reach:
             continue
+        reps.append(rep)
         x = moment[rep]
         arrows = arrows_at(x)
         if len(arrows) == 1:
@@ -345,8 +391,73 @@ def _orbit_pass(M: Bibundle, side: str) -> _OrbitPass:
                 fixing.append(k)
         if fixing:
             stabilisers[rep] = tuple(fixing)
-    M._cache[side] = orbits = _OrbitPass(side, acting, reach, stabilisers)
-    return orbits
+    return _OrbitPass(side, acting, reps, reach, stabilisers)
+
+
+def _tensor_pass(T: TensorBibundle, side: str) -> _OrbitPass:
+    """A tensor's pass, read off its parts' passes with no call of the
+    tensor's actions. A tensor acts part by part, so its orbits are the
+    products of its parts' orbits: the first point of one, in carrier
+    (itertools.product) order, is the tuple of the parts' representatives,
+    and the arrows fixing it are the tuples of arrows fixing each part's
+    representative, units included, less the all-unit tuple; both come in
+    itertools.product order, which is the tensor's carrier and fiber order.
+    reach is a part-wise table (see _PartwiseReach)."""
+    passes = [_orbit_pass(P, side) for P in T.parts]
+    acting = _acting(T, side)[0]
+    _, _, join = product_codec([_acting(P, side)[0] for P in T.parts])
+    label_of = T.index.label_of
+    reps = list(map(label_of.__getitem__, itertools.product(*(o.reps for o in passes))))
+    stabilisers: dict[str, tuple[str, ...]] = {}
+    if any(o.stabilisers for o in passes):
+        # per part and representative: its unit, and the arrows fixing it in
+        # fiber order with the unit among them
+        columns = []
+        for P, o in zip(T.parts, passes):
+            _, moment, arrows_at = _acting(P, side)
+            column = []
+            for rep in o.reps:
+                unit = o.reach[rep][1]
+                fixing = o.stabilisers.get(rep)
+                if fixing:
+                    keep = {unit, *fixing}
+                    column.append((unit, [k for k in arrows_at(moment[rep]) if k in keep]))
+                else:
+                    column.append((unit, (unit,)))
+            columns.append(column)
+        for rep, combo in zip(reps, itertools.product(*columns)):
+            units, fixers = zip(*combo)
+            if any(len(f) > 1 for f in fixers):
+                stabilisers[rep] = tuple([join(ks) for ks in itertools.product(*fixers) if ks != units])
+    reach = _PartwiseReach(T, [o.reach for o in passes], join)
+    return _OrbitPass(side, acting, reps, reach, stabilisers)
+
+
+class _PartwiseReach(_LazyTable):
+    """reach of a tensor's orbit pass: the entry at a point joins its parts'
+    entries, the representatives through the tensor's label index and the
+    arrows through the product codec of the acting groupoids, so
+    rep . a == m part by part. A label that is no point is a KeyError. The
+    full read is one pass over the product of the parts' entries in carrier
+    order."""
+
+    __slots__ = ("_parts_of", "_label_of", "_join", "_reaches", "_columns")
+
+    def __init__(self, T: TensorBibundle, reaches: Sequence[Mapping[str, tuple[str, str]]], join: Join):
+        carrier = T.carrier
+        _LazyTable.__init__(self, carrier, carrier if isinstance(carrier, _ProductSet) else None)
+        self._parts_of, self._label_of, self._join = T.index.parts_of, T.index.label_of, join
+        self._reaches, self._columns = reaches, [P.carrier for P in T.parts]
+
+    def _entry(self, m: str) -> tuple[str, str]:
+        reps, arrows = zip(*map(getitem, self._reaches, self._parts_of[m]))
+        return self._label_of[reps], self._join(arrows)
+
+    def _entries(self) -> Iterable[tuple[str, tuple[str, str]]]:
+        columns = [[reach[m] for m in carrier] for reach, carrier in zip(self._reaches, self._columns)]
+        reps = itertools.product(*[[rep for rep, _ in column] for column in columns])
+        arrows = itertools.product(*[[a for _, a in column] for column in columns])
+        return zip(self._keys.elements, zip(map(self._label_of.__getitem__, reps), map(self._join, arrows)))
 
 
 def _principality(M: Bibundle, orbits: _OrbitPass) -> PrincipalityReport:

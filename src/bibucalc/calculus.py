@@ -12,6 +12,10 @@ pair (m, n) is first moved along m's orbit to (m0, a.n), where m0 . a == m
 and m0 is the orbit's first carrier point, and then its second leg is
 replaced by its least image, in N's carrier order, under the arrows fixing
 m0. A free action has no such arrows, so there the second step is empty.
+The pass gives the representatives m0 too; a tensor's pass is read off its
+parts' passes (see bibundle._orbit_pass). Over a discrete middle groupoid,
+whose arrows are all units, no pass is read: every point of M is its own
+orbit and fixed by nothing, so every composable pair is a representative.
 The passes also give the pairings, from which is_weak_isomorphism builds its
 2-cells; only find_iso and all_isos search, one orbit at a time: a
 biequivariant bijection is fixed by its value on one point of each orbit, so
@@ -38,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .bibundle import (
     Bibundle,
     PrincipalityReport,
+    TensorBibundle,
     _OrbitPass,
     _biprincipal_passes,
     _escapes,
@@ -63,6 +68,13 @@ from .labels import Escapes, LabelIndex, esc
 
 def _same_groupoid(A: FinGroupoid, B: FinGroupoid) -> bool:
     return A is B or A == B
+
+
+def _discrete(G: FinGroupoid) -> bool:
+    """Whether every arrow of G is a unit. The units of distinct objects are
+    distinct, so in a valid groupoid that is exactly as many arrows as
+    objects."""
+    return len(G.arrows) == len(G.objects)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +212,6 @@ def opposite_bibundle(M: Bibundle) -> Bibundle:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class TensorBibundle(Bibundle):
-    """A juxtaposition built by tensor_bibundle. It holds its parts, so no
-    part's id can be reused while the tensor is alive."""
-
-    parts: tuple[Bibundle, ...] = field(repr=False, default=())
-
-
 # the live tensor of each part tuple and the live composite of each pair,
 # keyed by the inputs' ids, as core._PRODUCTS keys products
 _TENSORS: weakref.WeakValueDictionary[tuple[int, ...], Bibundle] = weakref.WeakValueDictionary()
@@ -232,7 +236,9 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     (core._PartwiseFibers, see _fibers) follow a product's one storage rule,
     store on first read: a moment is the join of the parts' moments, and a
     fiber the product of the parts' points over an object's parts, looked
-    up in the index in one pass. Iteration, elements, an orbit pass,
+    up in the index in one pass. The orbit passes are read off the parts'
+    passes (see bibundle._orbit_pass): they encode the representatives,
+    and their reach tables follow the same rule. Iteration, elements,
     left_table, equality and the witness builders over a whole tensor read
     it in full: carrier, index, moments and fibers each fill in one pass,
     the moments at the mixed-radix positions of the parts' moments, and
@@ -331,12 +337,19 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     """M . N with canonical (lex-least) orbit representatives.
 
     M and N must be valid bibundles (see validate_bibundle): the projection
-    relies on the action laws. It reads M's right orbit pass, where
-    reach[m] = (m0, a) with m0 . a == m and m0 the first carrier point of m's
-    orbit: (m, n) ~ (m0, a . n), and two pairs with first leg m0 are
-    equivalent exactly when the second legs differ by an arrow fixing m0. So
-    the representatives are the pairs (m0, n) whose n is least, in N's
-    carrier order, among its images under m0's stabiliser. Each
+    relies on the action laws. It reads off the right orbit pass of M the
+    representatives m0, each the first carrier point of its orbit, and
+    reach[m] = (m0, a) with m0 . a == m: (m, n) ~ (m0, a . n), and two pairs
+    with first leg m0 are equivalent exactly when the second legs differ by
+    an arrow fixing m0. So the representatives are the pairs (m0, n) whose
+    n is least, in N's carrier order, among its images under m0's
+    stabiliser; which arrow reach names does not matter, as any two differ
+    by such an arrow. A tensor's pass is read off its parts' passes, and
+    calls none of the tensor's actions (see bibundle._orbit_pass). When the
+    middle groupoid is discrete (every arrow a unit, see _discrete), no pass
+    is read: each point of M is its own orbit with no stabiliser, so the
+    representatives are the composable pairs and project looks a pair up
+    after the moment check. Each
     representative is encoded once, tup(m0, n) byte for byte, from parts
     escaped through M's and N's escape memos, so a point of M or N is
     escaped once however many composites read it. N's points over each
@@ -360,10 +373,14 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
         return live
     if not _same_groupoid(M.right_groupoid, N.left_groupoid):
         raise StructuralError("compose: right groupoid of M differs from left groupoid of N")
-    orbits = _orbit_pass(M, "right")
-    reach, stabilisers = orbits.reach, orbits.stabilisers
+    if _discrete(M.right_groupoid):
+        # every arrow is a unit: each point of M is its own orbit, and no
+        # arrow but the unit fixes it
+        reps, reach, stabilisers = M.carrier, None, {}
+    else:
+        orbits = _orbit_pass(M, "right")
+        reps, reach, stabilisers = orbits.reps, orbits.reach, orbits.stabilisers
     mrmap, nlmap, nleft = M.rmap, N.lmap, N.left_fn
-    reps = [m for m in M.carrier if reach[m][0] == m]
     n_by_obj = _lmap_fibers(N, map(mrmap.__getitem__, reps))
     position = N.carrier.index
 
@@ -391,6 +408,8 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
     def project(m: str, n: str) -> str:
         try:
             if mrmap[m] == nlmap[n]:
+                if reach is None:
+                    return rep_of[(m, n)]
                 m0, a = reach[m]
                 n0 = n if m0 == m else nleft(a, n)
                 fixing = stabilisers.get(m0)
@@ -578,13 +597,6 @@ def _candidates(M: Bibundle, N: Bibundle) -> tuple[list[tuple[str, str]], dict[t
     for n, key in zip(N.carrier, n_moments):
         cands.setdefault(key, []).append(n)
     return m_moments, cands
-
-
-def _discrete(G: FinGroupoid) -> bool:
-    """Whether every arrow of G is a unit. The units of distinct objects are
-    distinct, so in a valid groupoid that is exactly as many arrows as
-    objects."""
-    return len(G.arrows) == len(G.objects)
 
 
 def _iso_search(M: Bibundle, N: Bibundle) -> Iterator[dict[str, str]]:

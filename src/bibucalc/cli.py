@@ -71,8 +71,7 @@ def _write(args, man: RunManifest, name: str, obj) -> str:
 
 
 def _load(args, man: RunManifest, path: str, kinds: tuple[str, ...]):
-    man.inputs[path] = io.sha256_file(path)
-    kind, obj = io.load_typed(path)
+    kind, obj = io.from_json(io.read_input(path, man.inputs), path)
     if kind not in kinds:
         raise StructuralError(f"{path} holds a {kind}, expected one of {list(kinds)}")
     return kind, obj
@@ -138,10 +137,7 @@ def _cmd_validate(args, man: RunManifest) -> int:
     }
     any_bad = False
     for path in args.files:
-        man.inputs[path] = io.sha256_file(path)
-        obj = io.load_json(path)
-        kind = io.detect_kind(obj)
-        loaded = io._LOADERS[kind](obj, os.path.dirname(path) or ".", False)
+        kind, loaded = io.from_json(io.read_input(path, man.inputs), path, validate=False)
         if kind in validators:
             rep = validators[kind](loaded)
             man.verdicts[path] = {"kind": kind, "ok": rep.ok, "violations": _violations(rep)}

@@ -134,23 +134,30 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def load_json(path: str) -> Any:
-    """A JSON file, decoded as UTF-8 (RFC 8259 section 8.1) whatever the
-    locale; a byte order mark is refused by json.loads, and nesting deeper
-    than the decoder can follow is a StructuralError."""
+    """A JSON file, decoded as decode_json decodes it."""
     with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
+        return decode_json(fh.read(), path)
+
+
+def read_input(path: str, digests: dict[str, str]) -> Any:
+    """load_json(path), reading the file once: the sha256 digest of the
+    bytes decoded is recorded under path in digests before they are
+    decoded, so a file that fails to decode is recorded too."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    digests[path] = hashlib.sha256(data).hexdigest()
+    return decode_json(data, path)
+
+
+def decode_json(data: bytes, path: str) -> Any:
+    """The bytes of the JSON file at path, decoded as UTF-8 (RFC 8259
+    section 8.1) whatever the locale; a byte order mark is refused by
+    json.loads, and nesting deeper than the decoder can follow is a
+    StructuralError."""
     try:
-        return json.loads(text, object_pairs_hook=_unique_keys)
+        return json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except RecursionError:
         raise StructuralError(f"{path}: JSON nested too deeply") from None
-
-
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def _triples(table: Mapping[tuple[str, str], str]) -> list[list[str]]:
@@ -456,7 +463,11 @@ _LOADERS = {
 
 def load_typed(path: str, validate: bool = True):
     """Load any known file kind; returns (kind, object)."""
-    obj = load_json(path)
+    return from_json(load_json(path), path, validate)
+
+
+def from_json(obj: Any, path: str, validate: bool = True):
+    """The decoded JSON of the file at path as the object of its kind;
+    returns (kind, object). Files it names are found next to path."""
     kind = detect_kind(obj)
-    loaded = _LOADERS[kind](obj, os.path.dirname(path) or ".", validate)
-    return kind, loaded
+    return kind, _LOADERS[kind](obj, os.path.dirname(path) or ".", validate)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from bibucalc import (
     GroupoidHom,
+    one_object_groupoid,
     StructuralError,
     compose_homs,
     cyclic_groupoid,
@@ -23,6 +24,7 @@ from bibucalc import (
 from bibucalc import calculus, diagram, groups, labels
 from bibucalc.bibundle import (
     Bibundle,
+    TensorBibundle,
     _fibers,
     _orbit_pass,
     bibundle_from_tables,
@@ -181,8 +183,19 @@ def _cosets_of_z2_in_z4():
 @given(st.integers(0, 10_000))
 @example("kronecker")
 @example("cosets")
+@example("tensor-2-1")
+@example("tensor-3-1")
+@example("discrete")
 def test_compose_representatives_match_orbit_oracle(seed):
-    if seed == "kronecker":
+    if seed in ("tensor-2-1", "tensor-3-1", "discrete"):
+        # (mu * id) ; mu: a tensor as first factor, whose pass is read off
+        # its parts', over a middle G^2 with non-unit arrows at Kronecker
+        # (2,1) and (3,1), and a discrete one at the plain group Z/3
+        data = plain_group_data(3) if seed == "discrete" else kronecker_finite(int(seed[-3]), 1)
+        M, N = _assoc_factors(data)
+        assert isinstance(M, TensorBibundle)
+        assert calculus._discrete(M.right_groupoid) is (seed == "discrete")
+    elif seed == "kronecker":
         # the first compose of preinverse(kronecker_finite(6, 3)): 2,304
         # composable pairs in 144 orbits of 16
         env = kronecker_finite(6, 3).env()
@@ -208,6 +221,39 @@ def test_compose_representatives_match_orbit_oracle(seed):
     assert list(C.carrier) == [tup(*p) for p in pairs if reps[p] == p]
     for p in pairs:
         assert C.project(*p) == tup(*reps[p])
+
+
+def _assoc_factors(data) -> tuple[Bibundle, Bibundle]:
+    """mu * id and mu, the factors of (mu * id) ; mu."""
+    env = data.env()
+    return evaluate(env, "mu * id"), evaluate(env, "mu")
+
+
+def test_compose_reads_no_pass_over_a_discrete_middle(monkeypatch):
+    def no_pass(M, side):
+        raise AssertionError("compose read an orbit pass over a discrete middle")
+
+    monkeypatch.setattr(calculus, "_COMPOSITES", type(calculus._COMPOSITES)())
+    monkeypatch.setattr(calculus, "_orbit_pass", no_pass)
+    M, N = _assoc_factors(plain_group_data(3))
+    C = compose(M, N)
+    # every composable pair is the representative of its own orbit
+    pairs = _composable_pairs(M, N)
+    assert list(C.carrier) == [tup(*p) for p in pairs]
+    assert [C.project(*p) for p in pairs] == list(C.carrier)
+    assert validate_bibundle(C).ok
+    with pytest.raises(StructuralError, match="not composable"):
+        C.project(M.carrier.elements[0], "nowhere")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_compose_calls_no_action_of_a_tensor_first_factor(n):
+    M, N = _assoc_factors(kronecker_finite(n, 1))
+    calls: list = []
+    spied = _spied(M, calls)
+    C = compose(spied, N)
+    assert calls == []
+    assert bundle_tables(C) == bundle_tables(compose(M, N))
 
 
 def _assert_labels_are_tup_of_their_pairs(C):
@@ -789,16 +835,33 @@ def test_one_arrow_fiber_inputs_are_what_they_claim():
     assert len(_power_bundles()[1].left_groupoid.objects) == 27
 
 
+def _assert_pass_matches_scans(B: Bibundle, side: str) -> None:
+    """B's orbit pass against the scan oracles: the same representatives and
+    stabilisers, in order. reach is the scan's item for item on a bundle
+    that is not a tensor; on a tensor, whose reach may name another arrow
+    where a stabiliser is nontrivial, it gives each point, compared point by
+    point over the carrier, the scan's representative rep and an arrow a
+    with rep . a == m (a . rep == m on the left)."""
+    orbits = _orbit_pass(B, side)
+    reach, stabilisers = orbit_pass_scan(B, side)
+    assert list(orbits.reps) == [m for m in B.carrier if reach[m][0] == m]
+    assert list(orbits.stabilisers.items()) == list(stabilisers.items())
+    assert list(orbits.stabilisers.items()) == list(stabiliser_scan(B, side).items())
+    if not isinstance(B, TensorBibundle):
+        assert list(orbits.reach.items()) == list(reach.items())
+        return
+    assert len(orbits.reach) == len(B.carrier)
+    for m in B.carrier:
+        rep, a = orbits.reach[m]
+        assert rep == reach[m][0]
+        assert (B.act_right(rep, a) if side == "right" else B.act_left(a, rep)) == m
+
+
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_orbit_pass_at_one_arrow_fibers_matches_scans(side):
     for M in _power_bundles() + _mixed_bundles(24):
-        M2 = tensor_bibundle(M, M)
-        for B in (M, M2):
-            orbits = _orbit_pass(B, side)
-            reach, stabilisers = orbit_pass_scan(B, side)
-            assert list(orbits.reach.items()) == list(reach.items())
-            assert list(orbits.stabilisers.items()) == list(stabilisers.items())
-            assert list(orbits.stabilisers.items()) == list(stabiliser_scan(B, side).items())
+        for B in (M, tensor_bibundle(M, M)):
+            _assert_pass_matches_scans(B, side)
 
 
 def test_iso_search_at_one_arrow_fibers_matches_dfs_oracle():
@@ -938,3 +1001,90 @@ def test_find_iso_over_discrete_groupoids_pairs_moment_buckets(monkeypatch):
     w = find_iso(lhs, rhs)
     assert entered == [(lhs, rhs)]
     assert list(w.forward.items()) == list(next(iso_search_dfs(lhs, rhs)).items())
+
+
+# ---------------------------------------------------------------------------
+# a tensor's orbit pass is read off its parts' passes
+
+
+def _spied(M: Bibundle, calls: list) -> Bibundle:
+    """M, of the same class and parts, whose actions record each call."""
+    def spy(fn):
+        def act(a, b):
+            calls.append((a, b))
+            return fn(a, b)
+        return act
+
+    return dataclasses.replace(M, left_fn=spy(M.left_fn), right_fn=spy(M.right_fn))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_tensor_orbit_pass_matches_scans_on_random_tensors(side):
+    free = Counter()
+    for seed in range(40):
+        rng = random.Random(seed)
+        parts = [random_bibundle(rng, max_objects=2, max_isotropy=2) for _ in range(rng.choice((2, 3)))]
+        T = tensor_bibundle(*parts)
+        calls: list = []
+        orbits = _orbit_pass(_spied(T, calls), side)
+        assert calls == []
+        # reach entries read one by one before the carrier is read, then in
+        # one pass: the same entries
+        points = [T.index.label_of[ps] for ps in itertools.product(*(P.carrier for P in parts))]
+        one_by_one = [orbits.reach[m] for m in points]
+        assert not T.carrier.full
+        assert list(orbits.reach.items()) == list(zip(points, one_by_one))
+        _assert_pass_matches_scans(T, side)
+        free[not orbits.stabilisers] += 1
+    # both free and non-free actions come up
+    assert free[True] and free[False]
+
+
+def test_tensor_stabilisers_come_in_fiber_order_with_the_unit_anywhere():
+    # Z/4 with its arrows listed 1, 2, 3, 0, so the stabiliser {0, 2} of
+    # "a" comes in fiber order 2, 0: the unit is not first in the fiber
+    G = trivial_groupoid(1)
+    H = one_object_groupoid(["1", "2", "3", "0"],
+                            {(x, y): str((int(x) + int(y)) % 4) for x in "0123" for y in "0123"})
+    right = {(m, h): "ab"[("ab".index(m) + int(h)) % 2] for m in "ab" for h in H.arrows}
+    M = bibundle_from_tables(G, H, ["a", "b"], {"a": "0", "b": "0"}, {"a": "*", "b": "*"},
+                             {("0", m): m for m in "ab"}, right)
+    assert validate_bibundle(M).ok and H.unit["*"] == "0"
+    for parts in [(M, M), (M, identity_bibundle(H), M)]:
+        for side in ("right", "left"):
+            _assert_pass_matches_scans(tensor_bibundle(*parts), side)
+    # the all-unit tuple comes between the others, and is left out
+    stabilisers = _orbit_pass(tensor_bibundle(M, M), "right").stabilisers
+    assert stabilisers[tup("a", "a")] == (tup("2", "2"), tup("2", "0"), tup("0", "2"))
+
+
+def test_tensor_orbit_pass_refuses_labels_that_are_no_point():
+    M = _cosets_of_z2_in_z4()
+    T = tensor_bibundle(M, identity_bibundle(cyclic_groupoid(2)))
+    reach = _orbit_pass(T, "right").reach
+    for label in ("nowhere", "(a)", "(a,0,0)", "(c,0)", tup("a", "5")):
+        with pytest.raises(KeyError):
+            reach[label]
+        assert label not in reach
+    rep, a = reach[tup("b", "1")]
+    assert rep == tup("a", "0") and T.act_right(rep, a) == tup("b", "1")
+
+
+@pytest.mark.parametrize("n, q", [(2, 1), (4, 2)])
+def test_tensor_orbit_pass_matches_scans_on_coherence_tensors(monkeypatch, n, q):
+    built = []
+
+    def tracking(*parts):
+        built.append(tensor_bibundle(*parts))
+        return built[-1]
+
+    monkeypatch.setattr(diagram, "tensor_bibundle", tracking)
+    assert groups.check_coherence(kronecker_finite(n, q)).ok
+    tensors = {id(T): T for T in built if isinstance(T, TensorBibundle)}.values()
+    assert len(tensors) >= 10
+    for T in tensors:
+        for side in ("right", "left"):
+            calls: list = []
+            _orbit_pass(_spied(T, calls), side)
+            assert calls == []
+            _assert_pass_matches_scans(T, side)

@@ -186,14 +186,18 @@ def test_stacky_data_env_reuse():
     assert data.env().resolve("i") is not None
 
 
-@pytest.mark.parametrize("n, q, arrows, read", [(8, 8, 4096, 64), (3, 1, 6561, 243)])
+# the preinverse composes over G^4: compose reads no orbit pass over the
+# discrete G^4 of a plain group, and the pass of the tensor cv * id * e joins
+# only the arrows of the reach entries that project reads, so (8, 8) encodes
+# no arrow of G^4 and (3, 1) five
+@pytest.mark.parametrize("n, q, arrows, read", [(8, 8, 4096, 0), (3, 1, 6561, 5)])
 def test_check_group_encodes_few_arrows_of_the_fourth_power(n, q, arrows, read):
     data = kronecker_finite(n, q)
     # held, so that the check builds its G^4 on this live product
     G4 = power_groupoid(data.base, 4)
     assert len(G4.arrows) == arrows
     assert check_group(data).ok
-    assert 0 < len(encoded_arrow_labels(G4)) <= read
+    assert len(encoded_arrow_labels(G4)) == read
 
 
 @pytest.mark.parametrize("n, q, points, read", [(8, 8, 4096, 64), (3, 1, 2187, 81)])

@@ -98,16 +98,18 @@ def _lazy_tables(source: str) -> tuple[set[str], set[str]]:
 
 def test_lazy_tables_are_the_part_wise_ones():
     """A table filled on lookup is the lazy label index's, the escape memo,
-    or one of the two part-wise tables on _LazyTable, which holds their one
+    or one of the part-wise tables on _LazyTable, which holds their one
     __missing__: a new table of parts reuses those instead of spelling its
-    own fill."""
+    own fill. The part-wise tables are a product's or tensor's moments and
+    fibers, and a tensor's orbit reach, whose entries are pairs joined
+    through two codecs, which _Partwise's one join cannot spell."""
     missing, tables = set(), set()
     for path in MODULES:
         found = _lazy_tables(path.read_text())
         missing |= {f"{path.stem}.{name}" for name in found[0]}
         tables |= {f"{path.stem}.{name}" for name in found[1]}
     assert sorted(missing) == ["core._LazyTable", "labels.Escapes", "labels._LazyLabels", "labels._LazyParts"]
-    assert sorted(tables) == ["core._Partwise", "core._PartwiseFibers"]
+    assert sorted(tables) == ["bibundle._PartwiseReach", "core._Partwise", "core._PartwiseFibers"]
 
 
 def test_lazy_table_scan_sees_every_fill():

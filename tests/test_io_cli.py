@@ -1,4 +1,7 @@
 import argparse
+import builtins
+import collections
+import hashlib
 import itertools
 import json
 import os
@@ -541,3 +544,43 @@ def test_manifest_command_keeps_arguments_equal_to_the_verb(tmp_path, capsys, mo
     monkeypatch.setattr("sys.argv", ["bibucalc", *argv])
     assert main() == 0
     assert json.loads(capsys.readouterr().out)["command"] == argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "G", "M", "BROKEN"],
+    ["validate", "NOT_JSON"],
+    ["compose", "--left", "M", "--right", "M2"],
+    ["principal", "--bibundle", "NOT_JSON"],
+    ["check-group", "--spec", "SPEC"],
+])
+def test_cli_reads_each_input_once(idg, tmp_path, capsys, monkeypatch, argv):
+    gpath, mpath = idg
+    paths = {"G": gpath, "M": mpath, "M2": str(tmp_path / "idg2.json"), "BROKEN": str(tmp_path / "broken.json"),
+             "NOT_JSON": str(tmp_path / "not.json"), "SPEC": str(tmp_path / "spec.json")}
+    with open(mpath, "rb") as fh:
+        text = fh.read()
+    with open(paths["M2"], "wb") as fh:
+        fh.write(text)
+    d = io.groupoid_to_json(cyclic_groupoid(2))
+    d["inv"]["1"] = "0"
+    io.save_json(paths["BROKEN"], d)
+    with open(paths["NOT_JSON"], "wb") as fh:
+        fh.write(b'{"objects": [')
+    io.save_json(paths["SPEC"], io.group_spec_to_json(kronecker_finite(2, 1)))
+    argv = [paths.get(a, a) for a in argv]
+    opened = collections.Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[file] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    main(argv + ["--json", "--out", str(tmp_path / "out")])
+    monkeypatch.undo()
+    inputs = json.loads(capsys.readouterr().out)["inputs"]
+    assert sorted(inputs) == sorted(a for a in argv if a in paths.values())
+    for path, digest in inputs.items():
+        assert opened[path] == 1
+        with open(path, "rb") as fh:
+            assert digest == hashlib.sha256(fh.read()).hexdigest()
