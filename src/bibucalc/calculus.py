@@ -27,7 +27,9 @@ A construction returns its live result for the same inputs: compose and
 tensor_bibundle, like core.product_groupoid, keep each result weakly, keyed
 by the inputs' ids, and return it while it is alive. So the witness builders
 compose their own endpoints, and a chain of 2-cells between composites (the
-coherence loops of groups.check_coherence) builds each node once.
+coherence loops of groups.check_coherence) builds each node once. A built
+2-cell evaluates point by point (see IsoWitness), so such a chain is read
+only at the points asked of it.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import call
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .bibundle import (
     Bibundle,
@@ -51,10 +53,12 @@ from .bibundle import (
 )
 from .core import (
     FinGroupoid,
+    FinSet,
     GroupoidHom,
     StructuralError,
     ValidationReport,
     Violation,
+    _LazyTable,
     _Partwise,
     _PartwiseFibers,
     _ProductSet,
@@ -239,8 +243,8 @@ def tensor_bibundle(*parts: Bibundle) -> Bibundle:
     up in the index in one pass. The orbit passes are read off the parts'
     passes (see bibundle._orbit_pass): they encode the representatives,
     and their reach tables follow the same rule. Iteration, elements,
-    left_table, equality and the witness builders over a whole tensor read
-    it in full: carrier, index, moments and fibers each fill in one pass,
+    left_table, equality and a 2-cell read whole (see _PointMap) read it in
+    full: carrier, index, moments and fibers each fill in one pass,
     the moments at the mixed-radix positions of the parts' moments, and
     once the carrier is read in full the first lookup that misses in a
     table fills all of it. Every part's points are escaped through the
@@ -443,7 +447,17 @@ def compose(M: Bibundle, N: Bibundle) -> ComposedBibundle:
 
 @dataclass(frozen=True, eq=False)
 class IsoWitness:
-    """A biequivariant bijection between bibundles over the same groupoids."""
+    """A biequivariant bijection between bibundles over the same groupoids.
+
+    forward and backward are point maps: the witness builders below give
+    each direction as a _PointMap, whose entry at a point is the builder's
+    formula, read on the entry's first lookup and kept, and which reads in
+    full, in one pass, when iterated, compared or copied. So a caller that
+    asks a witness at a few points (groups.check_coherence, which closes
+    its loops at one point per bi-orbit) reads only those points, and one
+    that reads it whole gets the full table. The search (find_iso,
+    all_isos) and the pairing 2-cells of is_weak_isomorphism give plain
+    dicts."""
 
     source: Bibundle
     target: Bibundle
@@ -481,87 +495,244 @@ def validate_iso(w: IsoWitness) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
+def _bi_orbit_reps(M: Bibundle) -> Sequence[str]:
+    """One point of each bi-orbit of M, an orbit of its two actions
+    together; made on first use and kept in M._cache under "both". Two
+    biequivariant maps out of M that agree at these points agree on all
+    of M.
+
+    - Over discrete groupoids every bi-orbit is one point: the carrier,
+      with nothing read.
+    - A tensor acts part by part, so its bi-orbits are the products of its
+      parts' bi-orbits: the points joining the parts' representatives.
+    - A composite M . N whose N is transitive on its lmap fibers (see
+      _fiber_transitive) has one bi-orbit over each bi-orbit of M that
+      meets a point of N: every pair moves, by arrows on M's two sides,
+      to one whose first leg is that bi-orbit's representative m, and N's
+      points over rmap(m) then lie in one orbit of the right action. So
+      [m, n] for any n over rmap(m) represents it.
+    - Any other bundle reads its right orbit pass, and the left action at
+      the first point of each bi-orbit, in carrier order. The actions
+      commute, so the left action moves whole right orbits, and the
+      bi-orbit of a point is the union of the right orbits of its left
+      images. The first point of a bi-orbit is the first of its right
+      orbit, a right representative: walking those in order, each whose
+      right orbit no earlier one covered is the first point of its
+      bi-orbit, and covers the right orbits of its left images.
+    """
+    reps = M._cache.get("both")
+    if reps is None:
+        G = M.left_groupoid
+        if _discrete(G) and _discrete(M.right_groupoid):
+            reps = M.carrier
+        elif isinstance(M, TensorBibundle):
+            reps = list(map(M.index.label_of.__getitem__,
+                            itertools.product(*map(_bi_orbit_reps, M.parts))))
+        elif isinstance(M, ComposedBibundle) and _fiber_transitive(M.factors[1]):
+            left, right = M.factors
+            fibers, rmap, project = _fibers(right, "lmap"), left.rmap, M.project_fn
+            over = [(m, fibers.get(rmap[m])) for m in _bi_orbit_reps(left)]
+            reps = [project(m, fiber[0]) for m, fiber in over if fiber]
+        else:
+            right = _orbit_pass(M, "right")
+            reach, left_fn, lmap, arrows_at = right.reach, M.left_fn, M.lmap, G.r_fiber
+            covered: set[str] = set()
+            reps = []
+            for rep in right.reps:
+                if rep not in covered:
+                    reps.append(rep)
+                    covered.update([reach[left_fn(g, rep)][0] for g in arrows_at(lmap[rep])])
+        M._cache["both"] = reps
+    return reps
+
+
+def _fiber_transitive(M: Bibundle) -> bool:
+    """Whether M's right action is transitive on each lmap fiber, as a
+    right principal bundle's is. A tensor is when every part is. A
+    composite is when both factors are: two points [m, n] and [m', n'] over
+    one object have m' = m . h, so [m', n'] = [m, h . n'], and h . n' and n
+    lie in one lmap fiber of the right factor. Any other bundle is when its
+    right orbit pass has as many orbits as it has lmap fibers."""
+    if isinstance(M, TensorBibundle):
+        return all(map(_fiber_transitive, M.parts))
+    if isinstance(M, ComposedBibundle):
+        return all(map(_fiber_transitive, M.factors))
+    return len(_orbit_pass(M, "right").reps) == len(_fibers(M, "lmap"))
+
+
+class _PointMap(_LazyTable):
+    """One direction of a built 2-cell: the entry at a point of domain is
+    formula(point), computed on its first lookup and kept; a label that is
+    no point is a KeyError. The full read first reads in full the maps in
+    reads, which formula looks its points up in, and codomain, so that
+    formula's lookups hit; it then fills every entry in domain order and
+    checks that the entries are a bijection onto codomain."""
+
+    __slots__ = ("_formula", "_codomain", "_reads")
+
+    def __init__(self, domain: FinSet, codomain: FinSet, formula: Callable[[str], str],
+                 reads: Sequence[Mapping[str, str]] = ()):
+        _LazyTable.__init__(self, domain, None)
+        self._formula, self._codomain, self._reads = formula, codomain, reads
+
+    def _entry(self, x: str) -> str:
+        if x not in self._keys:
+            raise KeyError(x)
+        return self._formula(x)
+
+    def _entries(self) -> Iterable[tuple[str, str]]:
+        for table in self._reads:
+            if isinstance(table, _LazyTable):
+                table._fill()
+        # read as tuples, a tensor's carrier encoded in one pass
+        points, images = self._keys.elements, self._codomain.elements
+        values = list(map(self._formula, points))
+        _check_bijection(values, len(points), len(images))
+        return zip(points, values)
+
+
+def _check_bijection(images: Collection[str], source_size: int, target_size: int) -> None:
+    """Refuse a built map, given by its images, that is not a bijection
+    between carriers of the sizes given."""
+    if len(images) != source_size or len(set(images)) != len(images):
+        raise StructuralError("canonical witness construction failed to be a bijection")
+    if len(images) != target_size:
+        raise StructuralError("canonical witness construction is not onto")
+
+
+def _point_witness(source: Bibundle, target: Bibundle, forward: Callable[[str], str],
+                   backward: Callable[[str], str], reads: tuple[Sequence, Sequence] = ((), ())) -> IsoWitness:
+    """The 2-cell source -> target whose directions are the point maps of
+    the formulas; reads are the maps each formula looks up (see _PointMap)."""
+    return IsoWitness(source, target, _PointMap(source.carrier, target.carrier, forward, reads[0]),
+                      _PointMap(target.carrier, source.carrier, backward, reads[1]))
+
+
+def _same(x: str) -> str:
+    return x
+
+
 def identity_witness(M: Bibundle) -> IsoWitness:
-    ident = {m: m for m in M.carrier}
-    return IsoWitness(M, M, ident, dict(ident))
+    """The identity 2-cell: one point map, which stores nothing until it
+    is read, serves both directions."""
+    ident = _PointMap(M.carrier, M.carrier, _same)
+    return IsoWitness(M, M, ident, ident)
 
 
 def invert_witness(w: IsoWitness) -> IsoWitness:
-    return IsoWitness(w.target, w.source, dict(w.backward), dict(w.forward))
+    """w backwards, sharing w's maps."""
+    return IsoWitness(w.target, w.source, w.backward, w.forward)
+
+
+def _chained(maps: Sequence[Mapping[str, str]]) -> Callable[[str], str]:
+    def formula(x: str) -> str:
+        for f in maps:
+            x = f[x]
+        return x
+    return formula
 
 
 def chain_witnesses(*ws: IsoWitness) -> IsoWitness:
-    """Compose witnesses along a path (checks that carriers meet)."""
+    """Compose witnesses along a path (checks that carriers meet). Each
+    direction is a point map that looks a point up through the edges' maps
+    in turn; read in full, it reads every edge in full first."""
     if not ws:
         raise StructuralError("empty witness chain")
-    out = ws[0]
-    for w in ws[1:]:
-        if out.target.carrier != w.source.carrier:
+    for w, w2 in zip(ws, ws[1:]):
+        if w.target is not w2.source and w.target.carrier != w2.source.carrier:
             raise StructuralError("witness chain: carriers do not meet")
-        forward = {m: w.forward[v] for m, v in out.forward.items()}
-        backward = {n: out.backward[v] for n, v in w.backward.items()}
-        out = IsoWitness(out.source, w.target, forward, backward)
-    return out
+    if len(ws) == 1:
+        return ws[0]
+    forwards, backwards = [w.forward for w in ws], [w.backward for w in reversed(ws)]
+    return _point_witness(ws[0].source, ws[-1].target, _chained(forwards), _chained(backwards),
+                          (forwards, backwards))
 
 
 def _bijection_witness(source: Bibundle, target: Bibundle, forward: dict[str, str]) -> IsoWitness:
-    if len(forward) != len(source.carrier) or len(set(forward.values())) != len(forward):
-        raise StructuralError("canonical witness construction failed to be a bijection")
-    backward = {v: k for k, v in forward.items()}
-    if len(backward) != len(target.carrier):
-        raise StructuralError("canonical witness construction is not onto")
-    return IsoWitness(source, target, forward, backward)
+    """The 2-cell of a map built whole, with its inverse table."""
+    _check_bijection(forward.values(), len(source.carrier), len(target.carrier))
+    return IsoWitness(source, target, forward, {v: k for k, v in forward.items()})
 
 
 def assoc_witness(M: Bibundle, N: Bibundle, L: Bibundle) -> IsoWitness:
-    """(M.N).L ~ M.(N.L), [[m,n],l] |-> [m,[n,l]]."""
+    """(M.N).L ~ M.(N.L), [[m,n],l] |-> [m,[n,l]], and back
+    [m,[n,l]] |-> [[m,n],l]."""
     MN, NL = compose(M, N), compose(N, L)
     left, right = compose(MN, L), compose(M, NL)
-    forward = {}
-    for rep in left.carrier:
-        mn, lp = left.index.parts_of[rep]
-        m, n = MN.index.parts_of[mn]
-        forward[rep] = right.project(m, NL.project(n, lp))
-    return _bijection_witness(left, right, forward)
+    left_pair, mn_pair = left.index.parts_of, MN.index.parts_of
+    right_pair, nl_pair = right.index.parts_of, NL.index.parts_of
+    to_left, to_mn, to_right, to_nl = left.project_fn, MN.project_fn, right.project_fn, NL.project_fn
+
+    def forward(rep: str) -> str:
+        mn, l = left_pair[rep]
+        m, n = mn_pair[mn]
+        return to_right(m, to_nl(n, l))
+
+    def backward(rep: str) -> str:
+        m, nl = right_pair[rep]
+        n, l = nl_pair[nl]
+        return to_left(to_mn(m, n), l)
+
+    return _point_witness(left, right, forward, backward)
 
 
 def lunit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoWitness:
-    """Id_G . M ~ M, [g, m] |-> g.m, on composed, by default
-    compose(identity_bibundle(G), M). composed may have any left factor
-    equal to identity_bibundle(G): check_coherence collapses (Id * Id) ; mu,
-    whose left factor is a tensor of two identities and not
-    identity_bibundle(G^2), so two callers need different composites."""
+    """Id_G . M ~ M, [g, m] |-> g.m, and back m |-> [1, m] with 1 the unit
+    at lmap(m), on composed, by default compose(identity_bibundle(G), M).
+    composed may have any left factor equal to identity_bibundle(G):
+    check_coherence collapses (Id * Id) ; mu, whose left factor is a tensor
+    of two identities and not identity_bibundle(G^2), so two callers need
+    different composites."""
     if composed is None:
         composed = compose(identity_bibundle(M.left_groupoid), M)
-    forward = {}
-    for rep in composed.carrier:
-        g, m = composed.index.parts_of[rep]
-        forward[rep] = M.left_fn(g, m)
-    return _bijection_witness(composed, M, forward)
+    pair, act, project = composed.index.parts_of, M.left_fn, composed.project_fn
+    unit, lmap = M.left_groupoid.unit, M.lmap
+
+    def forward(rep: str) -> str:
+        return act(*pair[rep])
+
+    def backward(m: str) -> str:
+        return project(unit[lmap[m]], m)
+
+    return _point_witness(composed, M, forward, backward)
 
 
 def runit_witness(M: Bibundle, composed: ComposedBibundle | None = None) -> IsoWitness:
-    """M . Id_H ~ M, [m, h] |-> m.h, on composed, by default
-    compose(M, identity_bibundle(H)); as in lunit_witness, composed may have
-    any right factor equal to identity_bibundle(H)."""
+    """M . Id_H ~ M, [m, h] |-> m.h, and back m |-> [m, 1] with 1 the unit
+    at rmap(m), on composed, by default compose(M, identity_bibundle(H)); as
+    in lunit_witness, composed may have any right factor equal to
+    identity_bibundle(H)."""
     if composed is None:
         composed = compose(M, identity_bibundle(M.right_groupoid))
-    forward = {}
-    for rep in composed.carrier:
-        m, h = composed.index.parts_of[rep]
-        forward[rep] = M.right_fn(m, h)
-    return _bijection_witness(composed, M, forward)
+    pair, act, project = composed.index.parts_of, M.right_fn, composed.project_fn
+    unit, rmap = M.right_groupoid.unit, M.rmap
+
+    def forward(rep: str) -> str:
+        return act(*pair[rep])
+
+    def backward(m: str) -> str:
+        return project(m, unit[rmap[m]])
+
+    return _point_witness(composed, M, forward, backward)
 
 
 def comp_witness(w1: IsoWitness, w2: IsoWitness) -> IsoWitness:
-    """Whisker two witnesses along composition: w1 . w2 on M1.N1 -> M2.N2."""
+    """Whisker two witnesses along composition: w1 . w2 on M1.N1 -> M2.N2,
+    [m, n] |-> [w1(m), w2(n)], and back through their inverses."""
     source, target = compose(w1.source, w2.source), compose(w1.target, w2.target)
-    f1, f2 = w1.forward, w2.forward
-    forward = {}
-    for rep in source.carrier:
-        m, n = source.index.parts_of[rep]
-        forward[rep] = target.project(f1[m], f2[n])
-    return _bijection_witness(source, target, forward)
+    source_pair, target_pair = source.index.parts_of, target.index.parts_of
+    to_source, to_target = source.project_fn, target.project_fn
+    f1, f2, b1, b2 = w1.forward, w2.forward, w1.backward, w2.backward
+
+    def forward(rep: str) -> str:
+        m, n = source_pair[rep]
+        return to_target(f1[m], f2[n])
+
+    def backward(rep: str) -> str:
+        m, n = target_pair[rep]
+        return to_source(b1[m], b2[n])
+
+    return _point_witness(source, target, forward, backward, ((f1, f2), (b1, b2)))
 
 
 # ---------------------------------------------------------------------------

@@ -229,19 +229,26 @@ def _cmd_morita(args, man: RunManifest) -> int:
     return 1
 
 
-def _bindings(args, man: RunManifest) -> dict:
-    out = {}
+def _diagram_env(args, man: RunManifest) -> DiagramEnv:
+    """The env of --groupoid with every --bind NAME=FILE bound; a NAME given
+    twice, or one that shadows a built-in generator, is a usage error."""
+    _, G = _load(args, man, args.groupoid, ("groupoid",))
+    bindings = {}
     for spec in args.bind or []:
         name, _, path = spec.partition("=")
         if not name or not path:
             raise StructuralError(f"--bind wants NAME=FILE, got {spec!r}")
-        _, out[name] = _load(args, man, path, ("bibundle",))
-    return out
+        if name in bindings:
+            raise StructuralError(f"--bind names {name!r} more than once")
+        _, bindings[name] = _load(args, man, path, ("bibundle",))
+    try:
+        return DiagramEnv(G, bindings)
+    except DiagramError as exc:
+        raise StructuralError(f"--bind: {exc}") from None
 
 
 def _cmd_eval_diagram(args, man: RunManifest) -> int:
-    _, G = _load(args, man, args.groupoid, ("groupoid",))
-    env = DiagramEnv(G, _bindings(args, man))
+    env = _diagram_env(args, man)
     result = evaluate(env, args.expr)
     man.verdicts["carrier_size"] = len(result.carrier)
     man.verdicts["output"] = _write(args, man, "diagram.json",
@@ -250,8 +257,7 @@ def _cmd_eval_diagram(args, man: RunManifest) -> int:
 
 
 def _cmd_check(args, man: RunManifest) -> int:
-    _, G = _load(args, man, args.groupoid, ("groupoid",))
-    env = DiagramEnv(G, _bindings(args, man))
+    env = _diagram_env(args, man)
     rep = check_identity(env, args.lhs, args.rhs)
     man.verdicts["identity"] = {"ok": rep.ok, "lhs": args.lhs, "rhs": args.rhs,
                                 "reason": rep.reason}

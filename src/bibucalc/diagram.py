@@ -28,6 +28,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .bibundle import Bibundle
 from .calculus import (
     IsoWitness,
+    _point_witness,
     bundlize,
     compose,
     cv_bibundle,
@@ -189,15 +190,22 @@ class Wired:
 # the largest arity a bound bundle's groupoid is recognised at
 MAX_ARITY = 6
 
+# the generators every env knows, which no binding may shadow
+BUILTINS = ("id", "tau", "delta", "eps", "ev", "cv")
+
 
 class DiagramEnv:
     """Evaluation context: the base groupoid, bound names, and the powers
     and resolved names, kept for the env's lifetime. Tensors and composites
-    are not kept here: tensor_bibundle and compose return the live one."""
+    are not kept here: tensor_bibundle and compose return the live one. A
+    binding of a built-in generator's name is refused."""
 
     def __init__(self, base: FinGroupoid, bindings: Mapping[str, Bibundle] | None = None):
         self.base = base
         self.bindings = dict(bindings or {})
+        for name in self.bindings:
+            if name in BUILTINS:
+                raise DiagramError(f"{name!r} is a built-in generator and cannot be bound")
         self._powers: dict[int, FinGroupoid] = {1: base}
         self._cache: dict[str, Wired] = {}
 
@@ -295,7 +303,8 @@ def tensor_wired(parts: Sequence[Wired]) -> Wired:
 
 
 def wired_tensor_witness(entries: Sequence[tuple[IsoWitness, Wired, Wired]]) -> IsoWitness:
-    """Juxtapose witnesses componentwise between tensors.
+    """Juxtapose witnesses componentwise between tensors: a point's image
+    is the tuple of its parts' images, and back through their inverses.
 
     Each entry is (witness, source wiring, target wiring); the wirings must
     carry the same carriers as the witness endpoints.
@@ -306,16 +315,17 @@ def wired_tensor_witness(entries: Sequence[tuple[IsoWitness, Wired, Wired]]) -> 
         return entries[0][0]
     source = tensor_wired([s for _, s, _ in entries]).bib
     target = tensor_wired([t for _, _, t in entries]).bib
-    target.carrier.elements  # the witness covers it: read it in full, in one pass
-    fwds = [w.forward for w, _, _ in entries]
-    forward = {}
-    for rep in source.carrier:
-        cs = source.index.parts_of[rep]
-        forward[rep] = target.index.label_of[tuple(f[c] for f, c in zip(fwds, cs))]
-    backward = {v: k for k, v in forward.items()}
-    if len(backward) != len(forward):
-        raise StructuralError("juxtaposed witnesses are not a bijection")
-    return IsoWitness(source, target, forward, backward)
+    fwds, bwds = [w.forward for w, _, _ in entries], [w.backward for w, _, _ in entries]
+    source_parts, target_label = source.index.parts_of, target.index.label_of
+    target_parts, source_label = target.index.parts_of, source.index.label_of
+
+    def forward(rep: str) -> str:
+        return target_label[tuple(map(operator.getitem, fwds, source_parts[rep]))]
+
+    def backward(rep: str) -> str:
+        return source_label[tuple(map(operator.getitem, bwds, target_parts[rep]))]
+
+    return _point_witness(source, target, forward, backward, (fwds, bwds))
 
 
 def _atoms_of(index: LabelIndex, k: int) -> Callable[[str], tuple[str, ...]]:
@@ -364,27 +374,36 @@ def interchange_blocks(top: Sequence[Wired],
         at_b += kb
         bib = compose(tensor_wired(t_slice).bib, tensor_wired(b_slice).bib)
         comps.append(Wired(bib, sum(w.m for w in t_slice), sum(w.n for w in b_slice)))
-    target = tensor_wired(comps)
-    target.bib.carrier.elements  # the witness covers it: read it in full, in one pass
+    target = tensor_wired(comps).bib
     top_index, bottom_index = (f.index for f in source.factors)
     top_atoms, bottom_atoms = _atoms_of(top_index, len(top)), _atoms_of(bottom_index, len(bottom))
-    per_block = []
+    top_label = _run_label(top_index, 0, len(top))
+    bottom_label = _run_label(bottom_index, 0, len(bottom))
+    # per block: its runs of the layers' atoms -> its point, and back
+    to_block, from_block = [], []
     for (t0, kt, b0, kb), blk in zip(spans, comps):
         blk_top, blk_bottom = (f.index for f in blk.bib.factors)
-        per_block.append((_run_label(blk_top, t0, kt), _run_label(blk_bottom, b0, kb),
-                          blk.bib.project))
-    target_label = _run_label(target.bib.index, 0, len(comps))
-    pair_of = source.index.parts_of
-    forward = {}
-    for rep in source.carrier:
-        t_elt, b_elt = pair_of[rep]
+        to_block.append((_run_label(blk_top, t0, kt), _run_label(blk_bottom, b0, kb), blk.bib.project_fn))
+        from_block.append((blk.bib.index.parts_of, _atoms_of(blk_top, kt), _atoms_of(blk_bottom, kb)))
+    target_label, target_blocks = _run_label(target.index, 0, len(comps)), _atoms_of(target.index, len(comps))
+    source_pair, to_source = source.index.parts_of, source.project_fn
+
+    def forward(rep: str) -> str:
+        t_elt, b_elt = source_pair[rep]
         t_parts, b_parts = top_atoms(t_elt), bottom_atoms(b_elt)
-        forward[rep] = target_label(tuple([project(t_sub(t_parts), b_sub(b_parts))
-                                           for t_sub, b_sub, project in per_block]))
-    backward = {v: k for k, v in forward.items()}
-    if len(backward) != len(forward) or len(forward) != len(target.bib.carrier):
-        raise StructuralError("block regrouping failed to be a bijection")
-    return IsoWitness(source, target.bib, forward, backward), comps
+        return target_label(tuple([project(t_sub(t_parts), b_sub(b_parts))
+                                   for t_sub, b_sub, project in to_block]))
+
+    def backward(rep: str) -> str:
+        t_parts: tuple[str, ...] = ()
+        b_parts: tuple[str, ...] = ()
+        for blk_rep, (pair, t_atoms, b_atoms) in zip(target_blocks(rep), from_block):
+            t_elt, b_elt = pair[blk_rep]
+            t_parts += t_atoms(t_elt)
+            b_parts += b_atoms(b_elt)
+        return to_source(top_label(t_parts), bottom_label(b_parts))
+
+    return _point_witness(source, target, forward, backward), comps
 
 
 def evaluate_wired(env: DiagramEnv, expr: str | Ast) -> Wired:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bibundle import Bibundle
 from .calculus import (
     IsoWitness,
     WeakIso,
+    _bi_orbit_reps,
     all_isos,
     assoc_witness,
     bundlize,
@@ -196,10 +197,128 @@ class CoherenceReport:
         return self.associator_coherent and self.units_coherent
 
 
+Paths = tuple[list[IsoWitness], list[IsoWitness]]
+
+
 def _loop_closes(left_edges: Sequence[IsoWitness], right_edges: Sequence[IsoWitness]) -> bool:
-    lw = chain_witnesses(*left_edges)
-    rw = chain_witnesses(*right_edges)
-    return all(lw.forward[x] == rw.forward[x] for x in lw.forward)
+    """Whether the two paths of 2-cells out of the loop's start agree. Every
+    edge is biequivariant, and so is each path, so they agree everywhere
+    when they agree at one point per bi-orbit of start (see
+    calculus._bi_orbit_reps): they are compared there, each point looked up
+    through the edges' point maps. When every bi-orbit is one point, as
+    over a discrete base, both paths are read in full, each edge in one
+    pass."""
+    lw, rw = chain_witnesses(*left_edges), chain_witnesses(*right_edges)
+    lf, rf = lw.forward, rw.forward
+    reps = _bi_orbit_reps(lw.source)
+    if len(reps) == len(lw.source.carrier):
+        return lf == rf
+    return all(lf[x] == rf[x] for x in reps)
+
+
+class _CoherenceLoops:
+    """The two coherence loops of a stacky group's data, each a function of
+    its candidate 2-cells. reassociation(ass) gives the two paths from
+    ((ab)c)d to a(b(cd)) built out of the associator ass; unit(associator,
+    runi, luni) gives the two ways of cancelling a unit inserted between two
+    factors. associators and unitor_pairs yield the candidates in search
+    order, at most limit of each witness. The edges that no candidate
+    enters are built once, the reassociation loop's here and the unit
+    loop's on its first use, and kept: as an edge builds its own endpoints,
+    and compose and tensor_bibundle return the live result for the same
+    inputs, every node is built once while this object is alive."""
+
+    def __init__(self, data: StackyGroupData):
+        env = data.env()
+        mu_w, self._e_w, id_w = env.resolve("mu"), env.resolve("e"), env.resolve("id")
+        mu_b, id_b = mu_w.bib, id_w.bib
+        self._mu_w, self._id_w = mu_w, id_w
+
+        self._d1_3, self._d2_3 = d1_3, d2_3 = tensor_wired([mu_w, id_w]).bib, tensor_wired([id_w, mu_w]).bib
+        self._X1w, self._X2w = Wired(compose(d1_3, mu_b), 3, 1), Wired(compose(d2_3, mu_b), 3, 1)
+        d1_4 = tensor_wired([mu_w, id_w, id_w]).bib
+        d2_4 = tensor_wired([id_w, mu_w, id_w]).bib
+        d3_4 = tensor_wired([id_w, id_w, mu_w]).bib
+        self._IdIdw = Wired(compose(id_b, id_b), 1, 1)
+        self._idid_witness = identity_witness(self._IdIdw.bib)
+        self._mu_id_w = mu_id_w = identity_witness(mu_b)
+
+        # block regroupings that do not involve the associator
+        self._ich_l0, _ = interchange_blocks([mu_w, id_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
+        self._ich_l1, _ = interchange_blocks([id_w, mu_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
+        self._ich_l4, _ = interchange_blocks([id_w, mu_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
+        self._ich_l5, _ = interchange_blocks([id_w, id_w, mu_w], [id_w, mu_w], [(1, 1), (2, 1)])
+        ich_r3, (MuIdw, IdMuw) = interchange_blocks([mu_w, id_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
+        ich_r4, _ = interchange_blocks([id_w, id_w, mu_w], [mu_w, id_w], [(2, 1), (1, 1)])
+        to_mu_r = runit_witness(mu_b, composed=MuIdw.bib)
+        self._to_mu_l = to_mu_l = lunit_witness(mu_b, composed=IdMuw.bib)
+        squeeze_a = wired_tensor_witness([(to_mu_r, MuIdw, mu_w), (to_mu_l, IdMuw, mu_w)])
+        squeeze_b = wired_tensor_witness([(to_mu_l, IdMuw, mu_w), (to_mu_r, MuIdw, mu_w)])
+        middle_swap = chain_witnesses(ich_r3, squeeze_a, invert_witness(squeeze_b),
+                                      invert_witness(ich_r4))
+        self._edge_r4 = comp_witness(middle_swap, mu_id_w)
+
+        # associator-independent associativity-of-composition edges
+        self._as_l2 = assoc_witness(d2_4, d1_3, mu_b)
+        self._as_l4 = assoc_witness(d2_4, d2_3, mu_b)
+        self._as_l6 = assoc_witness(d3_4, d2_3, mu_b)
+        self._as_r1 = assoc_witness(d1_4, d1_3, mu_b)
+        self._as_r3 = assoc_witness(d1_4, d2_3, mu_b)
+        self._as_r5 = assoc_witness(d3_4, d1_3, mu_b)
+
+        self._id_d14, self._id_d24, self._id_d34 = map(identity_witness, (d1_4, d2_4, d3_4))
+        self._unit_edges: tuple | None = None
+
+    def associators(self, limit: int) -> Iterator[IsoWitness]:
+        return all_isos(self._X1w.bib, self._X2w.bib, limit=limit)
+
+    def reassociation(self, ass: IsoWitness) -> Paths:
+        X1w, X2w, IdIdw, idid, mu_id_w = self._X1w, self._X2w, self._IdIdw, self._idid_witness, self._mu_id_w
+        w_mid_l0 = wired_tensor_witness([(ass, X1w, X2w), (idid, IdIdw, IdIdw)])
+        w_mid_l4 = wired_tensor_witness([(idid, IdIdw, IdIdw), (ass, X1w, X2w)])
+        left_path = [
+            comp_witness(chain_witnesses(self._ich_l0, w_mid_l0, invert_witness(self._ich_l1)), mu_id_w),
+            self._as_l2, comp_witness(self._id_d24, ass), invert_witness(self._as_l4),
+            comp_witness(chain_witnesses(self._ich_l4, w_mid_l4, invert_witness(self._ich_l5)), mu_id_w),
+            self._as_l6,
+        ]
+        right_path = [self._as_r1, comp_witness(self._id_d14, ass), invert_witness(self._as_r3),
+                      self._edge_r4, self._as_r5, comp_witness(self._id_d34, ass)]
+        return left_path, right_path
+
+    def _unit_loop(self) -> tuple:
+        """The unit loop's edges that no candidate enters, built on first use."""
+        if self._unit_edges is None:
+            mu_w, e_w, id_w = self._mu_w, self._e_w, self._id_w
+            s1_2 = tensor_wired([id_w, e_w, id_w]).bib
+            ich_p_l, (IdE_Muw, _) = interchange_blocks([id_w, e_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
+            ich_p_r, (_, E_Id_Muw) = interchange_blocks([id_w, e_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
+            self._unit_edges = (
+                IdE_Muw, E_Id_Muw, ich_p_l, ich_p_r,
+                assoc_witness(s1_2, self._d1_3, mu_w.bib), assoc_witness(s1_2, self._d2_3, mu_w.bib),
+                identity_witness(s1_2), lunit_witness(id_w.bib, composed=self._IdIdw.bib),
+            )
+        return self._unit_edges
+
+    def unitor_pairs(self, limit: int) -> Iterator[tuple[IsoWitness, IsoWitness]]:
+        """The (right unitor, left unitor) candidate pairs, in search order."""
+        IdE_Muw, E_Id_Muw = self._unit_loop()[:2]
+        id_b = self._id_w.bib
+        runi_cands = list(all_isos(IdE_Muw.bib, id_b, limit=limit))
+        luni_cands = list(all_isos(E_Id_Muw.bib, id_b, limit=limit))
+        return itertools.product(runi_cands, luni_cands)
+
+    def unit(self, associator: IsoWitness, runi: IsoWitness, luni: IsoWitness) -> Paths:
+        IdE_Muw, E_Id_Muw, ich_p_l, ich_p_r, as_p_l, as_p_r, id_s, squeeze_idid = self._unit_loop()
+        id_w, IdIdw, mu_id_w = self._id_w, self._IdIdw, self._mu_id_w
+        # both paths end at (Id * Id) ; mu, collapsed onto mu
+        w_l = wired_tensor_witness([(runi, IdE_Muw, id_w), (squeeze_idid, IdIdw, id_w)])
+        w_r = wired_tensor_witness([(squeeze_idid, IdIdw, id_w), (luni, E_Id_Muw, id_w)])
+        left_path = [invert_witness(as_p_l), comp_witness(chain_witnesses(ich_p_l, w_l), mu_id_w),
+                     self._to_mu_l]
+        right_path = [comp_witness(id_s, associator), invert_witness(as_p_r),
+                      comp_witness(chain_witnesses(ich_p_r, w_r), mu_id_w), self._to_mu_l]
+        return left_path, right_path
 
 
 @cycle_collector_paused()
@@ -208,102 +327,32 @@ def check_coherence(data: StackyGroupData, max_candidates: int = 64) -> Coherenc
 
     The reassociation loop compares the two witness paths from ((ab)c)d to
     a(b(cd)) built out of one associator; the unit loop compares the two ways
-    of cancelling an inserted unit between two factors. Candidates are tried
-    in search order, bounded by max_candidates per witness, which must be at
-    least 1. Each loop is its list of edges: an edge builds its own endpoints,
-    and as compose and tensor_bibundle return the live result for the same
-    inputs, every node is built once, while an edge that holds it is alive.
-    Runs with the cycle collector paused (see core.cycle_collector_paused).
+    of cancelling an inserted unit between two factors (see
+    _CoherenceLoops). Candidates are tried in search order, bounded by
+    max_candidates per witness, which must be at least 1. A loop closes
+    when its two paths agree at one point per bi-orbit of its start, each
+    edge asked only there through its point maps (see _loop_closes); the
+    associator and unitors returned are the search's full tables. Runs with
+    the cycle collector paused (see core.cycle_collector_paused).
     """
     if max_candidates < 1:
         raise StructuralError(f"max_candidates must be at least 1, got {max_candidates}")
-    env = data.env()
-    mu_w, e_w, id_w = env.resolve("mu"), env.resolve("e"), env.resolve("id")
-    mu_b, id_b = mu_w.bib, id_w.bib
-
-    d1_3, d2_3 = tensor_wired([mu_w, id_w]).bib, tensor_wired([id_w, mu_w]).bib
-    X1w, X2w = Wired(compose(d1_3, mu_b), 3, 1), Wired(compose(d2_3, mu_b), 3, 1)
-    d1_4 = tensor_wired([mu_w, id_w, id_w]).bib
-    d2_4 = tensor_wired([id_w, mu_w, id_w]).bib
-    d3_4 = tensor_wired([id_w, id_w, mu_w]).bib
-    IdIdw = Wired(compose(id_b, id_b), 1, 1)
-    idid_witness = identity_witness(IdIdw.bib)
-    mu_id_w = identity_witness(mu_b)
-
-    # block regroupings that do not involve the associator
-    ich_l0, _ = interchange_blocks([mu_w, id_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
-    ich_l1, _ = interchange_blocks([id_w, mu_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
-    ich_l4, _ = interchange_blocks([id_w, mu_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
-    ich_l5, _ = interchange_blocks([id_w, id_w, mu_w], [id_w, mu_w], [(1, 1), (2, 1)])
-    ich_r3, (MuIdw, IdMuw) = interchange_blocks([mu_w, id_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
-    ich_r4, _ = interchange_blocks([id_w, id_w, mu_w], [mu_w, id_w], [(2, 1), (1, 1)])
-    to_mu_r = runit_witness(mu_b, composed=MuIdw.bib)
-    to_mu_l = lunit_witness(mu_b, composed=IdMuw.bib)
-    squeeze_a = wired_tensor_witness([(to_mu_r, MuIdw, mu_w), (to_mu_l, IdMuw, mu_w)])
-    squeeze_b = wired_tensor_witness([(to_mu_l, IdMuw, mu_w), (to_mu_r, MuIdw, mu_w)])
-    middle_swap = chain_witnesses(ich_r3, squeeze_a, invert_witness(squeeze_b),
-                                  invert_witness(ich_r4))
-    edge_r4 = comp_witness(middle_swap, mu_id_w)
-
-    # associator-independent associativity-of-composition edges
-    as_l2 = assoc_witness(d2_4, d1_3, mu_b)
-    as_l4 = assoc_witness(d2_4, d2_3, mu_b)
-    as_l6 = assoc_witness(d3_4, d2_3, mu_b)
-    as_r1 = assoc_witness(d1_4, d1_3, mu_b)
-    as_r3 = assoc_witness(d1_4, d2_3, mu_b)
-    as_r5 = assoc_witness(d3_4, d1_3, mu_b)
-
-    id_d14, id_d24, id_d34 = identity_witness(d1_4), identity_witness(d2_4), identity_witness(d3_4)
-
-    def reassociation_loop_closes(ass: IsoWitness) -> bool:
-        w_mid_l0 = wired_tensor_witness([(ass, X1w, X2w), (idid_witness, IdIdw, IdIdw)])
-        w_mid_l4 = wired_tensor_witness([(idid_witness, IdIdw, IdIdw), (ass, X1w, X2w)])
-        left_path = [
-            comp_witness(chain_witnesses(ich_l0, w_mid_l0, invert_witness(ich_l1)), mu_id_w),
-            as_l2, comp_witness(id_d24, ass), invert_witness(as_l4),
-            comp_witness(chain_witnesses(ich_l4, w_mid_l4, invert_witness(ich_l5)), mu_id_w),
-            as_l6,
-        ]
-        right_path = [as_r1, comp_witness(id_d14, ass), invert_witness(as_r3), edge_r4, as_r5,
-                      comp_witness(id_d34, ass)]
-        return _loop_closes(left_path, right_path)
-
+    loops = _CoherenceLoops(data)
     attempts = 0
     associator = None
-    for ass in all_isos(X1w.bib, X2w.bib, limit=max_candidates):
+    for ass in loops.associators(max_candidates):
         attempts += 1
-        if reassociation_loop_closes(ass):
+        if _loop_closes(*loops.reassociation(ass)):
             associator = ass
             break
     if associator is None:
         return CoherenceReport(False, False, None, None, None, attempts,
                                note="no associator closes the reassociation loop")
 
-    # unit loop: cancel a unit inserted between two factors
-    s1_2 = tensor_wired([id_w, e_w, id_w]).bib
-    ich_p_l, (IdE_Muw, _) = interchange_blocks([id_w, e_w, id_w], [mu_w, id_w], [(2, 1), (1, 1)])
-    ich_p_r, (_, E_Id_Muw) = interchange_blocks([id_w, e_w, id_w], [id_w, mu_w], [(1, 1), (2, 1)])
-    as_p_l = assoc_witness(s1_2, d1_3, mu_b)
-    as_p_r = assoc_witness(s1_2, d2_3, mu_b)
-    id_s = identity_witness(s1_2)
-    squeeze_idid = lunit_witness(id_b, composed=IdIdw.bib)
-
-    def unit_loop_closes(runi: IsoWitness, luni: IsoWitness) -> bool:
-        # both paths end at (Id * Id) ; mu, collapsed onto mu
-        w_l = wired_tensor_witness([(runi, IdE_Muw, id_w), (squeeze_idid, IdIdw, id_w)])
-        w_r = wired_tensor_witness([(squeeze_idid, IdIdw, id_w), (luni, E_Id_Muw, id_w)])
-        left_path = [invert_witness(as_p_l), comp_witness(chain_witnesses(ich_p_l, w_l), mu_id_w),
-                     to_mu_l]
-        right_path = [comp_witness(id_s, associator), invert_witness(as_p_r),
-                      comp_witness(chain_witnesses(ich_p_r, w_r), mu_id_w), to_mu_l]
-        return _loop_closes(left_path, right_path)
-
-    runi_cands = list(all_isos(IdE_Muw.bib, id_b, limit=max_candidates))
-    luni_cands = list(all_isos(E_Id_Muw.bib, id_b, limit=max_candidates))
     unitors = None
-    for runi, luni in itertools.product(runi_cands, luni_cands):
+    for runi, luni in loops.unitor_pairs(max_candidates):
         attempts += 1
-        if unit_loop_closes(runi, luni):
+        if _loop_closes(*loops.unit(associator, runi, luni)):
             unitors = (luni, runi)
             break
     if unitors is None:

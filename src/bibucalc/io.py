@@ -349,7 +349,8 @@ def sset_to_json(X: TruncatedSSet) -> dict:
 
 def _level_maps(obj: dict, key: str) -> dict[tuple[int, int], dict[str, str]]:
     """A face or degeneracy field: {level: {index: {simplex: simplex}}}, with
-    level and index keys written as non-negative integers."""
+    level and index keys written as non-negative integers in canonical
+    decimal, so that no two keys name one integer ("0" and "00" would)."""
     tables = obj[key]
     if not (isinstance(tables, dict) and all(isinstance(per, dict) for per in tables.values())):
         raise StructuralError(f"field {key!r} must be an object of objects of string maps")
@@ -358,6 +359,8 @@ def _level_maps(obj: dict, key: str) -> dict[tuple[int, int], dict[str, str]]:
         for i in (n, *per):
             if not (i.isascii() and i.isdigit()):
                 raise StructuralError(f"field {key!r} has a key {i!r} that is not an integer")
+            if str(int(i)) != i:
+                raise StructuralError(f"field {key!r} has a key {i!r} that is not canonical decimal")
         for i, t in per.items():
             if not (isinstance(t, dict) and all(isinstance(x, str) for kv in t.items() for x in kv)):
                 raise StructuralError(f"field {key!r} entry {n}/{i} must be an object from strings to strings")

@@ -60,7 +60,15 @@ These deliberately avoid the code paths they are checking:
   it into one row per point;
 - the writer oracle dumps_stdlib is json.dumps with an indent, which json
   writes with its pure-Python encoder, where io.dumps hands each leaf
-  container to json's C encoder and puts the line breaks in by hand.
+  container to json's C encoder and puts the line breaks in by hand;
+- the coherence oracle loop_closes_scan reads every edge of both paths in
+  full and composes the tables by hand over every point of the loop's
+  start, where groups._loop_closes looks one point per bi-orbit of start up
+  through the edges' point maps. bz_data gives it fixtures with candidates
+  that fail: BZ/n, whose bundles have automorphisms. bi_orbits_scan joins
+  every point with its images under every arrow on both sides in a
+  union-find, where calculus._bi_orbit_reps reads the representatives off
+  a tensor's parts, a composite's factors or one orbit pass.
 """
 from __future__ import annotations
 
@@ -82,11 +90,13 @@ from bibucalc.calculus import (
     IsoWitness,
     TensorBibundle,
     _bijection_witness,
+    bundlize,
     compose,
 )
 from bibucalc.core import (
     FinCategory,
     FinGroupoid,
+    GroupoidHom,
     StructuralError,
     ValidationReport,
     Violation,
@@ -94,10 +104,12 @@ from bibucalc.core import (
     _PartwiseFibers,
     factors_of,
     finset,
+    power_groupoid,
     product_codec,
     product_groupoid,
 )
 from bibucalc.generators import GrpdSpec
+from bibucalc.groups import StackyGroupData, cyclic_ambient
 from bibucalc.labels import LabelIndex, tup, untup
 from bibucalc.simplicial import (
     ClassifyReport,
@@ -1079,3 +1091,54 @@ def dumps_stdlib(obj) -> str:
     """The byte-stable JSON text io.dumps must write, from json's own
     indenting encoder."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# coherence loops
+
+
+def loop_closes_scan(left_edges, right_edges) -> bool:
+    """Whether two paths of 2-cells agree at every point of their start:
+    each edge is read in full, and the tables are composed by hand."""
+    def walk(edges) -> dict[str, str]:
+        out = {m: m for m in edges[0].source.carrier}
+        for w in edges:
+            table = dict(w.forward)
+            out = {m: table[v] for m, v in out.items()}
+        return out
+
+    return walk(left_edges) == walk(right_edges)
+
+
+def bi_orbits_scan(M: Bibundle) -> dict[str, int]:
+    """point -> the number of its bi-orbit, the orbits of both actions
+    together, numbered in the order their first points come."""
+    parent = {m: m for m in M.carrier}
+
+    def find(m: str) -> str:
+        while parent[m] != m:
+            parent[m] = parent[parent[m]]
+            m = parent[m]
+        return m
+
+    moves = [(m, image) for (_, m), image in M.left_table().items()]
+    moves += [(m, image) for (m, _), image in M.right_table().items()]
+    for m, image in moves:
+        parent[find(m)] = find(image)
+    numbers: dict[str, int] = {}
+    return {m: numbers.setdefault(find(m), len(numbers)) for m in M.carrier}
+
+
+def bz_data(n: int) -> StackyGroupData:
+    """BZ/n: Z/n as a one-object groupoid, with mu, e and i bundlized from
+    addition, zero and negation. Unlike the inclusion crossed modules of
+    kronecker_finite, it has pi_2 = Z/n, so its bundles have automorphisms
+    and its coherence loops have candidates that do not close."""
+    G = cyclic_ambient(n)
+    P2, _, pair = product_codec([G, G])
+    (obj,) = G.objects
+    add = GroupoidHom(P2, G, {pair((obj, obj)): obj},
+                      {pair((a, b)): G.comp[(a, b)] for a in G.arrows for b in G.arrows})
+    zero = GroupoidHom(power_groupoid(G, 0), G, {"()": obj}, {"()": G.unit[obj]})
+    neg = GroupoidHom(G, G, {obj: obj}, {a: G.inv[a] for a in G.arrows})
+    return StackyGroupData(base=G, mu=bundlize(add), e=bundlize(zero), i=bundlize(neg))

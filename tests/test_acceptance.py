@@ -6,7 +6,7 @@ was reached.  All randomness is seeded per test; reruns are identical.
 
 Run with:  python3 -m pytest tests/test_acceptance.py -v -s
 The slowest tests are 8 and 9 (group checks and coherence searches on the
-larger group fixtures); the whole file takes a few minutes.
+larger group fixtures); the whole file takes a few seconds.
 """
 
 from __future__ import annotations

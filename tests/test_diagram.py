@@ -45,7 +45,13 @@ from bibucalc.diagram import (
 )
 from bibucalc.generators import random_groupoid, random_hom, relabel_randomly, standard_groupoid
 
-from oracles import bundle_tables, interchange_witness_binary, juxtapose_scan, tensor_witness_binary
+from oracles import (
+    bundle_tables,
+    bz_data,
+    interchange_witness_binary,
+    juxtapose_scan,
+    tensor_witness_binary,
+)
 
 
 def test_parse_shapes_and_precedence():
@@ -250,10 +256,11 @@ def test_tensor_store_keys_by_identity_not_equality():
 
 def test_coherence_builds_each_tensor_and_composite_once(monkeypatch):
     """Builds are store misses; calls, which include the hits, are many more."""
-    for n, q in ((2, 1), (4, 2)):
+    for make in (lambda: groups.kronecker_finite(2, 1), lambda: groups.kronecker_finite(4, 2),
+                 lambda: bz_data(3)):
         for store in ("_TENSORS", "_COMPOSITES"):
             monkeypatch.setattr(calculus, store, _CountingStore())
-        rep = groups.check_coherence(groups.kronecker_finite(n, q))
+        rep = groups.check_coherence(make())
         assert rep.ok and rep.attempts == 2
         builds = {"tensor": calculus._TENSORS.builds, "compose": calculus._COMPOSITES.builds}
         assert builds == {"tensor": 18, "compose": 31}

@@ -1,18 +1,31 @@
 import dataclasses
 import itertools
+import random
 from collections import Counter
 
 import pytest
 
-from bibucalc import diagram
+from bibucalc import calculus, diagram
 from bibucalc.bibundle import PrincipalityReport, validate_bibundle
-from bibucalc.calculus import all_isos, find_iso, tensor_bibundle, validate_iso
+from bibucalc.calculus import (
+    IsoWitness,
+    all_isos,
+    chain_witnesses,
+    compose,
+    find_iso,
+    identity_bibundle,
+    opposite_bibundle,
+    tensor_bibundle,
+    validate_iso,
+)
 from bibucalc.core import StructuralError, one_object_groupoid, power_groupoid, validate_groupoid
 from bibucalc.diagram import check_identity, evaluate
 from bibucalc.groups import (
     PREINVERSE_EXPR,
     CrossedModuleIncl,
     StackyGroupData,
+    _CoherenceLoops,
+    _loop_closes,
     and_monoid_data,
     check_bimonoid,
     check_coherence,
@@ -26,7 +39,9 @@ from bibucalc.groups import (
     validate_crossed_module,
 )
 
-from oracles import encoded_arrow_labels, iso_search_dfs
+from bibucalc.generators import random_bibundle
+
+from oracles import bi_orbits_scan, bz_data, encoded_arrow_labels, iso_search_dfs, loop_closes_scan
 
 KRONECKER_PAIRS = [(2, 1), (2, 2), (3, 1), (3, 3), (4, 2)]
 
@@ -107,6 +122,114 @@ def test_coherence_refuses_a_candidate_bound_below_one(bound):
     assert check_coherence(kronecker_finite(2, 1), max_candidates=1).attempts == 2
     # a bound past what islice takes is no bound
     assert check_coherence(kronecker_finite(2, 1), max_candidates=10**30).attempts == 2
+
+
+# the fixtures the loop closure is driven on: BZ/n, whose loops have
+# candidates that fail, and two Kronecker fixtures, whose only candidates
+# close; each with the positions, in search order, of the associator
+# candidates that close the reassociation loop out of how many, and of the
+# unitor pairs that close the unit loop on the first closing associator
+LOOP_FIXTURES = {
+    "bz2": (lambda: bz_data(2), ([0], 2), ([0, 3], 4)),
+    "bz3": (lambda: bz_data(3), ([0], 3), ([0, 4, 8], 9)),
+    "kronecker-2-1": (lambda: kronecker_finite(2, 1), ([0], 1), ([0], 1)),
+    "kronecker-4-2": (lambda: kronecker_finite(4, 2), ([0], 1), ([0], 1)),
+}
+
+
+def _closing(paths: list) -> tuple[list[int], list[int]]:
+    """The positions of the closing candidates under the bi-orbit closure
+    and under the full scan."""
+    return ([k for k, p in enumerate(paths) if _loop_closes(*p)],
+            [k for k, p in enumerate(paths) if loop_closes_scan(*p)])
+
+
+@pytest.mark.parametrize("name", LOOP_FIXTURES)
+def test_loop_closure_matches_the_full_scan_on_every_candidate(name):
+    make, (assoc_closing, assoc_count), (unit_closing, unit_count) = LOOP_FIXTURES[name]
+    loops = _CoherenceLoops(make())
+    associators = list(loops.associators(64))
+    assert len(associators) == assoc_count
+    assert _closing([loops.reassociation(a) for a in associators]) == (assoc_closing, assoc_closing)
+    associator = associators[assoc_closing[0]]
+    pairs = list(loops.unitor_pairs(64))
+    assert len(pairs) == unit_count
+    assert _closing([loops.unit(associator, *p) for p in pairs]) == (unit_closing, unit_closing)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bz_loops_close_on_fewer_points_than_their_start(n):
+    """BZ/n's base is not discrete, so the closure above compares points,
+    not whole tables: one per bi-orbit, fewer than the start holds."""
+    data = bz_data(n)
+    loops = _CoherenceLoops(data)
+    associator = next(loops.associators(1))
+    for left, _ in (loops.reassociation(associator), loops.unit(associator, *next(loops.unitor_pairs(1)))):
+        start = left[0].source
+        assert len(calculus._bi_orbit_reps(start)) < len(start.carrier)
+    rep = check_coherence(data)
+    assert rep.ok and rep.attempts == 2
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_an_associator_twisted_by_an_automorphism_fails_both_closures(n):
+    loops = _CoherenceLoops(bz_data(n))
+    associator = next(loops.associators(1))
+    X2 = associator.target
+    twists = [phi for phi in all_isos(X2, X2) if any(k != v for k, v in phi.forward.items())]
+    assert len(twists) == n - 1
+    for phi in twists:
+        paths = loops.reassociation(chain_witnesses(associator, phi))
+        assert not _loop_closes(*paths)
+        assert not loop_closes_scan(*paths)
+
+
+def _loop_edges(loops: _CoherenceLoops, associator: IsoWitness) -> list[IsoWitness]:
+    """Every edge of both loops: those of the paths on the first candidates,
+    and the candidate-free edges the loops are built from; an edge and its
+    inverse, which shares its maps, once."""
+    unitors = next(loops.unitor_pairs(1))
+    edges = [w for paths in (loops.reassociation(associator), loops.unit(associator, *unitors))
+             for path in paths for w in path]
+    edges += [w for w in vars(loops).values() if isinstance(w, IsoWitness)]
+    edges += [w for w in loops._unit_loop() if isinstance(w, IsoWitness)]
+    unique = {frozenset((id(w.forward), id(w.backward))): w for w in edges}
+    return list(unique.values())
+
+
+@pytest.mark.parametrize("make", [lambda: kronecker_finite(2, 1), lambda: kronecker_finite(4, 2),
+                                  lambda: bz_data(3)], ids=["kronecker-2-1", "kronecker-4-2", "bz3"])
+def test_every_loop_edge_is_an_iso_when_read_in_full(make):
+    """Each edge's forward and backward point maps, read in full, are
+    inverse biequivariant bijections, whatever the closure compares."""
+    loops = _CoherenceLoops(make())
+    edges = _loop_edges(loops, next(loops.associators(1)))
+    assert len(edges) >= 30
+    for w in edges:
+        assert validate_iso(w).ok
+
+
+def test_closing_the_loops_fills_single_entries(monkeypatch):
+    """At Kronecker (2,1) each loop's start is one bi-orbit: closing the
+    loops looks points up through the edges' point maps and reads none of
+    them in full."""
+    full_reads, lookups = [], []
+    entries, entry = calculus._PointMap._entries, calculus._PointMap._entry
+
+    def spied_entries(table):
+        full_reads.append(table)
+        return entries(table)
+
+    def spied_entry(table, x):
+        lookups.append(x)
+        return entry(table, x)
+
+    monkeypatch.setattr(calculus._PointMap, "_entries", spied_entries)
+    monkeypatch.setattr(calculus._PointMap, "_entry", spied_entry)
+    rep = check_coherence(kronecker_finite(2, 1))
+    assert rep.ok and rep.attempts == 2
+    assert full_reads == []
+    assert 0 < len(lookups) < 100
 
 
 def test_coherence_for_degenerate_group():
@@ -255,3 +378,47 @@ def test_find_iso_applies_no_action_over_a_plain_group():
     # the oracle, which applies the units, does act through the spies
     assert next(iso_search_dfs(*spied)) == w.forward
     assert calls["left"] and calls["right"]
+
+
+def _bi_orbit_cover(M) -> list[int]:
+    """The bi-orbit of each representative _bi_orbit_reps gives for M."""
+    orbit = bi_orbits_scan(M)
+    return sorted(orbit[m] for m in calculus._bi_orbit_reps(M))
+
+
+def _bi_orbit_rule(M) -> str:
+    if calculus._discrete(M.left_groupoid) and calculus._discrete(M.right_groupoid):
+        return "discrete"
+    if isinstance(M, calculus.TensorBibundle):
+        return "tensor"
+    if isinstance(M, calculus.ComposedBibundle) and calculus._fiber_transitive(M.factors[1]):
+        return "composite"
+    return "pass"
+
+
+def test_bi_orbit_reps_hit_each_bi_orbit_once_on_random_bundles():
+    """Against the union-find scan, on random bundles (the pass), their
+    composites with a bundle that is transitive on its lmap fibers or not,
+    and tensors of them."""
+    rules = Counter()
+    for seed in range(60):
+        rng = random.Random(seed)
+        M = random_bibundle(rng, max_objects=2, max_isotropy=3)
+        H = M.right_groupoid
+        N = opposite_bibundle(M) if rng.random() < 0.6 else identity_bibundle(H)
+        for X in (M, compose(M, N), tensor_bibundle(M, N), compose(tensor_bibundle(M, M), tensor_bibundle(N, N))):
+            rules[_bi_orbit_rule(X)] += 1
+            assert _bi_orbit_cover(X) == list(range(len(set(bi_orbits_scan(X).values()))))
+    assert all(rules[rule] > 5 for rule in ("pass", "tensor", "composite")), rules
+
+
+@pytest.mark.parametrize("make", [lambda: kronecker_finite(2, 1), lambda: bz_data(3)],
+                         ids=["kronecker-2-1", "bz3"])
+def test_bi_orbit_reps_hit_each_bi_orbit_once_on_the_loop_nodes(make):
+    loops = _CoherenceLoops(make())
+    nodes = {id(X): X for w in _loop_edges(loops, next(loops.associators(1))) for X in (w.source, w.target)}
+    rules = Counter()
+    for X in nodes.values():
+        rules[_bi_orbit_rule(X)] += 1
+        assert _bi_orbit_cover(X) == list(range(len(set(bi_orbits_scan(X).values()))))
+    assert rules["composite"] > 10 and rules["tensor"] > 3, rules

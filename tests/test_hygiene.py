@@ -102,14 +102,17 @@ def test_lazy_tables_are_the_part_wise_ones():
     __missing__: a new table of parts reuses those instead of spelling its
     own fill. The part-wise tables are a product's or tensor's moments and
     fibers, and a tensor's orbit reach, whose entries are pairs joined
-    through two codecs, which _Partwise's one join cannot spell."""
+    through two codecs, which _Partwise's one join cannot spell; and the
+    point maps of built 2-cells, whose entries are their builders'
+    formulas."""
     missing, tables = set(), set()
     for path in MODULES:
         found = _lazy_tables(path.read_text())
         missing |= {f"{path.stem}.{name}" for name in found[0]}
         tables |= {f"{path.stem}.{name}" for name in found[1]}
     assert sorted(missing) == ["core._LazyTable", "labels.Escapes", "labels._LazyLabels", "labels._LazyParts"]
-    assert sorted(tables) == ["bibundle._PartwiseReach", "core._Partwise", "core._PartwiseFibers"]
+    assert sorted(tables) == ["bibundle._PartwiseReach", "calculus._PointMap", "core._Partwise",
+                              "core._PartwiseFibers"]
 
 
 def test_lazy_table_scan_sees_every_fill():

@@ -584,3 +584,69 @@ def test_cli_reads_each_input_once(idg, tmp_path, capsys, monkeypatch, argv):
         assert opened[path] == 1
         with open(path, "rb") as fh:
             assert digest == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize("field, edit, key", [
+    ("face", lambda t: t["1"].__setitem__("00", dict(t["1"]["0"])), "00"),
+    ("face", lambda t: t.__setitem__("01", t.pop("1")), "01"),
+    ("degen", lambda t: t.__setitem__("01", t.pop("1")), "01"),
+], ids=["extra-face-index", "face-level-renamed", "degen-level-renamed"])
+def test_sset_level_keys_must_be_canonical_decimal(tmp_path, capsys, field, edit, key):
+    """A face or degeneracy key with a leading zero names the same integer
+    as its canonical spelling; it is refused, naming the field and key,
+    instead of replacing (or standing in for) that entry."""
+    obj = io.sset_to_json(nerve(poset_category(3), 3))
+    assert io.sset_to_json(io.sset_from_json(obj)) == obj
+    good = str(tmp_path / "poset3_nerve.json")
+    io.save_json(good, obj)
+    assert main(["validate", good]) == 0
+    edit(obj[field])
+    bad = str(tmp_path / "damaged.json")
+    io.save_json(bad, obj)
+    capsys.readouterr()
+    assert main(["validate", bad, "--json"]) == 2
+    error = json.loads(capsys.readouterr().out)["verdicts"]["error"]
+    assert f"field {field!r}" in error and f"key {key!r}" in error
+    with pytest.raises(StructuralError, match="canonical decimal"):
+        io.sset_from_json(obj)
+
+
+@pytest.fixture(scope="module")
+def kronecker_4_2_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("kron42")
+    assert main(["gen-fixture", "--family", "kronecker_finite", "--n", "4", "--q", "2",
+                 "--out", str(root)]) == 0
+    return {part: str(root / f"kronecker_4_2_{part}.json") for part in ("groupoid", "mu", "i")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval-diagram", "--bind", "x={mu}", "--bind", "x={i}", "x"],
+    ["check", "--bind", "M={mu}", "--bind", "M={mu}", "--lhs", "M", "--rhs", "M"],
+    ["check", "--bind", "id={i}", "--lhs", "id", "--rhs", "id"],
+    *[["eval-diagram", "--bind", f"{name}={{mu}}", "id"] for name in ("tau", "delta", "eps", "ev", "cv")],
+], ids=["repeated-eval", "repeated-check", "shadows-id", "shadows-tau", "shadows-delta", "shadows-eps",
+        "shadows-ev", "shadows-cv"])
+def test_bindings_refuse_a_repeated_or_built_in_name(kronecker_4_2_files, tmp_path, capsys, argv):
+    files = kronecker_4_2_files
+    argv = [a.format(**files) for a in argv]
+    capsys.readouterr()
+    code = main([argv[0], "--groupoid", files["groupoid"], *argv[1:], "--out", str(tmp_path), "--json"])
+    assert code == 2
+    assert "--bind" in json.loads(capsys.readouterr().out)["verdicts"]["error"]
+
+
+def test_bindings_keep_the_bound_names(kronecker_4_2_files, tmp_path):
+    files = kronecker_4_2_files
+    assert main(["check", "--groupoid", files["groupoid"], "--bind", f"mu={files['mu']}",
+                 "--bind", f"i={files['i']}", "--lhs", "(i * i) ; mu", "--rhs", "mu ; i",
+                 "--out", str(tmp_path)]) in (0, 1)
+    assert main(["eval-diagram", "--groupoid", files["groupoid"], "--bind", f"M={files['mu']}",
+                 "--bind", f"N={files['i']}", "M ; N", "--out", str(tmp_path)]) == 0
+
+
+def test_diagram_env_refuses_binding_a_built_in_name():
+    G = kronecker_finite(2, 1).base
+    for name in ("id", "tau", "delta", "eps", "ev", "cv"):
+        with pytest.raises(cli.DiagramError, match="built-in"):
+            cli.DiagramEnv(G, {name: identity_bibundle(G)})
+    assert cli.DiagramEnv(G, {"M": identity_bibundle(G)}).resolve("M").bib is not None
